@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload tables-serial --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload tables-serial --seed 0 --seconds 25 --trace 0
 
 Workloads: ``tables-serial``, ``tables-workers2``, ``esd-figures`` and
 ``cli-roundtrip`` (see ``perfbench/NOTES.md``).  With ``--trace 0`` the run
@@ -14,7 +14,8 @@ object with the keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
 The program is imported from ``src/`` of the checkout.  The workload runs in
 a process of its own with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` removed from its environment, so it sees the library
-defaults, as a user of ``spotspectra mc-*`` does.
+defaults, as a user of ``spotspectra mc-*`` does.  Every time is reported at
+the reference speed of ``calibration.py``; the raw times are printed too.
 """
 
 from __future__ import annotations
@@ -154,7 +155,11 @@ def main() -> int:
             metrics[f"setup.{key}"] = (statistics.median(s[key] for s in split), "s")
     else:
         setup_samples.append(result["import_s"])
-        metrics["setup_s"] = (statistics.median(setup_samples), "s")
+        # Scaled by the workload's own kernel median: the probes run before and
+        # after the workload, and a few kernel runs next to each probe track
+        # the host's speed far worse than the hundreds taken during the run.
+        result["raw"]["setup_s"] = statistics.median(setup_samples)
+        metrics["setup_s"] = (result["raw"]["setup_s"] * result["raw"]["speed_factor"], "s")
     env_record.update(result["env"])
     failed, attempted = result["failed"], result["attempted"]
     correct = failed == 0 and result["self_check_ok"] and not result["problems"]
@@ -170,9 +175,12 @@ def main() -> int:
         "failed": failed,
         "fail_share": failed / attempted if attempted else None,
         "problems": result["problems"],
+        "raw": result.get("raw"),
         "digests": result.get("digests"),
         "tail": result.get("tail"),
         "pass_walls_s": result.get("pass_walls_s"),
+        "steps": result.get("steps"),
+        "kernel_s": result.get("kernel_s"),
         "traced_reps": result.get("traced_reps"),
     }
     (OUT / f"result-{tag}.json").write_text(json.dumps(record, indent=1))
@@ -181,6 +189,8 @@ def main() -> int:
     for name, (value, unit) in sorted(metrics.items()):
         print(f"metric {name} = {value!r} {unit}")
     print(f"fail_share = {record['fail_share']!r} ({failed} of {attempted} ops failed)")
+    if record["raw"]:
+        print("raw (unscaled) " + json.dumps(record["raw"], sort_keys=True))
     if record["tail"]:
         print(f"op_ms_tail is {record['tail']}; {len(record['pass_walls_s'])} passes")
     if record["digests"]:

@@ -80,6 +80,7 @@ def main() -> int:
             out = wl.run_esd(args.seed, args.seconds, args.smoke, work, ref)
         else:
             out = wl.run_cli(args.seed, args.seconds, args.smoke, work, ref)
+        raw = wl.raw_metrics(out)
         metrics = wl.end_to_end_metrics(out)
         metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
         result.update(
@@ -89,8 +90,11 @@ def main() -> int:
             problems=out.problems,
             self_check_ok=out.self_check_ok,
             digests=out.digests,
-            tail=f"p{out.tail_percentile} over {len(out.op_latencies_s)} op latencies",
+            tail=f"p{out.tail_percentile} over {sum(op for _, _, op in out.steps)} op latencies",
             pass_walls_s=out.pass_walls_s,
+            raw=raw,
+            steps=out.steps,
+            kernel_s=out.kernel_s,
         )
     print(json.dumps(result))
     return 0

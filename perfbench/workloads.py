@@ -5,7 +5,8 @@ Each workload repeats one fixed *pass* over the default experiment design
 until the time budget is spent and at least ``min_passes`` passes are done,
 so that the tail percentile always has ten samples beyond it.  Only the
 calls into the program are timed; digests and checks run between passes and
-after the timed phase.
+after the timed phase.  The reference kernel of ``calibration.py`` runs
+before every timed step, and every time is reported at its reference speed.
 
 * ``tables``: the size table over r1 in {0, 0.0004, 0.0008} and the power
   table (s = 0.45, low = 0.0004) over r1 in {0, 0.0002, 0.0004}, one
@@ -19,7 +20,7 @@ after the timed phase.
 from __future__ import annotations
 
 import itertools
-import math
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -27,6 +28,7 @@ from time import perf_counter
 import numpy as np
 
 import check
+from calibration import at_reference_speed, reference_kernel, speed_factor
 from spotspectra import (
     Alternative,
     GridConfig,
@@ -58,23 +60,31 @@ POWER_LOW = 0.0004
 CLI_P = (34, 102)
 
 # Replications per table cell.  Large enough that one cell outweighs the
-# pool start at workers=2, small enough for three passes in a run.
-TABLE_REPS = 40
+# pool start at workers=2.  Small enough for six passes in a run: at
+# workers=2 each cell runs either fast or 2-3x slower, as the two workers'
+# BLAS threads happen to share the two cores, and the medians need many
+# cells to settle.
+TABLE_REPS = 20
 SMOKE_TABLE_REPS = 2
 # A run stops starting passes after this long even if min_passes is not met.
 MAX_TIMED_S = 120.0
 
 # Per workload: ops per pass x min_passes leaves >= 10 samples beyond the
 # fixed tail percentile.
-TAIL_PERCENTILE = {"tables": 75, "esd": 95, "cli": 75}
-MIN_PASSES = {"tables": 3, "esd": 23, "cli": 7}
+TAIL_PERCENTILE = {"tables": 90, "esd": 95, "cli": 75}
+MIN_PASSES = {"tables": 6, "esd": 23, "cli": 7}
 
 
 @dataclass
 class Outcome:
     """What a workload hands back: timings, op accounting and findings."""
 
-    op_latencies_s: list[float] = field(default_factory=list)
+    # Every timed step of the run in order, ops and table writes:
+    # (key naming the step, seconds, whether it is an op).
+    steps: list[tuple[str, float, bool]] = field(default_factory=list)
+    # The reference kernel's time just before each step, aligned with steps.
+    kernel_s: list[float] = field(default_factory=list)
+    _kernel: float = 0.0
     pass_walls_s: list[float] = field(default_factory=list)
     ops_done: int = 0
     attempted: int = 0
@@ -89,6 +99,15 @@ class Outcome:
     def fail(self, ops: int, message: str) -> None:
         self.failed += ops
         self.problems.append(message)
+
+    def calibrate(self) -> None:
+        self._kernel = reference_kernel()
+
+    def step(self, key: str, seconds: float, op: bool = True) -> None:
+        """Record a step timed right after ``calibrate``."""
+        self.steps.append((key, seconds, op))
+        self.kernel_s.append(self._kernel)
+
 
 
 def _timed_passes(run_pass, seconds: float, min_passes: int) -> None:
@@ -153,20 +172,24 @@ def run_tables(seed: int, seconds: float, workers: int, smoke: bool, work: Path,
             for p in P_LIST:
                 out.attempted += reps
                 cfg = _cell_config(seed, reps, table, r1, (p,), workers)
+                out.calibrate()
                 t0 = perf_counter()
                 try:
                     summary = _run_cell(cfg, table)
                 except Exception as exc:  # an op that raises counts as failed
                     out.fail(reps, f"pass {index} {table} r1={r1} p={p}: {exc!r}")
                     continue
-                out.op_latencies_s.append(perf_counter() - t0)
+                out.step(f"{table}:{r1!r}:p{p}", perf_counter() - t0)
                 out.ops_done += reps
                 merged.update(summary.zscores)
             full = _cell_config(seed, reps, table, r1, P_LIST, workers)
             summaries[table].append(MCSummary(config=full, zscores=merged))
             zs[(table, r1)] = {(kind.value, p): z for (kind, p), z in merged.items()}
-        write_size_table(summaries["size"], str(work / "size_table.csv"))
-        write_power_table(summaries["power"], str(work / "power_table.csv"))
+        for name, write in (("size", write_size_table), ("power", write_power_table)):
+            out.calibrate()
+            t0 = perf_counter()
+            write(summaries[name], str(work / f"{name}_table.csv"))
+            out.step(f"write:{name}", perf_counter() - t0, op=False)
         out.pass_walls_s.append(perf_counter() - t_pass)
         digests = {
             "size_table.csv": check.sha256_file(work / "size_table.csv"),
@@ -289,13 +312,14 @@ def run_esd(seed: int, seconds: float, smoke: bool, work: Path, ref) -> Outcome:
         t_pass = perf_counter()
         for i, (art_seed, p, r1) in enumerate(plan):
             out.attempted += 1
+            out.calibrate()
             t0 = perf_counter()
             try:
                 [artifact] = run_esd_figure(_esd_config(art_seed, p, r1), work / f"a{i}")
             except Exception as exc:
                 out.fail(1, f"pass {index} artifact {i}: {exc!r}")
                 continue
-            out.op_latencies_s.append(perf_counter() - t0)
+            out.step(f"a{i}", perf_counter() - t0)
             out.ops_done += 1
             artifacts[i] = artifact
         out.pass_walls_s.append(perf_counter() - t_pass)
@@ -354,13 +378,14 @@ def run_cli(seed: int, seconds: float, smoke: bool, work: Path, ref) -> Outcome:
         for p in CLI_P:
             for argv in cli_argvs(seed, p, work):
                 out.attempted += 1
+                out.calibrate()
                 t0 = perf_counter()
                 try:
                     code = cli_main(argv)
                 except Exception as exc:
                     out.fail(1, f"pass {index} {argv[0]} p={p}: {exc!r}")
                     continue
-                out.op_latencies_s.append(perf_counter() - t0)
+                out.step(f"{argv[0]}:p{p}", perf_counter() - t0)
                 if code != 0:
                     out.fail(1, f"pass {index} {argv[0]} p={p}: exit code {code}")
                     continue
@@ -450,13 +475,35 @@ def hd_quantile(samples, q: float) -> float:
     return float(weights @ x)
 
 
-def end_to_end_metrics(out: Outcome) -> dict[str, tuple[float, str]]:
-    """Every end-to-end metric except ``setup_s`` (measured by the caller)."""
-    lat_ms = [1e3 * s for s in out.op_latencies_s]
-    busy = sum(out.pass_walls_s)
+def _timings(out: Outcome, times: list[float]) -> dict[str, float]:
+    """Pass time, throughput and latency quantiles from per-step ``times``.
+
+    ``wall_s`` is one pass: the sum over its steps of each step's median.
+    ``ops_per_s`` is completed ops over the summed time of all steps.
+    """
+    by_key: dict[str, list[float]] = {}
+    for (key, _, _), t in zip(out.steps, times):
+        by_key.setdefault(key, []).append(t)
+    lat_ms = [1e3 * t for (_, _, op), t in zip(out.steps, times) if op]
     return {
-        "wall_s": (hd_quantile(out.pass_walls_s, 0.5), "s"),
-        "ops_per_s": (out.ops_done / busy if busy > 0 else math.nan, "1/s"),
-        "op_ms_p50": (hd_quantile(lat_ms, 0.5), "ms"),
-        "op_ms_tail": (hd_quantile(lat_ms, out.tail_percentile / 100.0), "ms"),
+        "wall_s": sum(statistics.median(v) for v in by_key.values()),
+        "ops_per_s": out.ops_done / sum(times),
+        "op_ms_p50": hd_quantile(lat_ms, 0.5),
+        "op_ms_tail": hd_quantile(lat_ms, out.tail_percentile / 100.0),
     }
+
+
+def raw_metrics(out: Outcome) -> dict[str, float]:
+    """The timings unscaled, with the kernel's median and the run's factor."""
+    return {
+        **_timings(out, [t for _, t, _ in out.steps]),
+        "kernel_ms_median": 1e3 * statistics.median(out.kernel_s),
+        "speed_factor": speed_factor(out.kernel_s),
+    }
+
+
+def end_to_end_metrics(out: Outcome) -> dict[str, tuple[float, str]]:
+    """Every end-to-end metric except ``setup_s``, at the reference speed."""
+    times = at_reference_speed([t for _, t, _ in out.steps], out.kernel_s)
+    units = {"wall_s": "s", "ops_per_s": "1/s", "op_ms_p50": "ms", "op_ms_tail": "ms"}
+    return {name: (value, units[name]) for name, value in _timings(out, times).items()}
