@@ -52,7 +52,6 @@ from .rmt import (
     MPLaw,
     StieltjesPoint,
     mp_cdf,
-    mp_cdf_grid,
     mp_lss_constants,
     mp_pdf,
     solve_silverstein,
@@ -110,7 +109,6 @@ __all__ = [
     "kolmogorov_distance",
     "lw_test",
     "mp_cdf",
-    "mp_cdf_grid",
     "mp_lss_constants",
     "mp_pdf",
     "read_matrix_csv",

@@ -33,14 +33,7 @@ from .harness import (
     write_size_table,
 )
 from .hdtests import TestKind, bjyz_test, evaluate_tests, j_test, lw_test, write_report_csv
-from .simkit import GridConfig, VolModel, read_path_csv, simulate_path, write_path_csv
-
-_KINDS = {
-    "deterministic-sin": "deterministic_sin",
-    "stochastic-bm": "stochastic_bm",
-    "constant-diag": "constant_diag",
-    "piecewise-diag": "piecewise_diag",
-}
+from .simkit import GridConfig, VolKind, VolModel, read_path_csv, simulate_path, write_path_csv
 
 
 def _conv_int(raw: str) -> int:
@@ -139,7 +132,12 @@ _SIM_OPTS = [
     _Opt("n", _conv_int, required=True, help="number of grid cells"),
     _Opt("p", _conv_int, required=True, help="number of coordinates"),
     _Opt("seed", _conv_int, default=0, help="master seed"),
-    _Opt("kind", _conv_choice(*_KINDS), default="deterministic-sin", help="volatility kind"),
+    _Opt(
+        "kind",
+        _conv_choice(*(kind.value.replace("_", "-") for kind in VolKind)),
+        default="deterministic-sin",
+        help="volatility kind",
+    ),
     _Opt("base", _conv_float, help="variance level for scalar kinds (default 0.0009)"),
     _Opt("r1", _conv_float, default=0.0, help="seasonal modulation amplitude"),
     _Opt("r2", _conv_float, default=0.0, help="volatility-of-volatility amplitude"),
@@ -150,7 +148,13 @@ _SIM_OPTS = [
 
 _SPOT_OPTS = [
     _Opt("path", _conv_str, required=True, help="input path CSV from `simulate`"),
-    _Opt("t", _conv_float, default=0.0, help="window anchor time"),
+    _Opt(
+        "t",
+        _conv_float,
+        default=0.0,
+        help="window anchor time; the window takes the path's increments after cell "
+        "floor(t*n), while mc-* window draws at t > 0 use fresh noise",
+    ),
     _Opt("k_n", _conv_int, help="window length (default: floor(sqrt(n)))"),
     _Opt("out", _conv_str, help="output CSV (default: stdout)"),
 ]
@@ -169,7 +173,13 @@ _MC_COMMON = [
     _Opt("k_n", _conv_int, help="window length (default: floor(sqrt(n)))"),
     _Opt("p_list", _conv_int_list, default=(34, 68, 102), help="comma separated dimensions"),
     _Opt("base", _conv_float, default=0.0009, help="null variance level"),
-    _Opt("t", _conv_float, default=0.0, help="window anchor time"),
+    _Opt(
+        "t",
+        _conv_float,
+        default=0.0,
+        help="window anchor time; draws at t > 0 do not reuse the noise of a "
+        "simulated full path",
+    ),
     _Opt("levels", _conv_float_list, default=(0.10, 0.05, 0.01), help="test levels"),
     _Opt("workers", _conv_int, default=1, help="parallel worker processes"),
     _Opt("out_dir", _conv_str, default=".", help="output directory"),
@@ -219,28 +229,11 @@ def _out_stream(spec: Optional[str]):
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     cfg = _resolve(args, _SIM_OPTS)
-    kind = _KINDS[cfg["kind"]]
-    if kind in ("deterministic_sin", "stochastic_bm"):
-        if cfg["diag"] is not None:
-            raise ConfigError(f"--diag is not accepted by kind {cfg['kind']}")
-        base = cfg["base"] if cfg["base"] is not None else 0.0009
-        if kind == "deterministic_sin":
-            if cfg["r2"] != 0.0:
-                raise ConfigError("deterministic-sin does not use --r2")
-            model = VolModel.deterministic_sin(base, cfg["r1"])
-        else:
-            if cfg["r1"] != 0.0:
-                raise ConfigError("stochastic-bm does not use --r1")
-            model = VolModel.stochastic_bm(base, cfg["r2"])
-    else:
-        if cfg["diag"] is None:
-            raise ConfigError(f"kind {cfg['kind']} requires --diag")
-        if cfg["base"] is not None:
-            raise ConfigError(f"kind {cfg['kind']} does not use --base")
-        if kind == "constant_diag":
-            model = VolModel.constant_diag(cfg["diag"])
-        else:
-            model = VolModel.piecewise_diag(cfg["diag"], r1=cfg["r1"])
+    kind = VolKind(cfg["kind"].replace("-", "_"))
+    base = cfg["base"]
+    if base is None:
+        base = 0.0009 if kind in (VolKind.DETERMINISTIC_SIN, VolKind.STOCHASTIC_BM) else 0.0
+    model = VolModel(kind=kind, base=base, r1=cfg["r1"], r2=cfg["r2"], diag=cfg["diag"])
     grid = GridConfig(n=cfg["n"], p=cfg["p"], seed=cfg["seed"])
     path = simulate_path(grid, model, replication=cfg["replication"])
     write_path_csv(path, _out_stream(cfg["out"]))

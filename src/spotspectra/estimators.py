@@ -14,7 +14,9 @@ module forms
      (\Delta_i X)(\Delta_i X)^\top ,
 
   which averages :math:`k_n` rescaled outer products over a shrinking window
-  right of :math:`t`.
+  right of :math:`t`.  The floor is taken by :func:`window_start`, which
+  first snaps a product :math:`tn` lying within a relative ``1e-9`` of an
+  integer to that integer.
 
 The spot estimate is the input to the spectral tests: its aspect ratio
 ``z_n = p / k_n`` plays the role of the concentration index in the
@@ -23,14 +25,15 @@ Marchenko--Pastur approximation of its eigenvalue distribution.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import TextIO, Union
 
 import numpy as np
 
+from ._csvio import read_float_csv, write_csv
 from .errors import ConfigError
+from .spectra import checked_symmetric
 
 __all__ = [
     "SpotEstimate",
@@ -41,10 +44,6 @@ __all__ = [
     "write_matrix_csv",
     "read_matrix_csv",
 ]
-
-# Relative asymmetry tolerated in a user-supplied estimate matrix.
-_SYMMETRY_RTOL = 1e-8
-
 
 @dataclass(frozen=True)
 class SpotEstimate:
@@ -71,18 +70,7 @@ class SpotEstimate:
     window: tuple[int, int]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ConfigError(f"estimate matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ConfigError("estimate matrix contains non-finite entries")
-        scale = np.max(np.abs(m))
-        asym = np.max(np.abs(m - m.T))
-        if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
-            raise ConfigError(
-                f"estimate matrix is asymmetric: max |A - A^T| = {asym:.3e} "
-                f"exceeds {_SYMMETRY_RTOL:.1e} * max |A| = {_SYMMETRY_RTOL * scale:.3e}"
-            )
+        m = checked_symmetric(self.matrix, "estimate matrix")
         if not isinstance(self.k_n, int) or self.k_n < 1:
             raise ConfigError(f"k_n must be a positive integer, got {self.k_n!r}")
         if self.z_n != m.shape[0] / self.k_n:
@@ -101,6 +89,20 @@ def _symmetrized_outer(block: np.ndarray) -> np.ndarray:
     # (M + M^T)/2 with a power-of-two factor: exactly symmetric output.
     m = block @ block.T
     return 0.5 * (m + m.T)
+
+
+def window_start(t: float, n: int) -> int:
+    """Cells before a window anchored at time ``t`` on an ``n``-cell grid.
+
+    This is ``floor(t*n)``, except that a product within a relative ``1e-9``
+    of an integer is snapped to it: ``0.29 * 100`` is ``28.999999999999996``
+    in floating point, and a plain floor would start the window a cell early.
+    """
+    x = t * n
+    nearest = round(x)
+    if abs(x - nearest) <= 1e-9 * nearest:
+        return int(nearest)
+    return math.floor(x)
 
 
 def realized_integrated_vol(incr: np.ndarray) -> np.ndarray:
@@ -130,7 +132,8 @@ def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
         ``p x n`` increment matrix for the full sample.
     t
         Anchor time in ``[0, 1]``; the window covers increments
-        ``floor(t*n) + 1 .. floor(t*n) + k_n``.
+        ``s + 1 .. s + k_n`` with ``s = window_start(t, n)``, that is
+        ``floor(t*n)`` up to round-off.
     k_n
         Window length; the window must fit inside the sample.
 
@@ -151,11 +154,11 @@ def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
         raise ConfigError(f"k_n must be a positive integer, got {k_n!r}")
     if not math.isfinite(t) or t < 0.0:
         raise ConfigError(f"t must be finite and nonnegative, got {t!r}")
-    start = int(math.floor(t * n))
+    start = window_start(t, n)
     if start + k_n > n:
         raise ConfigError(
             f"spot window [{start + 1}, {start + k_n}] overruns the sample: "
-            f"floor(t*n) + k_n = {start + k_n} > n = {n}"
+            f"start + k_n = {start + k_n} > n = {n}"
         )
     return spot_vol_from_window(incr[:, start : start + k_n], n, t, k_n)
 
@@ -166,14 +169,14 @@ def spot_vol_from_window(
     """Spot estimate from an already-extracted ``p x k_n`` window block.
 
     ``n`` is the full-sample size the ``n / k_n`` rescaling refers to; the
-    window is assumed to start at increment ``floor(t*n) + 1``.
+    window is assumed to start at increment ``window_start(t, n) + 1``.
     """
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[1] != k_n:
         raise ConfigError(
             f"window block must have k_n = {k_n} columns, got shape {window.shape}"
         )
-    start = int(math.floor(t * n))
+    start = window_start(t, n)
     matrix = (n / k_n) * _symmetrized_outer(window)
     return SpotEstimate(
         matrix=matrix,
@@ -215,41 +218,13 @@ def write_matrix_csv(matrix: np.ndarray, stream: Union[str, TextIO]) -> None:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {matrix.shape}")
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(stream)
-        writer.writerow([f"c{j + 1}" for j in range(matrix.shape[1])])
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
-    finally:
-        if close:
-            stream.close()
+    header = [f"c{j + 1}" for j in range(matrix.shape[1])]
+    write_csv(stream, header, (row.tolist() for row in matrix))
 
 
 def read_matrix_csv(stream: Union[str, TextIO]) -> np.ndarray:
     """Read a square matrix written by :func:`write_matrix_csv`."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, newline="")
-        close = True
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("matrix CSV is empty") from None
-        if not header or header[0] != "c1":
-            raise ConfigError(f"unrecognised matrix CSV header: {header!r}")
-        try:
-            rows = np.array([[float(v) for v in row] for row in reader if row])
-        except ValueError as exc:
-            raise ConfigError(f"malformed matrix CSV: {exc}") from None
-    finally:
-        if close:
-            stream.close()
+    header, rows = read_float_csv(stream, "matrix CSV", ("c1",))
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.shape[1] != len(header):
         raise ConfigError(f"matrix CSV is not square: shape {rows.shape}")
     return rows

@@ -14,18 +14,18 @@ way singular columns are left blank in a report) whenever ``p / k_n >= 1``.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
-from typing import Optional, Sequence, TextIO, Union
+from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
+from ._csvio import write_csv
 from .errors import ConfigError
-from .estimators import rescale, spot_vol_from_window
+from .estimators import rescale, spot_vol_from_window, window_start
 from .hdtests import TestKind, evaluate_tests
 from .rmt import MPLaw, mp_cdf
 from .simkit import GridConfig, VolKind, VolModel, simulate_window_increments
@@ -98,9 +98,11 @@ class MCConfig:
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
         if any(p < 1 for p in self.p_list):
             raise ConfigError(f"p_list entries must be positive, got {self.p_list!r}")
+        if len(set(self.p_list)) != len(self.p_list):
+            raise ConfigError(f"p_list entries must be distinct, got {self.p_list!r}")
         if not math.isfinite(self.t) or self.t < 0.0:
             raise ConfigError(f"t must be finite and nonnegative, got {self.t!r}")
-        if int(math.floor(self.t * self.n)) + k_n > self.n:
+        if window_start(self.t, self.n) + k_n > self.n:
             raise ConfigError(
                 f"window of length {k_n} at t = {self.t} overruns n = {self.n}"
             )
@@ -153,7 +155,7 @@ def _run_rep_range(
 ) -> dict[TestKind, np.ndarray]:
     """Z-scores for replications ``rep_lo .. rep_hi - 1`` of one cell."""
     grid = GridConfig(n=n, p=p, seed=seed)
-    start = int(math.floor(t * n))
+    start = window_start(t, n)
     kinds = _cell_kinds(p, k_n)
     out = {kind: np.empty(rep_hi - rep_lo) for kind in kinds}
     inv_scale = 1.0 / null_scale
@@ -273,7 +275,7 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = _null_scale(cfg.model)
-    start = int(math.floor(cfg.t * cfg.n))
+    start = window_start(cfg.t, cfg.n)
     artifacts = []
     for p in cfg.p_list:
         grid = GridConfig(n=cfg.n, p=p, seed=cfg.seed)
@@ -284,13 +286,8 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
         ks = kolmogorov_distance(sample, lambda x: mp_cdf(x, law))
         xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))
         path = out_dir / f"esd_p{p}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "esd", "mp_cdf"])
-            for x in xs:
-                writer.writerow(
-                    [repr(float(x)), repr(esd_eval(sample, float(x))), repr(mp_cdf(float(x), law))]
-                )
+        rows = ([x, esd_eval(sample, x), mp_cdf(x, law)] for x in xs.tolist())
+        write_csv(path, ["x", "esd", "mp_cdf"], rows)
         artifacts.append(EsdArtifact(p=p, path=path, ks_distance=ks))
     return artifacts
 
@@ -332,11 +329,7 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
             correlation = math.nan
         pbar = p / cfg.k_n
         path = out_dir / f"qq_{kind.value}_{pbar:g}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theoretical", "empirical"])
-            for theo, emp in zip(theoretical, empirical):
-                writer.writerow([repr(float(theo)), repr(float(emp))])
+        write_csv(path, ["theoretical", "empirical"], zip(theoretical.tolist(), empirical.tolist()))
         artifacts.append(
             QQArtifact(
                 kind=kind,
@@ -369,32 +362,22 @@ def _write_rate_table(
     summaries: Sequence[MCSummary], stream: Union[str, TextIO], with_s: bool
 ) -> None:
     header = ["test", "level", "r1", "pbar"] + (["s"] if with_s else []) + ["rejection_pct"]
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(header)
-        for summary in summaries:
-            cfg = summary.config
-            if with_s and cfg.alternative is None:
-                raise ConfigError("power table rows need summaries with an alternative")
-            for kind in TestKind:
-                for level in cfg.levels:
-                    for p in cfg.p_list:
-                        if (kind, p) not in summary.zscores:
-                            continue
-                        row = [
-                            kind.value,
-                            repr(level),
-                            repr(cfg.model.r1),
-                            repr(p / cfg.k_n),
-                        ]
-                        if with_s:
-                            row.append(repr(cfg.alternative.s))
-                        row.append(repr(100.0 * summary.rejection_rate(kind, level, p)))
-                        writer.writerow(row)
-    finally:
-        if close:
-            stream.close()
+    for summary in summaries:
+        if with_s and summary.config.alternative is None:
+            raise ConfigError("power table rows need summaries with an alternative")
+    write_csv(stream, header, _rate_rows(summaries, with_s))
+
+
+def _rate_rows(summaries: Sequence[MCSummary], with_s: bool) -> Iterator[list[str]]:
+    for summary in summaries:
+        cfg = summary.config
+        for kind in TestKind:
+            for level in cfg.levels:
+                for p in cfg.p_list:
+                    if (kind, p) not in summary.zscores:
+                        continue
+                    row = [kind.value, repr(level), repr(cfg.model.r1), repr(p / cfg.k_n)]
+                    if with_s:
+                        row.append(repr(cfg.alternative.s))
+                    row.append(repr(100.0 * summary.rejection_rate(kind, level, p)))
+                    yield row

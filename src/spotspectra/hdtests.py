@@ -22,7 +22,6 @@ P-values are two-sided normal tail probabilities ``2 * (1 - Phi(|z|))``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,10 +29,11 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
+from ._csvio import write_csv
 from .errors import ConfigError, NumericalError, SingularEstimateError
 from .estimators import SpotEstimate
 from .rmt import mp_lss_constants
-from .spectra import eigenvalues_sym
+from .spectra import checked_symmetric, eigenvalues_sym
 
 __all__ = [
     "TestKind",
@@ -243,11 +243,7 @@ def whiten_increments(incr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         raise ConfigError(
             f"sigma shape {sigma.shape} does not match {incr.shape[0]} coordinates"
         )
-    if not np.all(np.isfinite(sigma)):
-        raise ConfigError("sigma contains non-finite entries")
-    asym = np.max(np.abs(sigma - sigma.T))
-    if asym > 1e-8 * max(np.max(np.abs(sigma)), 1e-300):
-        raise ConfigError(f"sigma is asymmetric: max |S - S^T| = {asym:.3e}")
+    sigma = checked_symmetric(sigma, "sigma")
     try:
         w, v = np.linalg.eigh(0.5 * (sigma + sigma.T))
     except np.linalg.LinAlgError as exc:
@@ -264,15 +260,4 @@ def whiten_increments(incr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def write_report_csv(reports: Iterable[TestReport], stream: Union[str, TextIO]) -> None:
     """Write test reports as CSV rows under the standard header."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(TestReport.CSV_HEADER)
-        for report in reports:
-            writer.writerow(report.csv_row())
-    finally:
-        if close:
-            stream.close()
+    write_csv(stream, TestReport.CSV_HEADER, (report.csv_row() for report in reports))

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, DegenerateStatisticError, NumericalError
 
@@ -36,7 +35,6 @@ __all__ = [
     "LssConstants",
     "mp_pdf",
     "mp_cdf",
-    "mp_cdf_grid",
     "solve_silverstein",
     "mp_lss_constants",
 ]
@@ -97,34 +95,19 @@ def mp_pdf(x: Union[float, np.ndarray], law: MPLaw) -> Union[float, np.ndarray]:
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _unit_bulk_mass(y: float, u: float) -> float:
-    """Continuous MP mass of ``[a, min(u, b)]`` at unit scale, by quadrature.
-
-    The substitution ``x = a + (b - a) * sin(theta)**2`` removes the
-    square-root endpoint singularities, leaving a smooth integrand on
-    ``[0, theta_max]``.
-    """
-    ua, ub = _unit_edges(y)
-    width = ub - ua
-    ratio = min(max((u - ua) / width, 0.0), 1.0)
-    theta_max = math.asin(math.sqrt(ratio))
-    if theta_max == 0.0:
-        return 0.0
-
-    def integrand(theta: float) -> float:
-        xt = ua + width * math.sin(theta) ** 2
-        return width**2 * math.sin(2.0 * theta) ** 2 / (4.0 * math.pi * y * xt)
-
-    value, _ = quad(integrand, 0.0, theta_max, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return value
-
-
 def mp_cdf(x: float, law: MPLaw) -> float:
     """Distribution function of the MP law at ``x`` (atom at 0 included).
 
     Exactly 0 below the support, exactly 1 at and above the upper edge; in
-    between the bulk mass is computed by adaptive quadrature accurate to
-    better than ``1e-10`` absolute.
+    between the bulk mass is the closed form of Bai & Silverstein (2010,
+    ch. 3).  With ``lo = u - a`` and ``hi = b - u`` at unit scale it reads
+
+    .. math:: \\frac{\\sqrt{lo \\cdot hi} + 2(1 + y)\\operatorname{atan2}(\\sqrt{lo}, \\sqrt{hi})
+              - 2|1 - y|\\operatorname{atan2}(\\sqrt{b \\cdot lo}, \\sqrt{a \\cdot hi})}{2 \\pi y},
+
+    whose last term vanishes at ``y = 1`` (``a = 0``).  The ``atan2`` form
+    keeps full precision next to both edges, where ``arcsin`` of a rounded
+    ratio loses about ``1e-8``.
     """
     u = float(x) / law.sigma2
     y = law.y
@@ -133,15 +116,15 @@ def mp_cdf(x: float, law: MPLaw) -> float:
         return 0.0
     if u >= ub:
         return 1.0
-    atom = max(1.0 - 1.0 / y, 0.0)
     if u <= ua:
-        return atom
-    return min(atom + _unit_bulk_mass(y, u), 1.0)
-
-
-def mp_cdf_grid(law: MPLaw, xs: Sequence[float]) -> np.ndarray:
-    """Evaluate :func:`mp_cdf` on a grid of points."""
-    return np.array([mp_cdf(float(x), law) for x in np.asarray(xs, dtype=float)])
+        return law.atom
+    lo, hi = u - ua, ub - u
+    bulk = (
+        math.sqrt(lo * hi)
+        + 2.0 * (1.0 + y) * math.atan2(math.sqrt(lo), math.sqrt(hi))
+        - 2.0 * abs(1.0 - y) * math.atan2(math.sqrt(ub * lo), math.sqrt(ua * hi))
+    )
+    return min(law.atom + bulk / (2.0 * math.pi * y), 1.0)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 The data-generating process is a driftless Brownian semimartingale: between
 consecutive grid points the log-price increment of each coordinate is a
-centered Gaussian whose variance equals the instantaneous variance integrated
-over the cell.  Because every supported volatility specification admits that
-integral in closed form (or conditionally on a simulated driver path), the
-increments are sampled exactly rather than by Euler refinement of the cell.
+centered Gaussian with a per-cell variance.  For the deterministic kinds that
+variance is the instantaneous variance integrated over the cell in closed
+form, so those increments are sampled exactly.  ``STOCHASTIC_BM`` uses the
+left-endpoint variance ``sigma(t_{i-1})**2 / n`` of the simulated driver
+path instead: an Euler step in the volatility, not the cell integral.
 
 Supported volatility specifications (all diagonal, see :class:`VolModel`):
 
@@ -26,14 +27,17 @@ reserved for the volatility driver of ``STOCHASTIC_BM``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
+# Imported eagerly (numpy loads it lazily) so that forked pool workers
+# inherit it instead of each importing it again.
+from numpy.random import Generator, Philox
 
+from ._csvio import read_float_csv, write_csv
 from .errors import ConfigError
 
 __all__ = [
@@ -56,14 +60,14 @@ _MAX_COORD = (1 << _COORD_BITS) - 1
 _MAX_REPLICATION = (1 << 44) - 1
 
 
-def _substream(seed: int, replication: int, coord: int) -> np.random.Generator:
+def _substream(seed: int, replication: int, coord: int) -> Generator:
     """Return the Philox substream for one (replication, coordinate) pair."""
     if not 0 <= replication <= _MAX_REPLICATION:
         raise ConfigError(f"replication index {replication} outside [0, 2**44)")
     if not 0 <= coord <= _MAX_COORD:
         raise ConfigError(f"coordinate index {coord} outside [0, 2**20)")
     key = np.array([seed, (replication << _COORD_BITS) | coord], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 class VolKind(Enum):
@@ -218,9 +222,12 @@ def _variance_profile(
     start: int,
     count: int,
     p: int,
-    vol_rng: Callable[[], np.random.Generator],
+    vol_rng: Callable[[], Generator],
 ) -> np.ndarray:
-    """Exact per-cell integrated variances for cells ``start+1 .. start+count``.
+    """Per-cell variances for cells ``start+1 .. start+count``.
+
+    Exact cell integrals for the deterministic kinds; the left-endpoint
+    (Euler) value ``sigma(t_{i-1})**2 / n`` for ``STOCHASTIC_BM``.
 
     Returns shape ``(count,)`` for scalar kinds and ``(p, count)`` for
     diagonal kinds; both broadcast against a ``(p, count)`` noise array.
@@ -331,7 +338,7 @@ def write_path_csv(path: PricePath, stream: Union[str, TextIO]) -> None:
     """Write a path as CSV with header ``t,x1,...,xp`` and one row per grid point."""
     header = ["t"] + [f"x{j + 1}" for j in range(path.config.p)]
     table = np.column_stack([path.grid, path.values.T])
-    _write_rows(stream, header, table)
+    write_csv(stream, header, (row.tolist() for row in table))
 
 
 def read_path_csv(stream: Union[str, TextIO]) -> tuple[np.ndarray, np.ndarray]:
@@ -340,40 +347,7 @@ def read_path_csv(stream: Union[str, TextIO]) -> tuple[np.ndarray, np.ndarray]:
     The file must carry the ``t,x1,...,xp`` header produced by
     :func:`write_path_csv`.
     """
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, newline="")
-        close = True
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("path CSV is empty") from None
-        if len(header) < 2 or header[0] != "t" or header[1] != "x1":
-            raise ConfigError(f"unrecognised path CSV header: {header!r}")
-        try:
-            rows = np.array([[float(v) for v in row] for row in reader if row])
-        except ValueError as exc:
-            raise ConfigError(f"malformed path CSV: {exc}") from None
-    finally:
-        if close:
-            stream.close()
+    header, rows = read_float_csv(stream, "path CSV", ("t", "x1"))
     if rows.ndim != 2 or rows.shape[0] < 2 or rows.shape[1] != len(header):
         raise ConfigError("path CSV must contain at least two complete rows")
     return rows[:, 0], rows[:, 1:].T
-
-
-def _write_rows(stream: Union[str, TextIO], header: list[str], table: np.ndarray) -> None:
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(header)
-        for row in table:
-            writer.writerow([repr(float(v)) for v in row])
-    finally:
-        if close:
-            stream.close()

@@ -9,12 +9,12 @@ spectra are rejected as numerical failures.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, TextIO, Union
 
 import numpy as np
 
+from ._csvio import write_csv
 from .errors import ConfigError, NumericalError
 
 __all__ = [
@@ -25,11 +25,33 @@ __all__ = [
     "write_esd_csv",
 ]
 
-# Relative asymmetry accepted before a matrix is rejected outright.
-_ASYM_RTOL = 1e-8
 # Eigenvalues below -_PSD_RTOL * ||A||_2 are a hard error; ones in
 # [-_PSD_RTOL * ||A||_2, 0) are treated as round-off and clamped to zero.
 _PSD_RTOL = 1e-10
+
+
+def checked_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
+    """Return ``matrix`` as a float array after checking it is a symmetric matrix.
+
+    It must be square with at least one row, have only finite entries, and
+    have ``max |A - A^T| <= 1e-8 * max |A|``.  Otherwise a
+    :class:`~spotspectra.errors.ConfigError` names ``name`` and says which
+    condition failed ("square", "non-finite" or "asymmetric").
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ConfigError(f"{name} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ConfigError(f"{name} contains non-finite entries")
+    rtol = 1e-8  # relative asymmetry accepted as round-off
+    scale = np.max(np.abs(m))
+    asym = np.max(np.abs(m - m.T))
+    if asym > rtol * max(scale, 1e-300):
+        raise ConfigError(
+            f"{name} is asymmetric: max |A - A^T| = {asym:.3e} exceeds "
+            f"{rtol:.1e} * max |A| = {rtol * scale:.3e}"
+        )
+    return m
 
 
 @dataclass(frozen=True)
@@ -70,18 +92,7 @@ def eigenvalues_sym(matrix: np.ndarray) -> SpectralSample:
     below the band raises :class:`~spotspectra.errors.NumericalError` because
     the matrix is not a plausible covariance.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ConfigError(f"matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ConfigError("matrix contains non-finite entries")
-    scale = np.max(np.abs(m))
-    asym = np.max(np.abs(m - m.T))
-    if asym > _ASYM_RTOL * max(scale, 1e-300):
-        raise ConfigError(
-            f"matrix is asymmetric: max |A - A^T| = {asym:.3e} exceeds "
-            f"{_ASYM_RTOL:.1e} * max |A| = {_ASYM_RTOL * scale:.3e}"
-        )
+    m = checked_symmetric(matrix, "matrix")
     sym = 0.5 * (m + m.T)
     try:
         lam = np.linalg.eigvalsh(sym)
@@ -125,15 +136,5 @@ def kolmogorov_distance(sample: SpectralSample, cdf: Callable[[float], float]) -
 
 def write_esd_csv(sample: SpectralSample, stream: Union[str, TextIO]) -> None:
     """Write the ESD jump points as CSV rows ``x, esd`` (post-jump values)."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(["x", "esd"])
-        for lam in np.unique(sample.eigenvalues):
-            writer.writerow([repr(float(lam)), repr(esd_eval(sample, float(lam)))])
-    finally:
-        if close:
-            stream.close()
+    rows = ([lam, esd_eval(sample, lam)] for lam in np.unique(sample.eigenvalues).tolist())
+    write_csv(stream, ["x", "esd"], rows)

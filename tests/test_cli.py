@@ -59,13 +59,13 @@ def test_simulate_kind_validation(capsys):
 def test_simulate_diag_rejected_for_scalar_kind(capsys):
     rc = main(["simulate", "--n", "16", "--p", "2", "--diag", "1,2"])
     assert rc == 2
-    assert "--diag is not accepted" in capsys.readouterr().err
+    assert "does not take a diag vector" in capsys.readouterr().err
 
 
 def test_simulate_constant_diag_requires_diag(capsys):
     rc = main(["simulate", "--n", "16", "--p", "2", "--kind", "constant-diag"])
     assert rc == 2
-    assert "requires --diag" in capsys.readouterr().err
+    assert "requires a nonempty diag vector" in capsys.readouterr().err
 
 
 def test_bad_int_value_exits_2(capsys):

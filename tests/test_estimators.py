@@ -61,6 +61,17 @@ def test_spot_window_selection_matches_manual():
         assert est.window == (start + 1, start + k_n)
 
 
+def test_anchor_time_is_not_floored_below_its_cell():
+    # 0.29 * 100 == 28.999999999999996: the window must still start after
+    # cell 29, not one cell early
+    incr = np.random.default_rng(4).standard_normal((3, 100))
+    k_n = 10
+    est = spot_vol(incr, 0.29, k_n)
+    assert est.window == (30, 29 + k_n)
+    block = incr[:, 29 : 29 + k_n]
+    np.testing.assert_array_equal(est.matrix, spot_vol_from_window(block, 100, 0.29, k_n).matrix)
+
+
 def test_output_is_exactly_symmetric():
     rng = np.random.default_rng(2)
     incr = rng.standard_normal((6, 50))

@@ -42,6 +42,8 @@ def test_mc_config_defaults_and_validation():
         MCConfig(seed=0, workers=0)
     with pytest.raises(ConfigError, match="p_list"):
         MCConfig(seed=0, p_list=(0,))
+    with pytest.raises(ConfigError, match="p_list entries must be distinct"):
+        MCConfig(seed=0, p_list=(34, 68, 34))
 
 
 def test_alternative_validation():

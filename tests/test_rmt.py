@@ -6,6 +6,10 @@ arithmetic from the closed-form density and are frozen here as literals.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,6 @@ from spotspectra import (
     MPLaw,
     NumericalError,
     mp_cdf,
-    mp_cdf_grid,
     mp_lss_constants,
     mp_pdf,
     solve_silverstein,
@@ -113,9 +116,47 @@ def test_mp_cdf_shape():
     assert mp_cdf(0.0, thin) == 0.0
     assert mp_cdf(thin.a * 0.99, thin) == 0.0
     xs = np.linspace(-0.5, thin.b + 0.5, 80)
-    vals = mp_cdf_grid(thin, xs)
+    vals = np.array([mp_cdf(x, thin) for x in xs])
     assert np.all(np.diff(vals) >= 0.0)
-    np.testing.assert_array_equal(vals, [mp_cdf(float(x), thin) for x in xs])
+    np.testing.assert_array_equal(vals, [mp_cdf(x, thin) for x in xs.tolist()])
+
+
+def test_mp_cdf_matches_quadrature_of_density():
+    # independent oracle: atom plus the quadrature of mp_pdf from a to x, with
+    # x = a + (b - a) sin^2(theta) removing the edge singularities (and the
+    # 1/sqrt(x) pole at a = 0 when y = 1); the cdf must agree to 1e-12 in
+    # the bulk and within 1e-12 of either edge
+    for y in (0.3, 1.0, 1.5, 3.0):
+        for sigma2 in (1.0, 0.0009):
+            law = MPLaw(y=y, sigma2=sigma2)
+            w = law.b - law.a
+
+            def integrand(theta):
+                x = law.a + w * math.sin(theta) ** 2
+                return float(mp_pdf(x, law)) * w * math.sin(2.0 * theta)
+
+            near = 1e-12 * sigma2
+            xs = [law.a + near, law.b - near]
+            xs += [law.a + w * f for f in (0.01, 0.25, 0.5, 0.75, 0.99)]
+            for x in xs:
+                theta_x = math.atan2(math.sqrt(x - law.a), math.sqrt(law.b - x))
+                bulk, err = integrate.quad(
+                    integrand, 0.0, theta_x, epsabs=1e-14, epsrel=1e-13, limit=200
+                )
+                assert err < 1e-12
+                assert mp_cdf(x, law) == pytest.approx(law.atom + bulk, abs=1e-12)
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only: importing the package and its CLI must
+    # not pull it in
+    code = (
+        "import spotspectra, spotspectra.cli, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_mp_cdf_scale_equivariance_is_exact():

@@ -146,6 +146,29 @@ def test_stochastic_vol_varies_over_time():
     assert not np.array_equal(sto[0, 1:], det[0, 1:])
 
 
+def test_stochastic_bm_uses_left_endpoint_variance():
+    # Euler in the volatility: cell i has variance
+    # (sqrt(base) + r2 * W_{(i-1)/n})**2 / n, with the driver path W drawn
+    # from coordinate p's substream and the noise from coordinate j's
+    n, p, seed, rep, base, r2 = 50, 2, 4, 3, 0.0009, 0.02
+    start, count = 10, 20
+    grid = GridConfig(n=n, p=p, seed=seed)
+    incr = simulate_window_increments(
+        grid, VolModel.stochastic_bm(base, r2), start, count, replication=rep
+    )
+
+    def stream(coord):
+        key = np.array([seed, (rep << 20) | coord], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    dw = stream(p).standard_normal(start + count - 1) * math.sqrt(1.0 / n)
+    w = np.concatenate(([0.0], np.cumsum(dw)))  # W at 0, 1/n, ..., (start+count-1)/n
+    variance = (math.sqrt(base) + r2 * w[start : start + count]) ** 2 / n
+    for j in range(p):
+        expected = np.sqrt(variance) * stream(j).standard_normal(count)
+        np.testing.assert_allclose(incr[j], expected, rtol=1e-14, atol=0.0)
+
+
 def test_window_moments():
     # per-cell variance of the deterministic model is the exact integral of
     # base + r1*sin(2*pi*t); pool replications and compare cell by cell
