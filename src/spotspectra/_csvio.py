@@ -22,11 +22,16 @@ Target = Union[str, "os.PathLike[str]", TextIO]
 @contextmanager
 def _opened(target: Target, mode: str) -> Iterator[TextIO]:
     # Paths are opened and closed here; streams are used and left open.
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, mode, newline="") as stream:
-            yield stream
-    else:
+    if not isinstance(target, (str, os.PathLike)):
         yield target
+        return
+    try:
+        stream = open(target, mode, newline="")
+    except OSError as exc:
+        action = "read" if mode == "r" else "write"
+        raise ConfigError(f"cannot {action} {os.fspath(target)}: {exc.strerror or exc}") from exc
+    with stream:
+        yield stream
 
 
 def write_csv(target: Target, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

@@ -32,8 +32,9 @@ from .harness import (
     write_power_table,
     write_size_table,
 )
-from .hdtests import TestKind, bjyz_test, evaluate_tests, j_test, lw_test, write_report_csv
+from .hdtests import TestKind, evaluate_tests, write_report_csv
 from .simkit import GridConfig, VolKind, VolModel, read_path_csv, simulate_path, write_path_csv
+from .spectra import eigenvalues_sym
 
 
 def _conv_int(raw: str) -> int:
@@ -255,15 +256,13 @@ def _cmd_test(args: argparse.Namespace) -> None:
         if cfg["scale"] <= 0.0:
             raise ConfigError(f"--scale must be positive, got {cfg['scale']!r}")
         matrix = matrix / cfg["scale"]
+    # The tests assume a positive semidefinite matrix; this one comes from a file.
+    eigenvalues_sym(matrix)
     k_n = cfg["k_n"]
     p = matrix.shape[0]
     est = SpotEstimate(matrix=matrix, t=0.0, k_n=k_n, z_n=p / k_n, window=(1, k_n))
-    if cfg["kind"] == "all":
-        reports = evaluate_tests(est)
-    else:
-        runner = {"bjyz": bjyz_test, "lw": lw_test, "j": j_test}[cfg["kind"]]
-        reports = [runner(est)]
-    write_report_csv(reports, _out_stream(cfg["out"]))
+    kinds = None if cfg["kind"] == "all" else [TestKind(cfg["kind"])]
+    write_report_csv(evaluate_tests(est, kinds), _out_stream(cfg["out"]))
 
 
 def _mc_config(cfg: dict[str, object], seed: int, model: VolModel,

@@ -33,6 +33,7 @@ import numpy as np
 
 from ._csvio import read_float_csv, write_csv
 from .errors import ConfigError
+from .simkit import _snapped_floor
 from .spectra import checked_symmetric
 
 __all__ = [
@@ -49,10 +50,15 @@ __all__ = [
 class SpotEstimate:
     """A spot covariance estimate plus the window metadata the tests need.
 
+    Construction checks that ``matrix`` is square, finite and symmetric up
+    to a relative ``1e-8``, and that ``z_n == p / k_n``.  It does not check
+    that ``matrix`` is positive semidefinite, which :mod:`spotspectra.hdtests`
+    assumes.
+
     Attributes
     ----------
     matrix
-        The ``p x p`` symmetric estimate.
+        The ``p x p`` symmetric estimate, stored as given.
     t
         Time the window is anchored at.
     k_n
@@ -92,17 +98,10 @@ def _symmetrized_outer(block: np.ndarray) -> np.ndarray:
 
 
 def window_start(t: float, n: int) -> int:
-    """Cells before a window anchored at time ``t`` on an ``n``-cell grid.
-
-    This is ``floor(t*n)``, except that a product within a relative ``1e-9``
-    of an integer is snapped to it: ``0.29 * 100`` is ``28.999999999999996``
-    in floating point, and a plain floor would start the window a cell early.
-    """
-    x = t * n
-    nearest = round(x)
-    if abs(x - nearest) <= 1e-9 * nearest:
-        return int(nearest)
-    return math.floor(x)
+    """Cells before a window anchored at time ``t`` on an ``n``-cell grid:
+    ``floor(t*n)``, where a product within a relative ``1e-9`` of an integer
+    counts as that integer, so ``t = 0.29, n = 100`` starts after cell 29."""
+    return _snapped_floor(t * n)
 
 
 def realized_integrated_vol(incr: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ way singular columns are left blank in a report) whenever ``p / k_n >= 1``.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,8 +51,9 @@ _DEFAULT_MODEL = VolModel.deterministic_sin(0.0009, 0.0)
 
 @dataclass(frozen=True)
 class Alternative:
-    """Two-block alternative: ``floor(s*p)`` variances stay at the null level,
-    the remaining ``p - floor(s*p)`` drop to ``low``."""
+    """Two-block alternative: ``m = floor(s*p)`` variances stay at the null
+    level and the remaining ``p - m`` drop to ``low``.  A product ``s*p``
+    within a relative ``1e-9`` of an integer counts as that integer."""
 
     s: float
     low: float = 0.0004
@@ -135,13 +137,6 @@ class MCSummary:
         }
 
 
-def _cell_kinds(p: int, k_n: int) -> list[TestKind]:
-    kinds = [TestKind.LW, TestKind.J]
-    if p / k_n < 1.0:
-        kinds.insert(0, TestKind.BJYZ)
-    return kinds
-
-
 def _run_rep_range(
     seed: int,
     n: int,
@@ -156,30 +151,30 @@ def _run_rep_range(
     """Z-scores for replications ``rep_lo .. rep_hi - 1`` of one cell."""
     grid = GridConfig(n=n, p=p, seed=seed)
     start = window_start(t, n)
-    kinds = _cell_kinds(p, k_n)
-    out = {kind: np.empty(rep_hi - rep_lo) for kind in kinds}
     inv_scale = 1.0 / null_scale
-    for idx, rep in enumerate(range(rep_lo, rep_hi)):
+    rows = []
+    for rep in range(rep_lo, rep_hi):
         window = simulate_window_increments(grid, data_model, start, k_n, replication=rep)
         est = rescale(spot_vol_from_window(window, n, t, k_n), inv_scale)
-        for report in evaluate_tests(est, kinds):
-            out[report.kind][idx] = report.zscore
-    return out
+        rows.append(evaluate_tests(est))
+    z = np.array([[report.zscore for report in reports] for reports in rows])
+    return {report.kind: z[:, i] for i, report in enumerate(rows[0])}
 
 
 def _run_cell(
     cfg: MCConfig, p: int, data_model: VolModel, null_scale: float
 ) -> dict[TestKind, np.ndarray]:
-    kinds = _cell_kinds(p, cfg.k_n)
-    merged = {kind: np.empty(cfg.reps) for kind in kinds}
     bounds = _chunk_bounds(cfg.reps, cfg.workers)
-    if cfg.workers == 1 or len(bounds) == 1:
+    if len(bounds) == 1:
         chunks = [
             (lo, hi, _run_rep_range(cfg.seed, cfg.n, cfg.t, cfg.k_n, p, data_model, null_scale, lo, hi))
             for lo, hi in bounds
         ]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # workers comes from the user: never start more processes than there
+        # are chunks or cores.
+        processes = min(cfg.workers, len(bounds), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [
                 (lo, hi, pool.submit(
                     _run_rep_range,
@@ -188,8 +183,9 @@ def _run_cell(
                 for lo, hi in bounds
             ]
             chunks = [(lo, hi, fut.result()) for lo, hi, fut in futures]
+    merged = {kind: np.empty(cfg.reps) for kind in chunks[0][2]}
     for lo, hi, piece in chunks:
-        for kind in kinds:
+        for kind in merged:
             merged[kind][lo:hi] = piece[kind]
     return merged
 

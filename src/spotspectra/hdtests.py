@@ -3,21 +3,24 @@ r"""High-dimensional identity and sphericity tests for spot covariance estimates
 All three tests consume a :class:`~spotspectra.estimators.SpotEstimate` whose
 aspect ratio ``z_n = p / k_n`` stays bounded away from zero, and standardize
 their statistics with Marchenko--Pastur CLT constants so the z-scores are
-asymptotically standard normal under the null.
+asymptotically standard normal under the null.  Each raw statistic is a
+linear spectral statistic of the estimate ``A`` with eigenvalues ``lam``,
+computed from matrix invariants with no eigendecomposition:
 
-* :func:`bjyz_test` -- likelihood-ratio-type identity test built on the
-  log-spectral statistic :math:`\sum_i (\lambda_i - \log\lambda_i - 1)`;
-  requires ``z_n < 1`` (otherwise the estimate is singular and the
-  log-determinant does not exist).
-* :func:`lw_test` -- quadratic-loss identity test built on
-  :math:`p^{-1}\operatorname{tr}((\widehat c - I)^2)` with a dimension
-  correction; defined for any aspect ratio.
-* :func:`j_test` -- scale-invariant sphericity test: the quadratic loss of
-  the trace-normalized estimate.  The matrix is normalized *before* the
-  decomposition, which makes the statistic exactly invariant under positive
-  rescaling of the input.
+* :func:`bjyz_test` -- likelihood-ratio identity test (Bai, Jiang, Yao and
+  Zheng 2009): ``sum(lam - log(lam) - 1) = tr(A) - log(det(A)) - p``, with
+  the log-determinant from the Cholesky factor; requires ``z_n < 1``.
+* :func:`lw_test` -- quadratic-loss identity test (Ledoit and Wolf 2002),
+  from ``sum((lam - 1)**2) = ||A - I||_F**2`` and ``tr(A)``; any ``z_n``.
+* :func:`j_test` -- John's sphericity test: the same loss for
+  ``A / (tr(A) / p)``, so rescaling ``A`` by a power of two leaves it
+  bit-identical.
 
-P-values are two-sided normal tail probabilities ``2 * (1 - Phi(|z|))``.
+``A`` is assumed symmetric positive semidefinite and is not checked: an
+indefinite matrix gives finite, meaningless ``lw`` and ``j`` statistics.
+Check a matrix from outside the program with
+:func:`~spotspectra.spectra.eigenvalues_sym` first, as the command line
+``test`` does.  P-values are two-sided: ``2 * (1 - Phi(|z|))``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from ._csvio import write_csv
 from .errors import ConfigError, NumericalError, SingularEstimateError
 from .estimators import SpotEstimate
 from .rmt import mp_lss_constants
-from .spectra import checked_symmetric, eigenvalues_sym
+from .spectra import checked_symmetric
 
 __all__ = [
     "TestKind",
@@ -46,9 +49,9 @@ __all__ = [
     "write_report_csv",
 ]
 
-# Eigenvalues at or below this floor make log-spectral statistics (and
-# whitening) undefined.
-_EIG_FLOOR = 1e-12
+# Cholesky pivots (and, in whitening, eigenvalues) at or below this floor make
+# the log-determinant (and the inverse square root) undefined.
+_FLOOR = 1e-12
 
 
 class TestKind(str, Enum):
@@ -91,87 +94,79 @@ def _two_sided_pvalue(zscore: float) -> float:
     return math.erfc(abs(zscore) / math.sqrt(2.0))
 
 
-def _spectrum(est: SpotEstimate) -> np.ndarray:
-    return eigenvalues_sym(est.matrix).eigenvalues
+def _report(kind: TestKind, est: SpotEstimate, raw: float, zscore: float) -> TestReport:
+    return TestReport(
+        kind=kind,
+        raw=raw,
+        zscore=zscore,
+        pvalue=_two_sided_pvalue(zscore),
+        z_n=est.z_n,
+        p=est.p,
+        k_n=est.k_n,
+    )
+
+
+def _squared_distance_to_identity(a: np.ndarray) -> float:
+    d = a - np.eye(a.shape[0])
+    return float(np.vdot(d, d))
 
 
 def bjyz_test(est: SpotEstimate) -> TestReport:
     """Log-spectral identity test: is the population covariance the identity?
 
-    Raw statistic ``sum(lam - log(lam) - 1)`` over the eigenvalues ``lam`` of
-    the estimate, standardized as
-    ``(raw - p*center - mean_shift) / sqrt(variance)`` with the constants of
-    :func:`~spotspectra.rmt.mp_lss_constants` at ``z_n``.
+    Raw statistic ``tr(A) - 2*sum(log(diag(L))) - p`` for the Cholesky
+    factor ``A = L L^T``, which is ``sum(lam - log(lam) - 1)``, standardized
+    as ``(raw - p*center - mean_shift) / sqrt(variance)`` with the constants
+    of :func:`~spotspectra.rmt.mp_lss_constants` at ``z_n``.
 
     Raises
     ------
     DegenerateStatisticError
         If ``z_n >= 1``.
     SingularEstimateError
-        If any eigenvalue is at or below ``1e-12``.
+        If the Cholesky factorization fails or a pivot ``L[i, i]**2`` is at
+        or below ``1e-12``.
     """
     constants = mp_lss_constants(est.z_n)
-    return _bjyz_report(est, _spectrum(est), constants)
-
-
-def _bjyz_report(est: SpotEstimate, lam: np.ndarray, constants) -> TestReport:
-    smallest = float(np.min(lam))
-    if smallest <= _EIG_FLOOR:
+    try:
+        root_pivots = np.diagonal(np.linalg.cholesky(est.matrix))
+    except np.linalg.LinAlgError as exc:
         raise SingularEstimateError(
-            f"smallest eigenvalue {smallest:.6e} at or below {_EIG_FLOOR:.1e}: "
-            "log-spectral statistic undefined"
+            f"Cholesky factorization failed ({exc}): log-determinant undefined"
+        ) from exc
+    smallest = float(np.min(root_pivots)) ** 2
+    if smallest <= _FLOOR:
+        raise SingularEstimateError(
+            f"smallest Cholesky pivot {smallest:.6e} at or below {_FLOOR:.1e}: "
+            "log-determinant undefined"
         )
     p = est.p
-    raw = float(np.sum(lam) - np.sum(np.log(lam))) - p
+    raw = float(np.trace(est.matrix)) - 2.0 * float(np.sum(np.log(root_pivots))) - p
     zscore = (raw - p * constants.center - constants.mean_shift) / math.sqrt(
         constants.variance
     )
-    return TestReport(
-        kind=TestKind.BJYZ,
-        raw=raw,
-        zscore=zscore,
-        pvalue=_two_sided_pvalue(zscore),
-        z_n=est.z_n,
-        p=p,
-        k_n=est.k_n,
-    )
+    return _report(TestKind.BJYZ, est, raw, zscore)
 
 
 def lw_test(est: SpotEstimate) -> TestReport:
     """Quadratic-loss identity test with dimension correction.
 
-    Raw statistic
-    ``mean((lam - 1)**2) - z_n * mean(lam)**2 + z_n`` standardized as
-    ``(k_n * raw - p - 1) / 2``.  Defined for every aspect ratio, including
-    ``z_n >= 1``.
+    Raw statistic ``||A - I||_F**2 / p - z_n * (tr(A) / p)**2 + z_n``, which
+    is ``mean((lam - 1)**2) - z_n * mean(lam)**2 + z_n``, standardized as
+    ``(k_n * raw - p - 1) / 2``.  Defined for every aspect ratio.
     """
-    return _lw_report(est, _spectrum(est))
-
-
-def _lw_report(est: SpotEstimate, lam: np.ndarray) -> TestReport:
     p = est.p
-    ratio = p / est.k_n
-    raw = float(np.mean((lam - 1.0) ** 2) - ratio * np.mean(lam) ** 2 + ratio)
-    zscore = (est.k_n * raw - p - 1.0) / 2.0
-    return TestReport(
-        kind=TestKind.LW,
-        raw=raw,
-        zscore=zscore,
-        pvalue=_two_sided_pvalue(zscore),
-        z_n=est.z_n,
-        p=p,
-        k_n=est.k_n,
-    )
+    mean_lam = float(np.trace(est.matrix)) / p
+    raw = _squared_distance_to_identity(est.matrix) / p - est.z_n * mean_lam**2 + est.z_n
+    return _report(TestKind.LW, est, raw, (est.k_n * raw - p - 1.0) / 2.0)
 
 
 def j_test(est: SpotEstimate) -> TestReport:
     """Sphericity test: is the population covariance proportional to the identity?
 
-    The estimate is divided by its average diagonal ``trace / p`` first and
-    the quadratic loss ``mean((mu - 1)**2)`` of the normalized spectrum
-    ``mu`` is standardized like the quadratic identity statistic.  Because
-    the normalization happens at matrix level, the report is exactly
-    invariant under ``matrix -> alpha * matrix`` for ``alpha > 0``.
+    Raw statistic ``||B - I||_F**2 / p`` for ``B = A / (tr(A) / p)``,
+    standardized like :func:`lw_test`.  Because ``A`` is normalized first,
+    the report is bit-identical under ``A -> 2**m * A``.
 
     Raises
     ------
@@ -183,48 +178,31 @@ def j_test(est: SpotEstimate) -> TestReport:
         raise SingularEstimateError(
             f"trace {trace!r} is not positive: sphericity normalization undefined"
         )
-    normalized = est.matrix / (trace / est.p)
-    mu = eigenvalues_sym(normalized).eigenvalues
     p = est.p
-    raw = float(np.mean((mu - 1.0) ** 2))
-    zscore = (est.k_n * raw - p - 1.0) / 2.0
-    return TestReport(
-        kind=TestKind.J,
-        raw=raw,
-        zscore=zscore,
-        pvalue=_two_sided_pvalue(zscore),
-        z_n=est.z_n,
-        p=p,
-        k_n=est.k_n,
-    )
+    raw = _squared_distance_to_identity(est.matrix / (trace / p)) / p
+    return _report(TestKind.J, est, raw, (est.k_n * raw - p - 1.0) / 2.0)
+
+
+_RUNNERS = {TestKind.BJYZ: bjyz_test, TestKind.LW: lw_test, TestKind.J: j_test}
 
 
 def evaluate_tests(
     est: SpotEstimate, kinds: Optional[Sequence[TestKind]] = None
 ) -> list[TestReport]:
-    """Run several tests on one estimate, decomposing the matrix only once.
+    """Run several tests on one estimate, one report per entry of ``kinds``.
 
-    With ``kinds=None`` all applicable tests run: the log-spectral test is
-    included only when ``z_n < 1``.  The identity tests share a single
-    eigenvalue decomposition; the sphericity test decomposes the normalized
-    matrix as its exact-invariance contract requires.
+    Each report is the one the standalone ``*_test`` call returns.  With
+    ``kinds=None`` all applicable tests run in the order ``bjyz, lw, j``,
+    where the log-spectral test is included only when ``z_n < 1``.
     """
     if kinds is None:
         kinds = [k for k in TestKind if k is not TestKind.BJYZ or est.z_n < 1.0]
-    lam: Optional[np.ndarray] = None
     reports = []
     for kind in kinds:
-        if kind is TestKind.J:
-            reports.append(j_test(est))
-            continue
-        if lam is None:
-            lam = _spectrum(est)
-        if kind is TestKind.BJYZ:
-            reports.append(_bjyz_report(est, lam, mp_lss_constants(est.z_n)))
-        elif kind is TestKind.LW:
-            reports.append(_lw_report(est, lam))
-        else:
+        runner = _RUNNERS.get(kind)
+        if runner is None:
             raise ConfigError(f"unknown test kind {kind!r}")
+        reports.append(runner(est))
     return reports
 
 
@@ -249,9 +227,9 @@ def whiten_increments(incr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue decomposition of sigma failed: {exc}") from exc
     smallest = float(w[0])
-    if smallest <= _EIG_FLOOR:
+    if smallest <= _FLOOR:
         raise NumericalError(
-            f"sigma eigenvalue {smallest:.6e} at or below {_EIG_FLOOR:.1e}: "
+            f"sigma eigenvalue {smallest:.6e} at or below {_FLOOR:.1e}: "
             "inverse square root undefined"
         )
     inv_root = (v / np.sqrt(w)) @ v.T

@@ -60,6 +60,15 @@ _MAX_COORD = (1 << _COORD_BITS) - 1
 _MAX_REPLICATION = (1 << 44) - 1
 
 
+def _snapped_floor(x: float) -> int:
+    """``floor(x)`` for ``x >= 0``, where ``x`` within a relative ``1e-9`` of an
+    integer counts as that integer: ``0.29 * 100 == 28.999999999999996``."""
+    nearest = round(x)
+    if abs(x - nearest) <= 1e-9 * nearest:
+        return int(nearest)
+    return math.floor(x)
+
+
 def _substream(seed: int, replication: int, coord: int) -> Generator:
     """Return the Philox substream for one (replication, coordinate) pair."""
     if not 0 <= replication <= _MAX_REPLICATION:
@@ -185,10 +194,12 @@ class VolModel:
     def two_block(
         cls, p: int, split: float, high: float, low: float, r1: float = 0.0
     ) -> "VolModel":
-        """Two-block diagonal: ``floor(split*p)`` entries at ``high``, rest at ``low``."""
+        """Two-block diagonal: ``floor(split*p)`` entries at ``high``, rest at
+        ``low``; a product within a relative ``1e-9`` of an integer counts as
+        that integer."""
         if not 0.0 < split < 1.0:
             raise ConfigError(f"split must lie in (0, 1), got {split!r}")
-        n_high = int(math.floor(split * p))
+        n_high = _snapped_floor(split * p)
         return cls.piecewise_diag((high,) * n_high + (low,) * (p - n_high), r1=r1)
 
 

@@ -131,6 +131,10 @@ def test_test_indefinite_matrix_exits_3(tmp_path, capsys):
     rc = main(["test", "--matrix", str(bad), "--k-n", "4"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("numerical failure:")
+    # lw alone would give a finite statistic: the matrix itself is rejected
+    rc = main(["test", "--matrix", str(bad), "--k-n", "4", "--kind", "lw"])
+    assert rc == 3
+    assert "not positive semidefinite" in capsys.readouterr().err
 
 
 def test_test_nonpositive_scale_exits_2(tmp_path, capsys):
@@ -139,6 +143,18 @@ def test_test_nonpositive_scale_exits_2(tmp_path, capsys):
     rc = main(["test", "--matrix", str(bad), "--k-n", "4", "--scale", "0"])
     assert rc == 2
     assert "--scale must be positive" in capsys.readouterr().err
+
+
+def test_missing_input_csv_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["spot", "--path", str(missing)]) == 2
+    assert f"error: cannot read {missing}:" in capsys.readouterr().err
+
+
+def test_unwritable_output_csv_exits_2(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "path.csv"
+    assert main(["simulate", "--n", "16", "--p", "2", "--out", str(out)]) == 2
+    assert f"error: cannot write {out}:" in capsys.readouterr().err
 
 
 def test_missing_required_option_exits_2(capsys):

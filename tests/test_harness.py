@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import os
+from concurrent.futures import Future
 from statistics import NormalDist
 
 import numpy as np
@@ -22,6 +24,7 @@ from spotspectra import (
     write_power_table,
     write_size_table,
 )
+from spotspectra import harness
 
 _SMALL = dict(reps=30, n=400, p_list=(8, 30))  # k_n defaults to isqrt(400) = 20
 
@@ -101,6 +104,51 @@ def test_worker_count_does_not_change_output():
     assert set(serial.zscores) == set(parallel.zscores)
     for key in serial.zscores:
         np.testing.assert_array_equal(serial.zscores[key], parallel.zscores[key])
+
+
+def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch):
+    # A stand-in pool records its size and runs each chunk at submit, so no
+    # process is started whatever the worker count.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    serial = run_size_experiment(MCConfig(seed=7, **_SMALL))
+    for workers, cores, expected in ((8, 3, 3), (50, 64, 30), (4, None, 1)):
+        # 30 reps: 8 workers make 8 chunks, 50 workers make 30 chunks
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        sizes.clear()
+        bounded = run_size_experiment(MCConfig(seed=7, **_SMALL, workers=workers))
+        assert sizes == [expected] * len(_SMALL["p_list"])
+        for key in serial.zscores:
+            np.testing.assert_array_equal(serial.zscores[key], bounded.zscores[key])
+
+
+def test_replications_make_no_eigendecomposition(monkeypatch):
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k)
+        )
+    # p = 8 runs all three tests, p = 30 > k_n = 20 runs lw and j
+    summary = run_size_experiment(MCConfig(seed=0, **dict(_SMALL, reps=3)))
+    assert len(summary.zscores) == 5
+    assert calls == []
 
 
 def test_size_experiment_rejects_bad_configs():

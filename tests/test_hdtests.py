@@ -14,6 +14,7 @@ from spotspectra import (
     TestKind,
     TestReport,
     bjyz_test,
+    eigenvalues_sym,
     evaluate_tests,
     j_test,
     lw_test,
@@ -92,26 +93,25 @@ def test_bjyz_raw_matches_slogdet_route():
         assert bjyz_test(est).raw == pytest.approx(expected, rel=1e-10)
 
 
-def test_lw_raw_matches_trace_route():
-    # independent route via matrix traces instead of eigenvalues
+def test_lw_raw_matches_eigenvalue_route():
+    # independent route: the eigenvalue form of the statistic on the
+    # validated spectrum, not the trace identities lw_test uses
     rng = np.random.default_rng(2)
     for p, k_n in ((6, 24), (10, 8)):
         est = _random_estimate(rng, p, k_n)
-        a = est.matrix
-        mean_sq = float(np.trace((a - np.eye(p)) @ (a - np.eye(p)))) / p
-        mean_lam = float(np.trace(a)) / p
-        expected = mean_sq - (p / k_n) * mean_lam**2 + p / k_n
+        lam = eigenvalues_sym(est.matrix).eigenvalues
+        expected = np.mean((lam - 1.0) ** 2) - (p / k_n) * np.mean(lam) ** 2 + p / k_n
         report = lw_test(est)
         assert report.raw == pytest.approx(expected, rel=1e-12)
         assert report.zscore == pytest.approx((k_n * expected - p - 1) / 2, rel=1e-12)
 
 
-def test_j_raw_matches_trace_route():
+def test_j_raw_matches_eigenvalue_route():
     rng = np.random.default_rng(3)
     for p, k_n in ((6, 24), (10, 8)):
         est = _random_estimate(rng, p, k_n)
-        a = est.matrix / (float(np.trace(est.matrix)) / p)
-        expected = float(np.trace((a - np.eye(p)) @ (a - np.eye(p)))) / p
+        lam = eigenvalues_sym(est.matrix).eigenvalues
+        expected = np.mean((p * lam / np.sum(lam) - 1.0) ** 2)
         report = j_test(est)
         assert report.raw == pytest.approx(expected, rel=1e-12)
         assert report.zscore == pytest.approx((k_n * expected - p - 1) / 2, rel=1e-12)
@@ -156,8 +156,11 @@ def test_bjyz_requires_narrow_aspect():
 
 
 def test_bjyz_rejects_singular_input():
-    with pytest.raises(SingularEstimateError):
+    with pytest.raises(SingularEstimateError, match="Cholesky factorization failed"):
         bjyz_test(_estimate(np.diag([1.0, 1.0, 0.0]), 8))
+    # the factorization succeeds, but its last pivot is below the 1e-12 floor
+    with pytest.raises(SingularEstimateError, match="pivot 1.000000e-13"):
+        bjyz_test(_estimate(np.diag([1.0, 1.0, 1e-13]), 8))
 
 
 def test_j_rejects_zero_trace():

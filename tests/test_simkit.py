@@ -56,6 +56,8 @@ def test_vol_model_validation():
 def test_two_block_layout():
     model = VolModel.two_block(p=7, split=0.45, high=9.0, low=4.0)
     assert model.diag == (9.0, 9.0, 9.0, 4.0, 4.0, 4.0, 4.0)  # floor(0.45 * 7) = 3
+    # 0.29 * 100 == 28.999999999999996, but the split is 29 entries
+    assert VolModel.two_block(p=100, split=0.29, high=9.0, low=4.0).diag.count(9.0) == 29
     with pytest.raises(ConfigError, match="split"):
         VolModel.two_block(p=7, split=1.0, high=9.0, low=4.0)
 
