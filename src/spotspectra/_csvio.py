@@ -1,8 +1,9 @@
 """CSV input and output on a file path or an already open text stream.
 
-Every CSV the package writes or reads goes through this module, so the
-open/close handling and the error mapping live in one place.  Writers stream
-one row at a time; a table is never built as one string in memory.
+Every CSV the package writes or reads, and every output directory it
+creates, goes through this module, so the open/close handling and the error
+mapping live in one place.  Writers stream one row at a time; a table is
+never built as one string in memory.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import os
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
@@ -32,6 +34,21 @@ def _opened(target: Target, mode: str) -> Iterator[TextIO]:
         raise ConfigError(f"cannot {action} {os.fspath(target)}: {exc.strerror or exc}") from exc
     with stream:
         yield stream
+
+
+def make_dir(path: Union[str, "os.PathLike[str]"]) -> Path:
+    """Create directory ``path`` and its parents unless it exists; return it.
+
+    A directory that cannot be created (say, a parent is a regular file) is a
+    :class:`ConfigError` naming the path.
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create directory {os.fspath(path)}: {exc.strerror or exc}"
+        ) from exc
+    return Path(path)
 
 
 def write_csv(target: Target, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._csvio import make_dir
 from .errors import ConfigError, NumericalError
 from .estimators import SpotEstimate, read_matrix_csv, spot_vol, write_matrix_csv
 from .harness import (
@@ -287,18 +288,17 @@ def _cmd_mc_size(args: argparse.Namespace) -> None:
         models = [VolModel.stochastic_bm(cfg["base"], v) for v in cfg["r2"]]
     else:
         models = [VolModel.deterministic_sin(cfg["base"], v) for v in cfg["r1"]]
+    out = make_dir(cfg["out_dir"]) / "size_table.csv"
     summaries = [
         run_size_experiment(_mc_config(cfg, cfg["seed"], model)) for model in models
     ]
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "size_table.csv"
     write_size_table(summaries, str(out))
     print(out)
 
 
 def _cmd_mc_power(args: argparse.Namespace) -> None:
     cfg = _resolve(args, _MC_POWER_OPTS)
+    out = make_dir(cfg["out_dir"]) / "power_table.csv"
     summaries = []
     for s in cfg["s"]:
         for r1 in cfg["r1"]:
@@ -307,9 +307,6 @@ def _cmd_mc_power(args: argparse.Namespace) -> None:
                 cfg, cfg["seed"], model, Alternative(s=s, low=cfg["low"])
             )
             summaries.append(run_power_experiment(mc))
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "power_table.csv"
     write_power_table(summaries, str(out))
     print(out)
 

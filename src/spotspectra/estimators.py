@@ -170,6 +170,16 @@ def spot_vol_from_window(
     ``n`` is the full-sample size the ``n / k_n`` rescaling refers to; the
     window is assumed to start at increment ``window_start(t, n) + 1``.
     """
+    return _scaled_spot_estimate(window, n, t, k_n, 1.0)
+
+
+def _scaled_spot_estimate(
+    window: np.ndarray, n: int, t: float, k_n: int, factor: float
+) -> SpotEstimate:
+    # rescale(spot_vol_from_window(window, n, t, k_n), factor), building and
+    # validating one SpotEstimate; same products in the same order, so the
+    # matrix is bit-identical.
+    _check_factor(factor)
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[1] != k_n:
         raise ConfigError(
@@ -177,6 +187,7 @@ def spot_vol_from_window(
         )
     start = window_start(t, n)
     matrix = (n / k_n) * _symmetrized_outer(window)
+    matrix *= factor
     return SpotEstimate(
         matrix=matrix,
         t=t,
@@ -192,8 +203,7 @@ def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
     Used to express an estimate in null units (for instance dividing by the
     hypothesised variance level so the null population becomes the identity).
     """
-    if not math.isfinite(factor) or factor <= 0.0:
-        raise ConfigError(f"scale factor must be finite and positive, got {factor!r}")
+    _check_factor(factor)
     return SpotEstimate(
         matrix=estimate.matrix * factor,
         t=estimate.t,
@@ -201,6 +211,11 @@ def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
         z_n=estimate.z_n,
         window=estimate.window,
     )
+
+
+def _check_factor(factor: float) -> None:
+    if not math.isfinite(factor) or factor <= 0.0:
+        raise ConfigError(f"scale factor must be finite and positive, got {factor!r}")
 
 
 def _validated_increments(incr: np.ndarray) -> np.ndarray:

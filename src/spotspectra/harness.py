@@ -24,9 +24,9 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import make_dir, write_csv
 from .errors import ConfigError
-from .estimators import rescale, spot_vol_from_window, window_start
+from .estimators import _scaled_spot_estimate, window_start
 from .hdtests import TestKind, evaluate_tests
 from .rmt import MPLaw, mp_cdf
 from .simkit import GridConfig, VolKind, VolModel, simulate_window_increments
@@ -155,7 +155,7 @@ def _run_rep_range(
     rows = []
     for rep in range(rep_lo, rep_hi):
         window = simulate_window_increments(grid, data_model, start, k_n, replication=rep)
-        est = rescale(spot_vol_from_window(window, n, t, k_n), inv_scale)
+        est = _scaled_spot_estimate(window, n, t, k_n, inv_scale)
         rows.append(evaluate_tests(est))
     z = np.array([[report.zscore for report in reports] for reports in rows])
     return {report.kind: z[:, i] for i, report in enumerate(rows[0])}
@@ -268,15 +268,14 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     MP upper edge, and reports the Kolmogorov distance between the ESD and
     the MP distribution with index ``p / k_n``.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(out_dir)
     base = _null_scale(cfg.model)
     start = window_start(cfg.t, cfg.n)
     artifacts = []
     for p in cfg.p_list:
         grid = GridConfig(n=cfg.n, p=p, seed=cfg.seed)
         window = simulate_window_increments(grid, cfg.model, start, cfg.k_n, replication=0)
-        est = rescale(spot_vol_from_window(window, cfg.n, cfg.t, cfg.k_n), 1.0 / base)
+        est = _scaled_spot_estimate(window, cfg.n, cfg.t, cfg.k_n, 1.0 / base)
         sample = eigenvalues_sym(est.matrix)
         law = MPLaw(y=p / cfg.k_n)
         ks = kolmogorov_distance(sample, lambda x: mp_cdf(x, law))
@@ -308,8 +307,7 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
     ``theoretical, empirical``: the ``(i - 1/2) / reps`` normal quantiles
     against the sorted z-scores.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(out_dir)
     summary = run_size_experiment(cfg)
     dist = NormalDist()
     reps = cfg.reps

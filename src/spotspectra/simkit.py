@@ -22,7 +22,10 @@ Randomness is organised as counter-based Philox substreams keyed by
 ``(replication, coordinate)`` under a single master seed, so Monte Carlo
 results are reproducible bit-for-bit regardless of scheduling or worker
 count.  Coordinate index ``p`` (one past the last price coordinate) is
-reserved for the volatility driver of ``STOCHASTIC_BM``.
+reserved for the volatility driver of ``STOCHASTIC_BM``.  A window draw
+builds one ``Philox`` generator and re-keys it, with a zero counter, to each
+coordinate's key in turn; the draws equal those of a freshly keyed
+``Philox(key=(seed, replication << 20 | coordinate))``.
 """
 
 from __future__ import annotations
@@ -69,14 +72,44 @@ def _snapped_floor(x: float) -> int:
     return math.floor(x)
 
 
-def _substream(seed: int, replication: int, coord: int) -> Generator:
-    """Return the Philox substream for one (replication, coordinate) pair."""
+def _substreams(seed: int, replication: int, top_coord: int) -> Callable[[int], Generator]:
+    """Return ``stream(coord)`` for one replication's substreams, ``coord <= top_coord``.
+
+    One ``Philox`` generator serves every coordinate: ``stream(coord)``
+    re-keys it to ``(seed, replication << 20 | coord)`` with a zero counter
+    and an empty output buffer, which draws exactly what a freshly keyed
+    ``Philox`` would.  Every call returns that same generator, so draw from
+    one substream before asking for the next.  The bounds are checked here,
+    once.
+    """
     if not 0 <= replication <= _MAX_REPLICATION:
         raise ConfigError(f"replication index {replication} outside [0, 2**44)")
-    if not 0 <= coord <= _MAX_COORD:
-        raise ConfigError(f"coordinate index {coord} outside [0, 2**20)")
-    key = np.array([seed, (replication << _COORD_BITS) | coord], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    if not 0 <= top_coord <= _MAX_COORD:
+        raise ConfigError(f"coordinate index {top_coord} outside [0, 2**20)")
+    bit_generator = Philox(key=0)  # re-keyed before every draw
+    generator = Generator(bit_generator)
+    # Plain ints: the state setter reads them faster than numpy scalars.
+    key = [seed, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def stream(coord: int) -> Generator:
+        key[1] = (replication << _COORD_BITS) | coord
+        bit_generator.state = state
+        return generator
+
+    return stream
+
+
+def _substream(seed: int, replication: int, coord: int) -> Generator:
+    """Return the Philox substream for one (replication, coordinate) pair."""
+    return _substreams(seed, replication, coord)(coord)
 
 
 class VolKind(Enum):
@@ -276,11 +309,13 @@ def simulate_window_increments(
     """Sample the ``p x count`` increment block for cells ``start+1 .. start+count``.
 
     Each coordinate's noise comes from its ``(replication, coordinate)``
-    substream; the window draw consumes the first ``count`` variates of that
-    stream, so it coincides bit-for-bit with the leading columns of a full
-    path only when ``start == 0``.  The distribution is correct for any
-    ``start`` because the cell variances are evaluated at their true
-    positions.
+    substream.  One generator per call is re-keyed with a zero counter for
+    each coordinate (and for the ``STOCHASTIC_BM`` driver on coordinate
+    ``p``), so its draws equal those of a freshly keyed ``Philox``.  The
+    window draw consumes the first ``count`` variates of each stream, so it
+    coincides bit-for-bit with the leading columns of a full path only when
+    ``start == 0``.  The distribution is correct for any ``start`` because
+    the cell variances are evaluated at their true positions.
     """
     if not isinstance(start, int) or start < 0:
         raise ConfigError(f"start must be a nonnegative integer, got {start!r}")
@@ -292,18 +327,13 @@ def simulate_window_increments(
             f"start + count = {start + count} > n = {config.n}"
         )
     p = config.p
-    variances = _variance_profile(
-        model,
-        config.n,
-        start,
-        count,
-        p,
-        lambda: _substream(config.seed, replication, p),
-    )
+    stream = _substreams(config.seed, replication, p)
+    variances = _variance_profile(model, config.n, start, count, p, lambda: stream(p))
     noise = np.empty((p, count))
     for j in range(p):
-        noise[j] = _substream(config.seed, replication, j).standard_normal(count)
-    return np.sqrt(variances) * noise
+        stream(j).standard_normal(count, out=noise[j])
+    noise *= np.sqrt(variances)
+    return noise
 
 
 def simulate_path(

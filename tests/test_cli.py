@@ -7,6 +7,7 @@ codes, printed output, and written files against the library API.
 import csv
 
 import numpy as np
+import pytest
 
 from spotspectra import (
     GridConfig,
@@ -18,6 +19,7 @@ from spotspectra import (
     write_matrix_csv,
     write_path_csv,
 )
+from spotspectra import cli
 from spotspectra.cli import main
 
 
@@ -155,6 +157,33 @@ def test_unwritable_output_csv_exits_2(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "path.csv"
     assert main(["simulate", "--n", "16", "--p", "2", "--out", str(out)]) == 2
     assert f"error: cannot write {out}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-size"],
+        ["mc-power", "--s", "0.5"],
+        ["esd"],
+        ["qq"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_uncreatable_out_dir_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # mc-size and mc-power must create the directory before the sweep runs
+    swept = []
+    for name in ("run_size_experiment", "run_power_experiment"):
+        monkeypatch.setattr(cli, name, lambda cfg: swept.append(cfg))
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out_dir = blocker / "x"
+    rc = main(
+        argv + ["--seed", "0", "--reps", "1", "--p-list", "4", "--n", "100",
+                "--out-dir", str(out_dir)]
+    )
+    assert rc == 2
+    assert f"error: cannot create directory {out_dir}:" in capsys.readouterr().err
+    assert swept == []
 
 
 def test_missing_required_option_exits_2(capsys):

@@ -13,18 +13,25 @@ import pytest
 from spotspectra import (
     Alternative,
     ConfigError,
+    GridConfig,
     MCConfig,
     MCSummary,
     TestKind,
     VolModel,
+    eigenvalues_sym,
+    evaluate_tests,
+    rescale,
     run_esd_figure,
     run_power_experiment,
     run_qq_figure,
     run_size_experiment,
+    simulate_window_increments,
+    spot_vol_from_window,
     write_power_table,
     write_size_table,
 )
-from spotspectra import harness
+from spotspectra import estimators, harness
+from spotspectra.estimators import window_start
 
 _SMALL = dict(reps=30, n=400, p_list=(8, 30))  # k_n defaults to isqrt(400) = 20
 
@@ -149,6 +156,54 @@ def test_replications_make_no_eigendecomposition(monkeypatch):
     summary = run_size_experiment(MCConfig(seed=0, **dict(_SMALL, reps=3)))
     assert len(summary.zscores) == 5
     assert calls == []
+
+
+def test_replication_builds_one_estimate(monkeypatch):
+    calls = []
+    real = estimators.checked_symmetric
+    monkeypatch.setattr(
+        estimators, "checked_symmetric", lambda *a: calls.append(a) or real(*a)
+    )
+    model = VolModel.deterministic_sin(0.0009, 0.0004)
+    harness._run_rep_range(0, 400, 0.0, 20, 8, model, 0.0009, 3, 8)
+    assert len(calls) == 5
+
+
+def _public_estimate(seed, n, t, k_n, p, model, base, rep):
+    # the composition of public calls the benchmark's oracles use
+    grid = GridConfig(n=n, p=p, seed=seed)
+    window = simulate_window_increments(grid, model, window_start(t, n), k_n, replication=rep)
+    return rescale(spot_vol_from_window(window, n, t, k_n), 1.0 / base)
+
+
+@pytest.mark.parametrize("cell", ["size", "power"])
+def test_harness_zscores_equal_public_route(cell):
+    n, t, k_n, p, base, reps = 400, 0.25, 20, 8, 0.0009, 6
+    model = VolModel.deterministic_sin(base, 0.0004)
+    if cell == "power":
+        model = VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004)
+    z = harness._run_rep_range(11, n, t, k_n, p, model, base, 0, reps)
+    reports = [
+        evaluate_tests(_public_estimate(11, n, t, k_n, p, model, base, rep))
+        for rep in range(reps)
+    ]
+    assert list(z) == [report.kind for report in reports[0]]
+    for i, kind in enumerate(z):
+        np.testing.assert_array_equal(z[kind], [r[i].zscore for r in reports])
+
+
+def test_esd_figure_eigenvalues_equal_public_route(tmp_path, monkeypatch):
+    samples = []
+    real = harness.eigenvalues_sym
+    monkeypatch.setattr(
+        harness, "eigenvalues_sym", lambda m: samples.append(real(m)) or samples[-1]
+    )
+    cfg = MCConfig(seed=2, reps=1, n=400, p_list=(8, 30), t=0.25)
+    run_esd_figure(cfg, tmp_path)
+    assert len(samples) == len(cfg.p_list)
+    for sample, p in zip(samples, cfg.p_list):
+        est = _public_estimate(cfg.seed, cfg.n, cfg.t, cfg.k_n, p, cfg.model, cfg.model.base, 0)
+        np.testing.assert_array_equal(sample.eigenvalues, eigenvalues_sym(est.matrix).eigenvalues)
 
 
 def test_size_experiment_rejects_bad_configs():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spotspectra import simkit
 from spotspectra import (
     ConfigError,
     GridConfig,
@@ -148,6 +149,11 @@ def test_stochastic_vol_varies_over_time():
     assert not np.array_equal(sto[0, 1:], det[0, 1:])
 
 
+def _fresh_stream(seed, rep, coord):
+    key = np.array([seed, (rep << 20) | coord], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def test_stochastic_bm_uses_left_endpoint_variance():
     # Euler in the volatility: cell i has variance
     # (sqrt(base) + r2 * W_{(i-1)/n})**2 / n, with the driver path W drawn
@@ -158,17 +164,91 @@ def test_stochastic_bm_uses_left_endpoint_variance():
     incr = simulate_window_increments(
         grid, VolModel.stochastic_bm(base, r2), start, count, replication=rep
     )
-
-    def stream(coord):
-        key = np.array([seed, (rep << 20) | coord], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-    dw = stream(p).standard_normal(start + count - 1) * math.sqrt(1.0 / n)
+    dw = _fresh_stream(seed, rep, p).standard_normal(start + count - 1) * math.sqrt(1.0 / n)
     w = np.concatenate(([0.0], np.cumsum(dw)))  # W at 0, 1/n, ..., (start+count-1)/n
     variance = (math.sqrt(base) + r2 * w[start : start + count]) ** 2 / n
     for j in range(p):
-        expected = np.sqrt(variance) * stream(j).standard_normal(count)
+        expected = np.sqrt(variance) * _fresh_stream(seed, rep, j).standard_normal(count)
         np.testing.assert_allclose(incr[j], expected, rtol=1e-14, atol=0.0)
+
+
+_SUBSTREAM_MODELS = [
+    VolModel.deterministic_sin(0.0009, 0.0004),
+    VolModel.piecewise_diag((0.4, 0.9, 1.6), r1=0.1),
+    VolModel.stochastic_bm(0.0009, 0.02),  # driver on coordinate p
+]
+
+
+@pytest.mark.parametrize("model", _SUBSTREAM_MODELS, ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("rep", [0, 2**44 - 1])
+@pytest.mark.parametrize("count", [1, 3, 68])
+def test_window_rows_equal_freshly_keyed_philox(model, rep, count):
+    # the re-keyed generator draws exactly what a fresh Philox(key=...) draws,
+    # although each coordinate follows the previous one's partly used buffer
+    n, p, seed, start = 100, 3, 2**64 - 1, 5
+    incr = simulate_window_increments(
+        GridConfig(n=n, p=p, seed=seed), model, start, count, replication=rep
+    )
+    variance = np.broadcast_to(
+        simkit._variance_profile(
+            model, n, start, count, p, lambda: _fresh_stream(seed, rep, p)
+        ),
+        (p, count),
+    )
+    for j in range(p):
+        expected = np.sqrt(variance[j]) * _fresh_stream(seed, rep, j).standard_normal(count)
+        np.testing.assert_array_equal(incr[j], expected)
+
+
+@pytest.mark.parametrize("rep", [0, 2**44 - 1])
+@pytest.mark.parametrize("count", [1, 3, 68])
+def test_rekey_resets_a_dirty_generator(rep, count):
+    # advanced counter, partly used buffer and a pending 32-bit half are all
+    # reset by each re-key
+    seed, p = 2**64 - 1, 3
+    stream = simkit._substreams(seed, rep, p)
+    for j in range(p + 1):
+        dirty = stream(p - j)
+        dirty.standard_normal(5)
+        dirty.integers(2**32, size=3, dtype=np.uint32)
+        np.testing.assert_array_equal(
+            stream(j).standard_normal(count), _fresh_stream(seed, rep, j).standard_normal(count)
+        )
+        np.testing.assert_array_equal(
+            simkit._substream(seed, rep, j).standard_normal(count),
+            _fresh_stream(seed, rep, j).standard_normal(count),
+        )
+        stream(p - j).integers(2**32, dtype=np.uint32)
+        np.testing.assert_array_equal(
+            stream(j).integers(2**32, size=count, dtype=np.uint32),
+            _fresh_stream(seed, rep, j).integers(2**32, size=count, dtype=np.uint32),
+        )
+
+
+def test_replication_index_must_fit_the_key():
+    grid = GridConfig(n=10, p=2, seed=0)
+    model = VolModel.deterministic_sin(1.0)
+    simulate_window_increments(grid, model, 0, 3, replication=2**44 - 1)
+    for rep in (2**44, -1):
+        with pytest.raises(ConfigError, match="replication index"):
+            simulate_window_increments(grid, model, 0, 3, replication=rep)
+
+
+@pytest.mark.parametrize("kind", ["sin", "diag", "bm"])
+@pytest.mark.parametrize("p", [1, 3, 40])
+def test_window_draw_builds_one_philox(monkeypatch, kind, p):
+    built = []
+    real = simkit.Philox
+    monkeypatch.setattr(simkit, "Philox", lambda *a, **k: built.append(k) or real(*a, **k))
+    model = {
+        "sin": VolModel.deterministic_sin(0.0009, 0.0004),
+        "diag": VolModel.piecewise_diag(np.linspace(0.4, 1.6, p), r1=0.1),
+        "bm": VolModel.stochastic_bm(0.0009, 0.02),
+    }[kind]
+    grid = GridConfig(n=50, p=p, seed=1)
+    for rep in range(3):
+        simulate_window_increments(grid, model, 2, 20, replication=rep)
+        assert len(built) == rep + 1
 
 
 def test_window_moments():
