@@ -183,7 +183,7 @@ _MC_COMMON = [
         "simulated full path",
     ),
     _Opt("levels", _conv_float_list, default=(0.10, 0.05, 0.01), help="test levels"),
-    _Opt("workers", _conv_int, default=1, help="parallel worker processes"),
+    _Opt("workers", _conv_int, default=1, help="worker processes per cell, this one included"),
     _Opt("out_dir", _conv_str, default=".", help="output directory"),
 ]
 

@@ -31,6 +31,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
+from ._blas import one_thread
 from ._csvio import read_float_csv, write_csv
 from .errors import ConfigError
 from .simkit import _snapped_floor
@@ -92,8 +93,10 @@ class SpotEstimate:
 
 
 def _symmetrized_outer(block: np.ndarray) -> np.ndarray:
-    # (M + M^T)/2 with a power-of-two factor: exactly symmetric output.
-    m = block @ block.T
+    # (M + M^T)/2 with a power-of-two factor: exactly symmetric output.  One
+    # BLAS thread, so the bits do not depend on the host's core count.
+    with one_thread():
+        m = block @ block.T
     return 0.5 * (m + m.T)
 
 

@@ -6,7 +6,12 @@ the spot estimator consumes, normalizes the estimate by the null variance
 level so the null population is the identity, and records the z-scores of
 every applicable test.  Replications are keyed to counter-based substreams,
 so results are bit-for-bit identical no matter how many workers share the
-sweep.
+sweep.  ``workers`` counts worker processes, the calling process included:
+a cell's replications are cut into ``workers`` chunks, the caller runs the
+first and a pool of at most ``workers - 1`` processes (bounded by the chunks
+and the usable CPUs) runs the rest.  A cell runs its kernels on one OpenBLAS
+thread, in the caller and in every pool process, and restores the caller's
+thread count when it ends.
 
 The log-spectral test is skipped (left out of the result dictionaries, the
 way singular columns are left blank in a report) whenever ``p / k_n >= 1``.
@@ -24,6 +29,7 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
+from ._blas import one_thread, set_one_thread
 from ._csvio import make_dir, write_csv
 from .errors import ConfigError
 from .estimators import _scaled_spot_estimate, window_start
@@ -72,7 +78,9 @@ class MCConfig:
     ``k_n`` defaults to ``floor(sqrt(n))`` when omitted.  ``model`` is the
     null data-generating process (a scalar-volatility kind whose ``base`` is
     the null variance level); power experiments derive the two-block
-    alternative from it and ``alternative``.
+    alternative from it and ``alternative``.  ``workers`` is the number of
+    worker processes per cell, the calling process included; ``1`` runs the
+    sweep in the calling process alone.
     """
 
     seed: int
@@ -164,30 +172,35 @@ def _run_rep_range(
 def _run_cell(
     cfg: MCConfig, p: int, data_model: VolModel, null_scale: float
 ) -> dict[TestKind, np.ndarray]:
+    args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, p, data_model, null_scale)
     bounds = _chunk_bounds(cfg.reps, cfg.workers)
-    if len(bounds) == 1:
-        chunks = [
-            (lo, hi, _run_rep_range(cfg.seed, cfg.n, cfg.t, cfg.k_n, p, data_model, null_scale, lo, hi))
-            for lo, hi in bounds
-        ]
-    else:
-        # workers comes from the user: never start more processes than there
-        # are chunks or cores.
-        processes = min(cfg.workers, len(bounds), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = [
-                (lo, hi, pool.submit(
-                    _run_rep_range,
-                    cfg.seed, cfg.n, cfg.t, cfg.k_n, p, data_model, null_scale, lo, hi,
-                ))
-                for lo, hi in bounds
-            ]
-            chunks = [(lo, hi, fut.result()) for lo, hi, fut in futures]
-    merged = {kind: np.empty(cfg.reps) for kind in chunks[0][2]}
-    for lo, hi, piece in chunks:
+    # workers comes from the user: never run more processes, this one
+    # included, than there are chunks or usable cores.
+    processes = min(cfg.workers, len(bounds), _usable_cpus())
+    with one_thread():
+        if processes == 1:
+            pieces = [_run_rep_range(*args, lo, hi) for lo, hi in bounds]
+        else:
+            # This process is worker 0: the pool runs chunks 1.. meanwhile.
+            with ProcessPoolExecutor(
+                max_workers=processes - 1, initializer=set_one_thread
+            ) as pool:
+                futures = [pool.submit(_run_rep_range, *args, lo, hi) for lo, hi in bounds[1:]]
+                pieces = [_run_rep_range(*args, *bounds[0])]
+                pieces += [future.result() for future in futures]
+    merged = {kind: np.empty(cfg.reps) for kind in pieces[0]}
+    for (lo, hi), piece in zip(bounds, pieces):
         for kind in merged:
             merged[kind][lo:hi] = piece[kind]
     return merged
+
+
+def _usable_cpus() -> int:
+    # The CPUs this process may run on (a taskset or cgroup cpuset can leave
+    # fewer than the machine has), where the platform can tell.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _chunk_bounds(reps: int, workers: int) -> list[tuple[int, int]]:

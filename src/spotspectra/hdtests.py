@@ -32,6 +32,7 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
+from ._blas import one_thread
 from ._csvio import write_csv
 from .errors import ConfigError, NumericalError, SingularEstimateError
 from .estimators import SpotEstimate
@@ -108,7 +109,8 @@ def _report(kind: TestKind, est: SpotEstimate, raw: float, zscore: float) -> Tes
 
 def _squared_distance_to_identity(a: np.ndarray) -> float:
     d = a - np.eye(a.shape[0])
-    return float(np.vdot(d, d))
+    with one_thread():
+        return float(np.vdot(d, d))
 
 
 def bjyz_test(est: SpotEstimate) -> TestReport:
@@ -129,7 +131,8 @@ def bjyz_test(est: SpotEstimate) -> TestReport:
     """
     constants = mp_lss_constants(est.z_n)
     try:
-        root_pivots = np.diagonal(np.linalg.cholesky(est.matrix))
+        with one_thread():
+            root_pivots = np.diagonal(np.linalg.cholesky(est.matrix))
     except np.linalg.LinAlgError as exc:
         raise SingularEstimateError(
             f"Cholesky factorization failed ({exc}): log-determinant undefined"

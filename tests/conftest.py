@@ -1,0 +1,18 @@
+"""Shared fixtures."""
+
+import pytest
+
+from spotspectra import _blas
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS ``(get, set)`` thread-count controls; the count the test
+    found is restored after it.  Skips on a BLAS without the controls."""
+    controls = _blas._controls()
+    if controls is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread controls")
+    get, set_ = controls
+    old = get()
+    yield controls
+    set_(old)

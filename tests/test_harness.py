@@ -16,6 +16,7 @@ from spotspectra import (
     GridConfig,
     MCConfig,
     MCSummary,
+    SingularEstimateError,
     TestKind,
     VolModel,
     eigenvalues_sym,
@@ -30,7 +31,7 @@ from spotspectra import (
     write_power_table,
     write_size_table,
 )
-from spotspectra import estimators, harness
+from spotspectra import _blas, estimators, harness
 from spotspectra.estimators import window_start
 
 _SMALL = dict(reps=30, n=400, p_list=(8, 30))  # k_n defaults to isqrt(400) = 20
@@ -106,43 +107,119 @@ def test_experiments_are_deterministic():
 
 
 def test_worker_count_does_not_change_output():
-    serial = run_size_experiment(MCConfig(seed=7, **_SMALL, workers=1))
-    parallel = run_size_experiment(MCConfig(seed=7, **_SMALL, workers=4))
-    assert set(serial.zscores) == set(parallel.zscores)
-    for key in serial.zscores:
-        np.testing.assert_array_equal(serial.zscores[key], parallel.zscores[key])
+    # At p = 102, k_n = 68 the BLAS kernels would thread; below they do not.
+    for design in (_SMALL, dict(reps=6, n=4680, p_list=(102,))):
+        serial = run_size_experiment(MCConfig(seed=7, **design, workers=1))
+        parallel = run_size_experiment(MCConfig(seed=7, **design, workers=4))
+        assert set(serial.zscores) == set(parallel.zscores)
+        for key in serial.zscores:
+            np.testing.assert_array_equal(serial.zscores[key], parallel.zscores[key])
 
 
-def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch):
-    # A stand-in pool records its size and runs each chunk at submit, so no
-    # process is started whatever the worker count.
+class _InlinePool:
+    # A stand-in pool that records its size and runs each chunk at submit, so
+    # no process is started whatever the worker count.  Its initializer is
+    # checked, not run: it would set this process's BLAS thread count for good.
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def __init__(self, max_workers, initializer):
+        assert initializer is _blas.set_one_thread
+        self.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    return _InlinePool.sizes
+
+
+def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch, inline_pool):
+    # Without an affinity call the bound is os.cpu_count().  The calling
+    # process runs chunk 0, so the pool is one process smaller than the bound.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     serial = run_size_experiment(MCConfig(seed=7, **_SMALL))
-    for workers, cores, expected in ((8, 3, 3), (50, 64, 30), (4, None, 1)):
+    for workers, cores, expected in ((8, 3, [2]), (50, 64, [29]), (4, None, [])):
         # 30 reps: 8 workers make 8 chunks, 50 workers make 30 chunks
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        sizes.clear()
+        inline_pool.clear()
         bounded = run_size_experiment(MCConfig(seed=7, **_SMALL, workers=workers))
-        assert sizes == [expected] * len(_SMALL["p_list"])
+        assert inline_pool == expected * len(_SMALL["p_list"])
         for key in serial.zscores:
             np.testing.assert_array_equal(serial.zscores[key], bounded.zscores[key])
+
+
+def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch, inline_pool):
+    # A process pinned to fewer CPUs than the machine has (taskset, cpuset)
+    # counts only the CPUs it may run on.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for affinity, expected in (({0}, []), ({0, 1, 2}, [2])):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        inline_pool.clear()
+        run_size_experiment(MCConfig(seed=7, **dict(_SMALL, p_list=(8,)), workers=8))
+        assert inline_pool == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_restores_blas_threads_when_a_replication_raises(
+    monkeypatch, inline_pool, blas_threads, workers
+):
+    get, set_ = blas_threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = harness._run_rep_range
+    seen = []
+
+    def chunk_0_fails(*args):
+        seen.append((args[-2], get()))
+        if args[-2] == 0:
+            raise SingularEstimateError("replication 0 failed")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_run_rep_range", chunk_0_fails)
+    set_(2)
+    with pytest.raises(SingularEstimateError, match="replication 0 failed"):
+        run_size_experiment(MCConfig(seed=7, reps=4, n=400, p_list=(8,), workers=workers))
+    # The pool takes chunk 1 (replications 2, 3) before this process runs chunk 0.
+    assert seen == [(2, 1), (0, 1)][2 - workers :]
+    assert inline_pool == [1] * (workers - 1)
+    assert get() == 2
+
+
+def test_zscores_do_not_depend_on_the_callers_blas_threads(blas_threads):
+    # At p = 102 OpenBLAS would split the Gram product and the Frobenius dot
+    # product across threads, and the split changes the rounding of the
+    # estimate and of the z-scores.
+    get, set_ = blas_threads
+    n, t, k_n, p, base, reps = 4680, 0.0, 68, 102, 0.0009, 4
+    model = VolModel.deterministic_sin(base, 0.0004)
+    runs = []
+    for threads in (1, 2):
+        set_(threads)
+        estimates = [_public_estimate(13, n, t, k_n, p, model, base, rep) for rep in range(reps)]
+        public = [[r.zscore for r in evaluate_tests(est)] for est in estimates]
+        swept = harness._run_rep_range(13, n, t, k_n, p, model, base, 0, reps)
+        assert get() == threads
+        runs.append((
+            np.array([est.matrix for est in estimates]),
+            np.array(public),
+            np.column_stack(list(swept.values())),
+        ))
+    (matrices_1, public_1, swept_1), (matrices_2, public_2, swept_2) = runs
+    assert np.array_equal(matrices_1, matrices_2)
+    assert np.array_equal(public_1, public_2)
+    assert np.array_equal(public_1, swept_1)
+    assert np.array_equal(public_2, swept_2)
 
 
 def test_replications_make_no_eigendecomposition(monkeypatch):

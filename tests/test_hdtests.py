@@ -238,3 +238,16 @@ def test_report_csv():
     assert first[0] == "bjyz"
     assert int(first[1]) == 6 and int(first[2]) == 24
     assert float(first[5]) == reports[0].zscore
+
+
+def test_bjyz_factors_on_one_blas_thread(monkeypatch, blas_threads):
+    # OpenBLAS threads the Cholesky factorization from about p = 150 on; the
+    # split changes the factor's rounding, though rarely the z-score's.
+    get, set_ = blas_threads
+    counts = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: counts.append(get()) or real(a))
+    set_(2)
+    bjyz_test(_estimate(np.eye(3), 10))
+    assert counts == [1]
+    assert get() == 2
