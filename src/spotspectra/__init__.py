@@ -72,7 +72,6 @@ from .spectra import (
     eigenvalues_sym,
     esd_eval,
     kolmogorov_distance,
-    write_esd_csv,
 )
 
 __version__ = "0.1.0"
@@ -125,7 +124,6 @@ __all__ = [
     "spot_vol",
     "spot_vol_from_window",
     "whiten_increments",
-    "write_esd_csv",
     "write_matrix_csv",
     "write_path_csv",
     "write_power_table",

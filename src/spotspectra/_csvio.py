@@ -2,13 +2,16 @@
 
 Every CSV the package writes or reads, and every output directory it
 creates, goes through this module, so the open/close handling and the error
-mapping live in one place.  Writers stream one row at a time; a table is
-never built as one string in memory.
+mapping live in one place.  Rows are joined with ``str`` and parsed by
+numpy's C reader, so no cell is quoted: every cell the package writes is a
+float, an int or a plain identifier.  Writers stream one row at a time; a
+table is never built as one string in memory.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -52,36 +55,42 @@ def make_dir(path: Union[str, "os.PathLike[str]"]) -> Path:
 
 
 def write_csv(target: Target, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write ``header`` and then ``rows``, one row at a time.
+    """Write ``header`` and then ``rows``, one ``\\r\\n``-ended line per row.
 
-    String cells are written as given.  Python ``float`` cells are written as
-    ``repr(float)`` by the ``csv`` module, so they read back exactly; pass
-    numpy rows through ``.tolist()`` first, because ``np.float64`` has a
-    different ``repr``.
+    Each line is ``",".join(map(str, row))``, the bytes ``csv.writer`` gives
+    for cells that need no quoting, so cells must not contain a comma, a
+    quote or a line break.  ``str`` of a Python ``float`` is its ``repr``,
+    which reads back exactly; pass numpy rows through ``.tolist()`` first.
     """
     with _opened(target, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(header)
-        writer.writerows(rows)
+        lines = itertools.chain([header], rows)
+        stream.writelines(",".join(map(str, row)) + "\r\n" for row in lines)
 
 
 def read_float_csv(source: Target, what: str, lead: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """Read a CSV of floats whose header starts with the columns ``lead``.
 
-    Returns the header and the non-empty rows as a 2-D array (1-D and empty
-    when there are no rows; ragged rows are malformed).  Every defect of the
-    content is a :class:`ConfigError` naming ``what`` (say, ``"path CSV"``).
+    Returns the header and the rows as a 2-D array with one row per
+    non-empty line.  Cells are unquoted numbers with no comments; empty lines
+    are skipped.  Every defect of the content (an empty file, a header with
+    no rows, a ragged row or a cell that is not a number) is a
+    :class:`ConfigError` naming ``what`` (say, ``"path CSV"``).
     """
     with _opened(source, "r") as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{what} is empty") from None
+        header = next(csv.reader(stream), None)
+        if header is None:
+            raise ConfigError(f"{what} is empty")
         if header[: len(lead)] != list(lead):
             raise ConfigError(f"unrecognised {what} header: {header!r}")
+        # loadtxt warns and returns no rows on a body without data: find the
+        # first data line here instead.
+        first = next((line for line in stream if line.strip("\r\n")), None)
+        if first is None:
+            raise ConfigError(f"{what} has a header but no rows")
         try:
-            rows = np.array([[float(v) for v in row] for row in reader if row])
+            rows = np.loadtxt(
+                itertools.chain([first], stream), delimiter=",", comments=None, ndmin=2
+            )
         except ValueError as exc:
             raise ConfigError(f"malformed {what}: {exc}") from None
     return header, rows

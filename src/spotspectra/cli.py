@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csvio import make_dir
 from .errors import ConfigError, NumericalError
-from .estimators import SpotEstimate, read_matrix_csv, spot_vol, write_matrix_csv
+from .estimators import SpotEstimate, _check_factor, read_matrix_csv, spot_vol, write_matrix_csv
 from .harness import (
     Alternative,
     MCConfig,
@@ -155,7 +155,8 @@ _SPOT_OPTS = [
         _conv_float,
         default=0.0,
         help="window anchor time; the window takes the path's increments after cell "
-        "floor(t*n), while mc-* window draws at t > 0 use fresh noise",
+        "floor(t*n), where a t*n within a relative 1e-9 of an integer counts as that "
+        "integer; mc-* window draws at t > 0 use fresh noise",
     ),
     _Opt("k_n", _conv_int, help="window length (default: floor(sqrt(n)))"),
     _Opt("out", _conv_str, help="output CSV (default: stdout)"),
@@ -254,8 +255,7 @@ def _cmd_test(args: argparse.Namespace) -> None:
     cfg = _resolve(args, _TEST_OPTS)
     matrix = read_matrix_csv(cfg["matrix"])
     if cfg["scale"] is not None:
-        if cfg["scale"] <= 0.0:
-            raise ConfigError(f"--scale must be positive, got {cfg['scale']!r}")
+        _check_factor(cfg["scale"], "--scale")
         matrix = matrix / cfg["scale"]
     # The tests assume a positive semidefinite matrix; this one comes from a file.
     eigenvalues_sym(matrix)

@@ -216,9 +216,9 @@ def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
     )
 
 
-def _check_factor(factor: float) -> None:
+def _check_factor(factor: float, name: str = "scale factor") -> None:
     if not math.isfinite(factor) or factor <= 0.0:
-        raise ConfigError(f"scale factor must be finite and positive, got {factor!r}")
+        raise ConfigError(f"{name} must be positive and finite, got {factor!r}")
 
 
 def _validated_increments(incr: np.ndarray) -> np.ndarray:
@@ -242,6 +242,6 @@ def write_matrix_csv(matrix: np.ndarray, stream: Union[str, TextIO]) -> None:
 def read_matrix_csv(stream: Union[str, TextIO]) -> np.ndarray:
     """Read a square matrix written by :func:`write_matrix_csv`."""
     header, rows = read_float_csv(stream, "matrix CSV", ("c1",))
-    if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.shape[1] != len(header):
+    if rows.shape[0] != rows.shape[1] or rows.shape[1] != len(header):
         raise ConfigError(f"matrix CSV is not square: shape {rows.shape}")
     return rows

@@ -389,6 +389,6 @@ def read_path_csv(stream: Union[str, TextIO]) -> tuple[np.ndarray, np.ndarray]:
     :func:`write_path_csv`.
     """
     header, rows = read_float_csv(stream, "path CSV", ("t", "x1"))
-    if rows.ndim != 2 or rows.shape[0] < 2 or rows.shape[1] != len(header):
+    if rows.shape[0] < 2 or rows.shape[1] != len(header):
         raise ConfigError("path CSV must contain at least two complete rows")
     return rows[:, 0], rows[:, 1:].T

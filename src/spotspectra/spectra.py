@@ -10,11 +10,10 @@ spectra are rejected as numerical failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TextIO, Union
+from typing import Callable
 
 import numpy as np
 
-from ._csvio import write_csv
 from .errors import ConfigError, NumericalError
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "eigenvalues_sym",
     "esd_eval",
     "kolmogorov_distance",
-    "write_esd_csv",
 ]
 
 # Eigenvalues below -_PSD_RTOL * ||A||_2 are a hard error; ones in
@@ -132,9 +130,3 @@ def kolmogorov_distance(sample: SpectralSample, cdf: Callable[[float], float]) -
         f_left = float(cdf(float(np.nextafter(lam, -np.inf))))
         dist = max(dist, abs(right - f_right), abs(left - f_left))
     return dist
-
-
-def write_esd_csv(sample: SpectralSample, stream: Union[str, TextIO]) -> None:
-    """Write the ESD jump points as CSV rows ``x, esd`` (post-jump values)."""
-    rows = ([lam, esd_eval(sample, lam)] for lam in np.unique(sample.eigenvalues).tolist())
-    write_csv(stream, ["x", "esd"], rows)

@@ -147,6 +147,17 @@ def test_test_nonpositive_scale_exits_2(tmp_path, capsys):
     assert "--scale must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_test_nonfinite_or_nonpositive_scale_exits_2(tmp_path, capsys, scale):
+    matrix = tmp_path / "m.csv"
+    write_matrix_csv(np.eye(2), str(matrix))
+    rc = main(["test", "--matrix", str(matrix), "--k-n", "4", "--scale", scale])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--scale must be positive and finite, got {float(scale)!r}" in err
+    assert "matrix" not in err
+
+
 def test_missing_input_csv_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert main(["spot", "--path", str(missing)]) == 2

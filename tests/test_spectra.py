@@ -1,6 +1,5 @@
 """Eigenvalue extraction, empirical spectral distribution, Kolmogorov distance."""
 
-import io
 import math
 
 import numpy as np
@@ -8,13 +7,17 @@ import pytest
 
 from spotspectra import (
     ConfigError,
+    MCConfig,
+    MPLaw,
     NumericalError,
     SpectralSample,
     eigenvalues_sym,
     esd_eval,
     kolmogorov_distance,
-    write_esd_csv,
+    mp_cdf,
+    run_esd_figure,
 )
+from spotspectra import harness
 
 
 def _random_psd(rng, dim):
@@ -139,7 +142,6 @@ def test_ks_single_eigenvalue_at_median():
 
 def test_ks_brute_force_oracle():
     rng = np.random.default_rng(5)
-    from spotspectra import MPLaw, mp_cdf
 
     law = MPLaw(y=0.5)
     g = rng.standard_normal((20, 40))
@@ -158,12 +160,24 @@ def test_ks_brute_force_oracle():
     assert scan == pytest.approx(brute, abs=1e-12)
 
 
-def test_esd_csv():
-    sample = SpectralSample(eigenvalues=np.array([2.0, 2.0, 1.0]), source_dim=3)
-    buf = io.StringIO()
-    write_esd_csv(sample, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "x,esd"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [float(r[0]) for r in rows] == [1.0, 2.0]
-    assert [float(r[1]) for r in rows] == [pytest.approx(1 / 3), 1.0]
+def test_esd_csv(tmp_path, monkeypatch):
+    # The ESD rows on file are those `run_esd_figure` writes: every eigenvalue
+    # is an x, and each row holds the ESD and the MP cdf at its x.
+    samples = []
+    real = harness.eigenvalues_sym
+    monkeypatch.setattr(
+        harness, "eigenvalues_sym", lambda m: samples.append(real(m)) or samples[-1]
+    )
+    cfg = MCConfig(seed=6, n=400, p_list=(8,))
+    (artifact,) = run_esd_figure(cfg, tmp_path)
+    assert artifact.path == tmp_path / "esd_p8.csv"
+    lines = artifact.path.read_bytes().decode().split("\r\n")
+    assert lines[0] == "x,esd,mp_cdf" and lines[-1] == ""
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:-1]]
+    (sample,) = samples
+    law = MPLaw(y=8 / cfg.k_n)
+    xs = [row[0] for row in rows]
+    assert set(sample.eigenvalues.tolist()) <= set(xs)
+    assert [row[1] for row in rows] == [esd_eval(sample, x) for x in xs]
+    assert [row[2] for row in rows] == [mp_cdf(x, law) for x in xs]
+    assert rows[-1][1] == 1.0
