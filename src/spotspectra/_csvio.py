@@ -31,7 +31,7 @@ def _opened(target: Target, mode: str) -> Iterator[TextIO]:
         yield target
         return
     try:
-        stream = open(target, mode, newline="")
+        stream = open(target, mode, encoding="utf-8", newline="")
     except OSError as exc:
         action = "read" if mode == "r" else "write"
         raise ConfigError(f"cannot {action} {os.fspath(target)}: {exc.strerror or exc}") from exc
@@ -74,23 +74,30 @@ def read_float_csv(source: Target, what: str, lead: Sequence[str]) -> tuple[list
     non-empty line.  Cells are unquoted numbers with no comments; empty lines
     are skipped.  Every defect of the content (an empty file, a header with
     no rows, a ragged row or a cell that is not a number) is a
-    :class:`ConfigError` naming ``what`` (say, ``"path CSV"``).
+    :class:`ConfigError` naming ``what`` (say, ``"path CSV"``); a byte that
+    is not UTF-8 is one naming the file as well.
     """
     with _opened(source, "r") as stream:
-        header = next(csv.reader(stream), None)
-        if header is None:
-            raise ConfigError(f"{what} is empty")
-        if header[: len(lead)] != list(lead):
-            raise ConfigError(f"unrecognised {what} header: {header!r}")
-        # loadtxt warns and returns no rows on a body without data: find the
-        # first data line here instead.
-        first = next((line for line in stream if line.strip("\r\n")), None)
-        if first is None:
-            raise ConfigError(f"{what} has a header but no rows")
+        # The text layer decodes lazily, so any read below can hit a bad byte.
         try:
+            header = next(csv.reader(stream), None)
+            if header is None:
+                raise ConfigError(f"{what} is empty")
+            if header[: len(lead)] != list(lead):
+                raise ConfigError(f"unrecognised {what} header: {header!r}")
+            # loadtxt warns and returns no rows on a body without data: find
+            # the first data line here instead.
+            first = next((line for line in stream if line.strip("\r\n")), None)
+            if first is None:
+                raise ConfigError(f"{what} has a header but no rows")
             rows = np.loadtxt(
                 itertools.chain([first], stream), delimiter=",", comments=None, ndmin=2
             )
-        except ValueError as exc:
+        except UnicodeDecodeError as exc:
+            name = getattr(stream, "name", "stream")
+            raise ConfigError(f"{what} {name} is not UTF-8 text: {exc.reason}") from None
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a ragged row or a cell loadtxt cannot parse
             raise ConfigError(f"malformed {what}: {exc}") from None
     return header, rows

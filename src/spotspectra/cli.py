@@ -136,7 +136,7 @@ _SIM_OPTS = [
     _Opt("seed", _conv_int, default=0, help="master seed"),
     _Opt(
         "kind",
-        _conv_choice(*(kind.value.replace("_", "-") for kind in VolKind)),
+        _conv_choice("deterministic-sin", "stochastic-bm", "constant-diag", "piecewise-diag"),
         default="deterministic-sin",
         help="volatility kind",
     ),
@@ -232,10 +232,15 @@ def _out_stream(spec: Optional[str]):
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     cfg = _resolve(args, _SIM_OPTS)
+    if cfg["kind"] == "constant-diag":
+        # A name for piecewise-diag without the seasonal modulation.
+        if cfg["r1"] != 0.0 or cfg["r2"] != 0.0:
+            raise ConfigError("constant-diag does not use r1 or r2")
+        cfg["kind"] = "piecewise-diag"
     kind = VolKind(cfg["kind"].replace("-", "_"))
     base = cfg["base"]
     if base is None:
-        base = 0.0009 if kind in (VolKind.DETERMINISTIC_SIN, VolKind.STOCHASTIC_BM) else 0.0
+        base = 0.0 if kind is VolKind.PIECEWISE_DIAG else 0.0009
     model = VolModel(kind=kind, base=base, r1=cfg["r1"], r2=cfg["r2"], diag=cfg["diag"])
     grid = GridConfig(n=cfg["n"], p=cfg["p"], seed=cfg["seed"])
     path = simulate_path(grid, model, replication=cfg["replication"])

@@ -5,6 +5,14 @@ maps them to distinct exit codes): invalid inputs or configuration, and
 numerical breakdown at runtime.
 """
 
+__all__ = [
+    "SpotSpectraError",
+    "ConfigError",
+    "DegenerateStatisticError",
+    "NumericalError",
+    "SingularEstimateError",
+]
+
 
 class SpotSpectraError(Exception):
     """Base class for all errors raised by this package."""

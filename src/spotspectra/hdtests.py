@@ -34,10 +34,9 @@ import numpy as np
 
 from ._blas import one_thread
 from ._csvio import write_csv
-from .errors import ConfigError, NumericalError, SingularEstimateError
+from .errors import ConfigError, SingularEstimateError
 from .estimators import SpotEstimate
 from .rmt import mp_lss_constants
-from .spectra import checked_symmetric
 
 __all__ = [
     "TestKind",
@@ -46,12 +45,10 @@ __all__ = [
     "lw_test",
     "j_test",
     "evaluate_tests",
-    "whiten_increments",
     "write_report_csv",
 ]
 
-# Cholesky pivots (and, in whitening, eigenvalues) at or below this floor make
-# the log-determinant (and the inverse square root) undefined.
+# Cholesky pivots at or below this floor make the log-determinant undefined.
 _FLOOR = 1e-12
 
 
@@ -207,36 +204,6 @@ def evaluate_tests(
             raise ConfigError(f"unknown test kind {kind!r}")
         reports.append(runner(est))
     return reports
-
-
-def whiten_increments(incr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Multiply increments by ``sigma**(-1/2)`` so a test of ``c = sigma``
-    becomes a test of ``c = I``.
-
-    ``sigma`` must be symmetric positive definite with eigenvalues above
-    ``1e-12``.
-    """
-    incr = np.asarray(incr, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if incr.ndim != 2:
-        raise ConfigError(f"increments must be 2-D, got shape {incr.shape}")
-    if sigma.shape != (incr.shape[0], incr.shape[0]):
-        raise ConfigError(
-            f"sigma shape {sigma.shape} does not match {incr.shape[0]} coordinates"
-        )
-    sigma = checked_symmetric(sigma, "sigma")
-    try:
-        w, v = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue decomposition of sigma failed: {exc}") from exc
-    smallest = float(w[0])
-    if smallest <= _FLOOR:
-        raise NumericalError(
-            f"sigma eigenvalue {smallest:.6e} at or below {_FLOOR:.1e}: "
-            "inverse square root undefined"
-        )
-    inv_root = (v / np.sqrt(w)) @ v.T
-    return inv_root @ incr
 
 
 def write_report_csv(reports: Iterable[TestReport], stream: Union[str, TextIO]) -> None:

@@ -8,15 +8,15 @@ form, so those increments are sampled exactly.  ``STOCHASTIC_BM`` uses the
 left-endpoint variance ``sigma(t_{i-1})**2 / n`` of the simulated driver
 path instead: an Euler step in the volatility, not the cell integral.
 
-Supported volatility specifications (all diagonal, see :class:`VolModel`):
+Three volatility kinds are supported (all diagonal, see :class:`VolModel`):
 
 * ``DETERMINISTIC_SIN`` -- scalar variance ``base + r1*sin(2*pi*t)`` on every
   coordinate; seasonal intraday pattern.
 * ``STOCHASTIC_BM`` -- scalar volatility ``sqrt(base) + r2*W_t`` driven by an
   auxiliary Brownian motion shared by all coordinates.
-* ``CONSTANT_DIAG`` -- time-constant diagonal variance matrix.
 * ``PIECEWISE_DIAG`` -- constant diagonal plus the ``r1*sin(2*pi*t)``
-  modulation on every coordinate; used for two-block alternatives.
+  modulation on every coordinate; used for two-block alternatives, and with
+  ``r1 = 0`` for a time-constant diagonal.
 
 Randomness is organised as counter-based Philox substreams keyed by
 ``(replication, coordinate)`` under a single master seed, so Monte Carlo
@@ -107,17 +107,11 @@ def _substreams(seed: int, replication: int, top_coord: int) -> Callable[[int], 
     return stream
 
 
-def _substream(seed: int, replication: int, coord: int) -> Generator:
-    """Return the Philox substream for one (replication, coordinate) pair."""
-    return _substreams(seed, replication, coord)(coord)
-
-
 class VolKind(Enum):
     """Volatility specification selector."""
 
     DETERMINISTIC_SIN = "deterministic_sin"
     STOCHASTIC_BM = "stochastic_bm"
-    CONSTANT_DIAG = "constant_diag"
     PIECEWISE_DIAG = "piecewise_diag"
 
 
@@ -149,8 +143,8 @@ class VolModel:
 
     Fields not used by ``kind`` must keep their neutral defaults; the
     constructor enforces this so a model never carries silently ignored
-    parameters.  ``diag`` holds per-coordinate variance levels for the
-    diagonal kinds and must have one entry per simulated coordinate.
+    parameters.  ``diag`` holds per-coordinate variance levels for
+    ``PIECEWISE_DIAG`` and must have one entry per simulated coordinate.
     """
 
     kind: VolKind
@@ -164,17 +158,8 @@ class VolModel:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value!r}")
-        scalar_kind = self.kind in (VolKind.DETERMINISTIC_SIN, VolKind.STOCHASTIC_BM)
-        if scalar_kind:
-            if self.diag is not None:
-                raise ConfigError(f"{self.kind.value} does not take a diag vector")
-        else:
-            if self.diag is None or len(self.diag) == 0:
-                raise ConfigError(f"{self.kind.value} requires a nonempty diag vector")
-            if self.base != 0.0:
-                raise ConfigError(f"{self.kind.value} does not use base; leave it at 0")
-            if any(not math.isfinite(d) or d < 0.0 for d in self.diag):
-                raise ConfigError("diag entries must be finite and nonnegative")
+        if self.kind is not VolKind.PIECEWISE_DIAG and self.diag is not None:
+            raise ConfigError(f"{self.kind.value} does not take a diag vector")
         if self.kind is VolKind.DETERMINISTIC_SIN:
             if self.r2 != 0.0:
                 raise ConfigError("deterministic_sin does not use r2")
@@ -185,10 +170,13 @@ class VolModel:
         elif self.kind is VolKind.STOCHASTIC_BM:
             if self.r1 != 0.0:
                 raise ConfigError("stochastic_bm does not use r1")
-        elif self.kind is VolKind.CONSTANT_DIAG:
-            if self.r1 != 0.0 or self.r2 != 0.0:
-                raise ConfigError("constant_diag does not use r1 or r2")
-        elif self.kind is VolKind.PIECEWISE_DIAG:
+        else:
+            if self.diag is None or len(self.diag) == 0:
+                raise ConfigError("piecewise_diag requires a nonempty diag vector")
+            if self.base != 0.0:
+                raise ConfigError("piecewise_diag does not use base; leave it at 0")
+            if any(not math.isfinite(d) or d < 0.0 for d in self.diag):
+                raise ConfigError("diag entries must be finite and nonnegative")
             if self.r2 != 0.0:
                 raise ConfigError("piecewise_diag does not use r2")
             if min(self.diag) - self.r1 < 0.0:
@@ -208,11 +196,6 @@ class VolModel:
     def stochastic_bm(cls, base: float, r2: float = 0.0) -> "VolModel":
         """Scalar volatility ``sqrt(base) + r2*W_t`` on every coordinate."""
         return cls(kind=VolKind.STOCHASTIC_BM, base=base, r2=r2)
-
-    @classmethod
-    def constant_diag(cls, diag: Sequence[float]) -> "VolModel":
-        """Time-constant diagonal variance matrix ``diag``."""
-        return cls(kind=VolKind.CONSTANT_DIAG, diag=tuple(float(d) for d in diag))
 
     @classmethod
     def piecewise_diag(cls, diag: Sequence[float], r1: float = 0.0) -> "VolModel":
@@ -246,7 +229,6 @@ class PricePath:
 
     grid: np.ndarray
     values: np.ndarray
-    model: VolModel
     config: GridConfig
 
 
@@ -274,7 +256,7 @@ def _variance_profile(
     (Euler) value ``sigma(t_{i-1})**2 / n`` for ``STOCHASTIC_BM``.
 
     Returns shape ``(count,)`` for scalar kinds and ``(p, count)`` for
-    diagonal kinds; both broadcast against a ``(p, count)`` noise array.
+    ``PIECEWISE_DIAG``; both broadcast against a ``(p, count)`` noise array.
     ``vol_rng`` lazily supplies the volatility-driver substream (only
     consumed by ``STOCHASTIC_BM`` with ``r2 > 0``).
     """
@@ -293,10 +275,7 @@ def _variance_profile(
     diag = np.asarray(model.diag, dtype=float)
     if diag.shape != (p,):
         raise ConfigError(f"diag has length {diag.size}, expected p = {p}")
-    flat = diag[:, None] / n
-    if model.kind is VolKind.CONSTANT_DIAG:
-        return np.broadcast_to(flat, (p, count)).copy()
-    return flat + _sin_cell_integrals(model.r1, n, start, count)[None, :]
+    return diag[:, None] / n + _sin_cell_integrals(model.r1, n, start, count)[None, :]
 
 
 def simulate_window_increments(
@@ -336,38 +315,18 @@ def simulate_window_increments(
     return noise
 
 
-def simulate_path(
-    config: GridConfig,
-    model: VolModel,
-    drift: Optional[Sequence[float]] = None,
-    replication: int = 0,
-) -> PricePath:
-    """Simulate one full path of ``n`` increments started at zero.
+def simulate_path(config: GridConfig, model: VolModel, replication: int = 0) -> PricePath:
+    """Simulate one driftless full path of ``n`` increments started at zero.
 
-    Parameters
-    ----------
-    config, model
-        Grid and volatility specification.
-    drift
-        Optional constant drift vector of length ``p``; each cell's increment
-        mean is shifted by ``drift[j] / n``.  Off (zero) by default, matching
-        the driftless model the estimators target.
-    replication
-        Monte Carlo replication index selecting the substream family.
+    ``replication`` is the Monte Carlo replication index selecting the
+    substream family.
     """
     incr = simulate_window_increments(config, model, 0, config.n, replication)
-    if drift is not None:
-        b = np.asarray(drift, dtype=float)
-        if b.shape != (config.p,):
-            raise ConfigError(f"drift has shape {b.shape}, expected ({config.p},)")
-        if not np.all(np.isfinite(b)):
-            raise ConfigError("drift entries must be finite")
-        incr = incr + b[:, None] / config.n
     values = np.empty((config.p, config.n + 1))
     values[:, 0] = 0.0
     np.cumsum(incr, axis=1, out=values[:, 1:])
     grid = np.arange(config.n + 1) / config.n
-    return PricePath(grid=grid, values=values, model=model, config=config)
+    return PricePath(grid=grid, values=values, config=config)
 
 
 def increments(path: PricePath) -> np.ndarray:

@@ -54,14 +54,10 @@ def checked_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSample:
-    """Eigenvalues of one matrix, sorted in descending order.
-
-    ``source_dim`` records the matrix dimension the spectrum came from (one
-    eigenvalue per dimension, multiplicities included).
-    """
+    """Eigenvalues of one matrix, sorted in descending order: one per
+    dimension, multiplicities included."""
 
     eigenvalues: np.ndarray
-    source_dim: int
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -71,10 +67,6 @@ class SpectralSample:
             raise ConfigError("eigenvalues contain non-finite entries")
         if np.any(np.diff(lam) > 0.0):
             raise ConfigError("eigenvalues must be sorted in descending order")
-        if self.source_dim != lam.size:
-            raise ConfigError(
-                f"source_dim = {self.source_dim} does not match {lam.size} eigenvalues"
-            )
         object.__setattr__(self, "eigenvalues", lam)
 
 
@@ -103,13 +95,13 @@ def eigenvalues_sym(matrix: np.ndarray) -> SpectralSample:
             f"below -{_PSD_RTOL:.1e} * ||A||_2 = {-_PSD_RTOL * spectral_norm:.6e}"
         )
     lam = np.where(np.abs(lam) <= _PSD_RTOL * spectral_norm, 0.0, lam)
-    return SpectralSample(eigenvalues=lam[::-1].copy(), source_dim=m.shape[0])
+    return SpectralSample(eigenvalues=lam[::-1].copy())
 
 
 def esd_eval(sample: SpectralSample, x: float) -> float:
     """Empirical spectral distribution at ``x``: fraction of eigenvalues ``<= x``."""
     asc = sample.eigenvalues[::-1]
-    return float(np.searchsorted(asc, x, side="right")) / sample.source_dim
+    return float(np.searchsorted(asc, x, side="right")) / sample.eigenvalues.size
 
 
 def kolmogorov_distance(sample: SpectralSample, cdf: Callable[[float], float]) -> float:
@@ -121,7 +113,7 @@ def kolmogorov_distance(sample: SpectralSample, cdf: Callable[[float], float]) -
     eigenvalue from one side or the other, which is what is scanned here.
     """
     asc = np.unique(sample.eigenvalues)
-    p = sample.source_dim
+    p = sample.eigenvalues.size
     dist = 0.0
     for lam in asc:
         right = float(np.searchsorted(sample.eigenvalues[::-1], lam, side="right")) / p

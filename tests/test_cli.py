@@ -5,6 +5,7 @@ codes, printed output, and written files against the library API.
 """
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -68,6 +69,32 @@ def test_simulate_constant_diag_requires_diag(capsys):
     rc = main(["simulate", "--n", "16", "--p", "2", "--kind", "constant-diag"])
     assert rc == 2
     assert "requires a nonempty diag vector" in capsys.readouterr().err
+
+
+# The bytes `simulate --kind constant-diag` wrote while that kind had its own
+# variance branch; it is now a name for piecewise-diag with r1 = 0.
+_DIAG_PATH_SHA256 = "b4c8cef24437e03525603dc17d98ca7e5cdc1ce34cac3715c26dc17d452fc6bb"
+
+
+@pytest.mark.parametrize("kind", ["constant-diag", "piecewise-diag"])
+def test_simulate_diag_kinds_write_pinned_bytes(tmp_path, kind):
+    out = tmp_path / "path.csv"
+    rc = main(
+        ["simulate", "--kind", kind, "--n", "200", "--p", "3", "--diag", "0.4,0.9,1.6",
+         "--seed", "8", "--replication", "2", "--out", str(out)]
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _DIAG_PATH_SHA256
+
+
+@pytest.mark.parametrize("amplitude", ["--r1", "--r2"])
+def test_simulate_constant_diag_rejects_amplitudes(capsys, amplitude):
+    rc = main(
+        ["simulate", "--n", "16", "--p", "2", "--kind", "constant-diag", "--diag", "1,2",
+         amplitude, "0.1"]
+    )
+    assert rc == 2
+    assert "does not use r1 or r2" in capsys.readouterr().err
 
 
 def test_bad_int_value_exits_2(capsys):
@@ -162,6 +189,34 @@ def test_missing_input_csv_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert main(["spot", "--path", str(missing)]) == 2
     assert f"error: cannot read {missing}:" in capsys.readouterr().err
+
+
+def _spot_input(tmp_path):
+    path_csv = tmp_path / "good.csv"
+    main(["simulate", "--n", "2000", "--p", "3", "--out", str(path_csv)])
+    return path_csv, ["spot", "--path"], []
+
+
+def _test_input(tmp_path):
+    matrix_csv = tmp_path / "good.csv"
+    g = np.random.default_rng(0).standard_normal((80, 200))
+    write_matrix_csv(g @ g.T / 200, str(matrix_csv))
+    return matrix_csv, ["test", "--matrix"], ["--k-n", "200"]
+
+
+@pytest.mark.parametrize("make_input", [_spot_input, _test_input])
+@pytest.mark.parametrize("past_64k", [False, True])
+def test_non_utf8_input_csv_exits_2(tmp_path, capsys, make_input, past_64k):
+    good, command, rest = make_input(tmp_path)
+    assert main(command + [str(good)] + rest + ["--out", str(tmp_path / "out.csv")]) == 0
+    data = good.read_bytes()
+    # at the start of a line, so the text around the bad byte is still numbers
+    at = data.index(b"\n", 64 * 1024) + 1 if past_64k else 0
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    capsys.readouterr()
+    assert main(command + [str(bad)] + rest) == 2
+    assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_unwritable_output_csv_exits_2(tmp_path, capsys):

@@ -288,7 +288,7 @@ def test_size_experiment_rejects_bad_configs():
         run_size_experiment(MCConfig(seed=0, **_SMALL, alternative=Alternative(s=0.5)))
     with pytest.raises(ConfigError, match="scalar-volatility"):
         run_size_experiment(
-            MCConfig(seed=0, reps=2, n=400, p_list=(3,), model=VolModel.constant_diag((1.0, 1.0, 1.0)))
+            MCConfig(seed=0, reps=2, n=400, p_list=(3,), model=VolModel.piecewise_diag((1.0, 1.0, 1.0)))
         )
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from spotspectra import (
-    ConfigError,
     DegenerateStatisticError,
     SingularEstimateError,
     SpotEstimate,
@@ -21,7 +20,6 @@ from spotspectra import (
     mp_lss_constants,
     rescale,
     spot_vol,
-    whiten_increments,
     write_report_csv,
 )
 
@@ -192,37 +190,6 @@ def test_evaluate_tests_matches_standalone_calls():
         assert by_kind[kind].raw == standalone.raw
         assert by_kind[kind].zscore == standalone.zscore
         assert by_kind[kind].pvalue == standalone.pvalue
-
-
-def test_whiten_identity_is_noop():
-    rng = np.random.default_rng(9)
-    incr = rng.standard_normal((4, 20))
-    np.testing.assert_array_equal(whiten_increments(incr, np.eye(4)), incr)
-
-
-def test_whiten_recovers_unit_noise():
-    # x = sigma^(1/2) z  =>  whiten(x, sigma) == z
-    rng = np.random.default_rng(10)
-    z = rng.standard_normal((5, 40))
-    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    lam = rng.uniform(0.5, 3.0, size=5)
-    sigma = q @ np.diag(lam) @ q.T
-    sigma = 0.5 * (sigma + sigma.T)
-    root = q @ np.diag(np.sqrt(lam)) @ q.T
-    recovered = whiten_increments(root @ z, sigma)
-    np.testing.assert_allclose(recovered, z, atol=1e-10)
-
-
-def test_whiten_validation():
-    incr = np.zeros((3, 10))
-    with pytest.raises(ConfigError, match="does not match"):
-        whiten_increments(incr, np.eye(4))
-    with pytest.raises(ConfigError, match="asymmetric"):
-        whiten_increments(incr, np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1.0]]))
-    from spotspectra import NumericalError
-
-    with pytest.raises(NumericalError, match="inverse square root"):
-        whiten_increments(incr, np.diag([1.0, 1.0, 0.0]))
 
 
 def test_report_csv():

@@ -45,7 +45,7 @@ def test_vol_model_validation():
     with pytest.raises(ConfigError, match="does not use r1"):
         VolModel(kind=VolKind.STOCHASTIC_BM, base=1.0, r1=0.1)
     with pytest.raises(ConfigError, match="requires a nonempty diag"):
-        VolModel(kind=VolKind.CONSTANT_DIAG)
+        VolModel(kind=VolKind.PIECEWISE_DIAG)
     with pytest.raises(ConfigError, match="does not take a diag"):
         VolModel(kind=VolKind.DETERMINISTIC_SIN, base=1.0, diag=(1.0,))
     with pytest.raises(ConfigError, match="can go negative"):
@@ -102,7 +102,7 @@ def test_window_is_prefix_of_longer_window():
     for model in (
         VolModel.deterministic_sin(0.0009, 0.0008),
         VolModel.stochastic_bm(0.0009, 0.02),
-        VolModel.constant_diag((0.4, 0.9, 1.6)),
+        VolModel.piecewise_diag((0.4, 0.9, 1.6), r1=0.0),
         VolModel.piecewise_diag((0.4, 0.9, 1.6), r1=0.1),
     ):
         for seed in range(3):
@@ -214,10 +214,6 @@ def test_rekey_resets_a_dirty_generator(rep, count):
         np.testing.assert_array_equal(
             stream(j).standard_normal(count), _fresh_stream(seed, rep, j).standard_normal(count)
         )
-        np.testing.assert_array_equal(
-            simkit._substream(seed, rep, j).standard_normal(count),
-            _fresh_stream(seed, rep, j).standard_normal(count),
-        )
         stream(p - j).integers(2**32, dtype=np.uint32)
         np.testing.assert_array_equal(
             stream(j).integers(2**32, size=count, dtype=np.uint32),
@@ -282,20 +278,6 @@ def test_simulate_path_structure():
     incr = increments(path)
     assert incr.shape == (2, 30)
     np.testing.assert_allclose(np.cumsum(incr, axis=1), path.values[:, 1:], rtol=1e-12)
-
-
-def test_constant_drift_shifts_each_increment():
-    grid = GridConfig(n=50, p=2, seed=6)
-    model = VolModel.deterministic_sin(1.0)
-    flat = simulate_path(grid, model)
-    tilted = simulate_path(grid, model, drift=(5.0, -2.0))
-    shift = increments(tilted) - increments(flat)
-    np.testing.assert_allclose(shift[0], 5.0 / 50, atol=1e-14)
-    np.testing.assert_allclose(shift[1], -2.0 / 50, atol=1e-14)
-    with pytest.raises(ConfigError, match="drift has shape"):
-        simulate_path(grid, model, drift=(1.0,))
-    with pytest.raises(ConfigError, match="finite"):
-        simulate_path(grid, model, drift=(1.0, math.inf))
 
 
 def test_path_csv_round_trip():

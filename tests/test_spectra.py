@@ -56,7 +56,6 @@ def test_descending_order_and_dim():
     m = np.diag([2.0, 5.0, 1.0])
     sample = eigenvalues_sym(m)
     np.testing.assert_array_equal(sample.eigenvalues, [5.0, 2.0, 1.0])
-    assert sample.source_dim == 3
 
 
 def test_rank_deficient_zeros_are_exact():
@@ -95,17 +94,15 @@ def test_input_validation():
 
 
 def test_spectral_sample_validation():
-    SpectralSample(eigenvalues=np.array([2.0, 1.0]), source_dim=2)
+    SpectralSample(eigenvalues=np.array([2.0, 1.0]))
     with pytest.raises(ConfigError, match="descending"):
-        SpectralSample(eigenvalues=np.array([1.0, 2.0]), source_dim=2)
-    with pytest.raises(ConfigError, match="source_dim"):
-        SpectralSample(eigenvalues=np.array([2.0, 1.0]), source_dim=3)
+        SpectralSample(eigenvalues=np.array([1.0, 2.0]))
     with pytest.raises(ConfigError, match="non-finite"):
-        SpectralSample(eigenvalues=np.array([np.inf, 1.0]), source_dim=2)
+        SpectralSample(eigenvalues=np.array([np.inf, 1.0]))
 
 
 def test_esd_eval_step_function():
-    sample = SpectralSample(eigenvalues=np.array([3.0, 2.0, 1.0]), source_dim=3)
+    sample = SpectralSample(eigenvalues=np.array([3.0, 2.0, 1.0]))
     assert esd_eval(sample, 0.5) == 0.0
     assert esd_eval(sample, 1.0) == pytest.approx(1 / 3)
     assert esd_eval(sample, float(np.nextafter(1.0, 0.0))) == 0.0
@@ -115,7 +112,7 @@ def test_esd_eval_step_function():
 
 
 def test_esd_counts_multiplicities():
-    sample = SpectralSample(eigenvalues=np.array([2.0, 2.0, 1.0, 0.0]), source_dim=4)
+    sample = SpectralSample(eigenvalues=np.array([2.0, 2.0, 1.0, 0.0]))
     assert esd_eval(sample, 0.0) == 0.25
     assert esd_eval(sample, 1.5) == 0.5
     assert esd_eval(sample, 2.0) == 1.0
@@ -123,11 +120,11 @@ def test_esd_counts_multiplicities():
 
 def test_ks_against_point_mass():
     # spectrum (1, 2, 3) vs a point mass at 2: sup distance is 1/3
-    sample = SpectralSample(eigenvalues=np.array([3.0, 2.0, 1.0]), source_dim=3)
+    sample = SpectralSample(eigenvalues=np.array([3.0, 2.0, 1.0]))
     delta2 = lambda x: 1.0 if x >= 2.0 else 0.0
     assert kolmogorov_distance(sample, delta2) == pytest.approx(1 / 3)
     # degenerate spectrum on its own point mass: distance 0
-    ones = SpectralSample(eigenvalues=np.ones(3), source_dim=3)
+    ones = SpectralSample(eigenvalues=np.ones(3))
     delta1 = lambda x: 1.0 if x >= 1.0 else 0.0
     assert kolmogorov_distance(ones, delta1) == 0.0
 
@@ -136,7 +133,7 @@ def test_ks_single_eigenvalue_at_median():
     # one eigenvalue placed at the reference median: ESD jumps 0 -> 1 there,
     # the reference sits at 1/2, so the distance is exactly 1/2 on each side
     median_cdf = lambda x: min(max(0.5 + 0.25 * (x - 1.0), 0.0), 1.0)
-    sample = SpectralSample(eigenvalues=np.array([1.0]), source_dim=1)
+    sample = SpectralSample(eigenvalues=np.array([1.0]))
     assert kolmogorov_distance(sample, median_cdf) == pytest.approx(0.5)
 
 
