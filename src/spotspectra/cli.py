@@ -4,9 +4,12 @@ Subcommands map one-to-one onto the library operations: ``simulate`` writes a
 path CSV, ``spot`` turns a path CSV into a spot covariance matrix, ``test``
 evaluates the identity/sphericity tests on a matrix CSV, ``esd`` and ``qq``
 produce figure data, and ``mc-size`` / ``mc-power`` run the Monte Carlo
-tables.  Every option can also come from a ``--config`` file of flat
-``key=value`` lines (command line wins).  Exit codes: 0 success, 2 bad
-configuration or input, 3 numerical failure.
+tables.  argparse is the only option parser: each ``key = value`` line of a
+``--config`` file becomes a ``--key=value`` argument placed before the command
+line's own, so the command line wins and a config key is accepted exactly when
+the flag of that name is.  No option may be abbreviated.  Exit codes: 0
+success, 2 bad configuration or input (one ``error: ...`` line on stderr), 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -38,179 +40,135 @@ from .simkit import GridConfig, VolKind, VolModel, read_path_csv, simulate_path,
 from .spectra import eigenvalues_sym
 
 
-def _conv_int(raw: str) -> int:
-    return int(raw, 10)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are :class:`ConfigError` (exit 2)."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
-def _conv_float(raw: str) -> float:
-    return float(raw)
+def _list_of(conv: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse(raw: str) -> tuple:
+        values = tuple(conv(part) for part in raw.split(",") if part.strip() != "")
+        if not values:
+            raise ValueError("empty list")
+        return values
+
+    parse.__name__ = f"{conv.__name__} list"
+    return parse
 
 
-def _conv_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part, 10) for part in raw.split(",") if part.strip() != "")
-
-
-def _conv_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(",") if part.strip() != "")
-
-
-def _conv_str(raw: str) -> str:
-    return raw
-
-
-def _conv_choice(*choices: str) -> Callable[[str], str]:
-    def conv(raw: str) -> str:
-        if raw not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}")
-        return raw
-
-    return conv
-
-
-@dataclass(frozen=True)
-class _Opt:
-    name: str
-    conv: Callable[[str], object]
-    default: object = None
-    required: bool = False
-    help: str = ""
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_argv(path: str) -> list[str]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from None
+    argv = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, raw = stripped.split("=", 1)
-        values[key.strip().replace("-", "_")] = raw.strip()
-    return values
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key == "config":
+            raise ConfigError(f"{path}:{lineno}: a config file cannot name another")
+        argv.append(f"--{key.replace('_', '-')}={raw}")
+    return argv
 
 
-def _resolve(args: argparse.Namespace, opts: list[_Opt]) -> dict[str, object]:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    known = {opt.name for opt in opts}
-    unknown = set(file_cfg) - known
-    if unknown:
-        raise ConfigError(
-            f"config file keys not recognised by this subcommand: {sorted(unknown)}"
-        )
-    resolved: dict[str, object] = {}
-    for opt in opts:
-        raw = getattr(args, opt.name, None)
-        if raw is None:
-            raw = file_cfg.get(opt.name)
-        if raw is None:
-            if opt.required:
-                raise ConfigError(f"missing required option --{opt.name.replace('_', '-')}")
-            resolved[opt.name] = opt.default
-            continue
-        try:
-            resolved[opt.name] = opt.conv(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"invalid value for --{opt.name.replace('_', '-')}: {raw!r} ({exc})"
-            ) from exc
-    return resolved
-
-
-def _add_opts(parser: argparse.ArgumentParser, opts: list[_Opt]) -> None:
-    parser.add_argument("--config", metavar="FILE", help="flat key=value option file")
-    for opt in opts:
-        flag = "--" + opt.name.replace("_", "-")
-        note = f" (default: {opt.default})" if opt.default is not None else ""
-        parser.add_argument(flag, metavar="V", dest=opt.name, help=opt.help + note)
+def _opt(name: str, help: str, **kwargs) -> tuple[str, dict]:
+    if kwargs.get("default") is not None:
+        help += f" (default: {kwargs['default']})"
+    return "--" + name, dict(metavar="V", help=help, **kwargs)
 
 
 # Option tables --------------------------------------------------------------
 
 _SIM_OPTS = [
-    _Opt("n", _conv_int, required=True, help="number of grid cells"),
-    _Opt("p", _conv_int, required=True, help="number of coordinates"),
-    _Opt("seed", _conv_int, default=0, help="master seed"),
-    _Opt(
+    _opt("n", "number of grid cells", type=int, required=True),
+    _opt("p", "number of coordinates", type=int, required=True),
+    _opt("seed", "master seed", type=int, default=0),
+    _opt(
         "kind",
-        _conv_choice("deterministic-sin", "stochastic-bm", "constant-diag", "piecewise-diag"),
+        "volatility kind",
+        choices=("deterministic-sin", "stochastic-bm", "constant-diag", "piecewise-diag"),
         default="deterministic-sin",
-        help="volatility kind",
     ),
-    _Opt("base", _conv_float, help="variance level for scalar kinds (default 0.0009)"),
-    _Opt("r1", _conv_float, default=0.0, help="seasonal modulation amplitude"),
-    _Opt("r2", _conv_float, default=0.0, help="volatility-of-volatility amplitude"),
-    _Opt("diag", _conv_float_list, help="comma separated diagonal variances"),
-    _Opt("replication", _conv_int, default=0, help="replication index"),
-    _Opt("out", _conv_str, help="output CSV (default: stdout)"),
+    _opt("base", "variance level for scalar kinds (default 0.0009)", type=float),
+    _opt("r1", "seasonal modulation amplitude", type=float, default=0.0),
+    _opt("r2", "volatility-of-volatility amplitude", type=float, default=0.0),
+    _opt("diag", "comma separated diagonal variances", type=_list_of(float)),
+    _opt("replication", "replication index", type=int, default=0),
+    _opt("out", "output CSV (default: stdout)"),
 ]
 
 _SPOT_OPTS = [
-    _Opt("path", _conv_str, required=True, help="input path CSV from `simulate`"),
-    _Opt(
+    _opt("path", "input path CSV from `simulate`", required=True),
+    _opt(
         "t",
-        _conv_float,
-        default=0.0,
-        help="window anchor time; the window takes the path's increments after cell "
+        "window anchor time; the window takes the path's increments after cell "
         "floor(t*n), where a t*n within a relative 1e-9 of an integer counts as that "
         "integer; mc-* window draws at t > 0 use fresh noise",
+        type=float,
+        default=0.0,
     ),
-    _Opt("k_n", _conv_int, help="window length (default: floor(sqrt(n)))"),
-    _Opt("out", _conv_str, help="output CSV (default: stdout)"),
+    _opt("k-n", "window length (default: floor(sqrt(n)))", type=int),
+    _opt("out", "output CSV (default: stdout)"),
 ]
 
 _TEST_OPTS = [
-    _Opt("matrix", _conv_str, required=True, help="input matrix CSV from `spot`"),
-    _Opt("k_n", _conv_int, required=True, help="window length behind the estimate"),
-    _Opt("kind", _conv_choice("bjyz", "lw", "j", "all"), default="all", help="which test"),
-    _Opt("scale", _conv_float, help="divide the matrix by this null level first"),
-    _Opt("out", _conv_str, help="output CSV (default: stdout)"),
+    _opt("matrix", "input matrix CSV from `spot`", required=True),
+    _opt("k-n", "window length behind the estimate", type=int, required=True),
+    _opt("kind", "which test", choices=("bjyz", "lw", "j", "all"), default="all"),
+    _opt("scale", "divide the matrix by this null level first", type=float),
+    _opt("out", "output CSV (default: stdout)"),
 ]
 
 _MC_COMMON = [
-    _Opt("reps", _conv_int, default=1000, help="Monte Carlo replications"),
-    _Opt("n", _conv_int, default=4680, help="number of grid cells"),
-    _Opt("k_n", _conv_int, help="window length (default: floor(sqrt(n)))"),
-    _Opt("p_list", _conv_int_list, default=(34, 68, 102), help="comma separated dimensions"),
-    _Opt("base", _conv_float, default=0.0009, help="null variance level"),
-    _Opt(
+    _opt("reps", "Monte Carlo replications", type=int, default=1000),
+    _opt("n", "number of grid cells", type=int, default=4680),
+    _opt("k-n", "window length (default: floor(sqrt(n)))", type=int),
+    _opt("p-list", "comma separated dimensions", type=_list_of(int), default=(34, 68, 102)),
+    _opt("base", "null variance level", type=float, default=0.0009),
+    _opt(
         "t",
-        _conv_float,
-        default=0.0,
-        help="window anchor time; draws at t > 0 do not reuse the noise of a "
+        "window anchor time; draws at t > 0 do not reuse the noise of a "
         "simulated full path",
+        type=float,
+        default=0.0,
     ),
-    _Opt("levels", _conv_float_list, default=(0.10, 0.05, 0.01), help="test levels"),
-    _Opt("workers", _conv_int, default=1, help="worker processes per cell, this one included"),
-    _Opt("out_dir", _conv_str, default=".", help="output directory"),
+    _opt("levels", "test levels", type=_list_of(float), default=(0.10, 0.05, 0.01)),
+    _opt("workers", "worker processes per cell, this one included", type=int, default=1),
+    _opt("out-dir", "output directory", default="."),
 ]
 
 _MC_SIZE_OPTS = [
-    _Opt("seed", _conv_int, required=True, help="master seed (required)"),
-    _Opt("r1", _conv_float_list, default=(0.0,), help="seasonal amplitudes to sweep"),
-    _Opt("r2", _conv_float_list, help="vol-of-vol amplitudes to sweep instead of r1"),
+    _opt("seed", "master seed (required)", type=int, required=True),
+    _opt("r1", "seasonal amplitudes to sweep", type=_list_of(float), default=(0.0,)),
+    _opt("r2", "vol-of-vol amplitudes to sweep instead of r1", type=_list_of(float)),
     *_MC_COMMON,
 ]
 
 _MC_POWER_OPTS = [
-    _Opt("seed", _conv_int, required=True, help="master seed (required)"),
-    _Opt("r1", _conv_float_list, default=(0.0,), help="seasonal amplitudes to sweep"),
-    _Opt("s", _conv_float_list, default=(0.45, 0.6, 0.75), help="block split fractions"),
-    _Opt("low", _conv_float, default=0.0004, help="variance level of the second block"),
+    _opt("seed", "master seed (required)", type=int, required=True),
+    _opt("r1", "seasonal amplitudes to sweep", type=_list_of(float), default=(0.0,)),
+    _opt("s", "block split fractions", type=_list_of(float), default=(0.45, 0.6, 0.75)),
+    _opt("low", "variance level of the second block", type=float, default=0.0004),
     *_MC_COMMON,
 ]
 
+# The figures report no rejection rates, and one ESD draw needs no replications.
 _QQ_OPTS = [
-    _Opt("seed", _conv_int, default=0, help="master seed"),
-    _Opt("r1", _conv_float, default=0.0, help="seasonal amplitude"),
-    _Opt("r2", _conv_float, help="vol-of-vol amplitude (selects the stochastic model)"),
-    *_MC_COMMON,
+    _opt("seed", "master seed", type=int, default=0),
+    _opt("r1", "seasonal amplitude", type=float, default=0.0),
+    _opt("r2", "vol-of-vol amplitude (selects the stochastic model)", type=float),
+    *(opt for opt in _MC_COMMON if opt[0] != "--levels"),
 ]
 
-_ESD_OPTS = _QQ_OPTS
+_ESD_OPTS = [opt for opt in _QQ_OPTS if opt[0] not in ("--reps", "--workers")]
 
 
 def _scalar_model(base: float, r1: float, r2: Optional[float]) -> VolModel:
@@ -230,8 +188,7 @@ def _out_stream(spec: Optional[str]):
 # Handlers -------------------------------------------------------------------
 
 
-def _cmd_simulate(args: argparse.Namespace) -> None:
-    cfg = _resolve(args, _SIM_OPTS)
+def _cmd_simulate(cfg: dict) -> None:
     if cfg["kind"] == "constant-diag":
         # A name for piecewise-diag without the seasonal modulation.
         if cfg["r1"] != 0.0 or cfg["r2"] != 0.0:
@@ -247,8 +204,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     write_path_csv(path, _out_stream(cfg["out"]))
 
 
-def _cmd_spot(args: argparse.Namespace) -> None:
-    cfg = _resolve(args, _SPOT_OPTS)
+def _cmd_spot(cfg: dict) -> None:
     _, values = read_path_csv(cfg["path"])
     incr = np.diff(values, axis=1)
     k_n = cfg["k_n"] if cfg["k_n"] is not None else math.isqrt(incr.shape[1])
@@ -256,8 +212,7 @@ def _cmd_spot(args: argparse.Namespace) -> None:
     write_matrix_csv(est.matrix, _out_stream(cfg["out"]))
 
 
-def _cmd_test(args: argparse.Namespace) -> None:
-    cfg = _resolve(args, _TEST_OPTS)
+def _cmd_test(cfg: dict) -> None:
     matrix = read_matrix_csv(cfg["matrix"])
     if cfg["scale"] is not None:
         _check_factor(cfg["scale"], "--scale")
@@ -271,71 +226,57 @@ def _cmd_test(args: argparse.Namespace) -> None:
     write_report_csv(evaluate_tests(est, kinds), _out_stream(cfg["out"]))
 
 
-def _mc_config(cfg: dict[str, object], seed: int, model: VolModel,
+def _mc_config(cfg: dict, model: VolModel,
                alternative: Optional[Alternative] = None) -> MCConfig:
+    # A subcommand without --reps, --levels or --workers keeps MCConfig's default.
+    fields = ("seed", "reps", "n", "k_n", "p_list", "t", "levels", "workers")
     return MCConfig(
-        seed=seed,
-        reps=cfg["reps"],
-        n=cfg["n"],
-        k_n=cfg["k_n"],
-        p_list=cfg["p_list"],
         model=model,
-        t=cfg["t"],
-        levels=cfg["levels"],
         alternative=alternative,
-        workers=cfg["workers"],
+        **{name: cfg[name] for name in fields if name in cfg},
     )
 
 
-def _cmd_mc_size(args: argparse.Namespace) -> None:
-    cfg = _resolve(args, _MC_SIZE_OPTS)
+def _cmd_mc_size(cfg: dict) -> None:
     if cfg["r2"] is not None:
         models = [VolModel.stochastic_bm(cfg["base"], v) for v in cfg["r2"]]
     else:
         models = [VolModel.deterministic_sin(cfg["base"], v) for v in cfg["r1"]]
     out = make_dir(cfg["out_dir"]) / "size_table.csv"
-    summaries = [
-        run_size_experiment(_mc_config(cfg, cfg["seed"], model)) for model in models
-    ]
+    summaries = [run_size_experiment(_mc_config(cfg, model)) for model in models]
     write_size_table(summaries, str(out))
     print(out)
 
 
-def _cmd_mc_power(args: argparse.Namespace) -> None:
-    cfg = _resolve(args, _MC_POWER_OPTS)
+def _cmd_mc_power(cfg: dict) -> None:
     out = make_dir(cfg["out_dir"]) / "power_table.csv"
     summaries = []
     for s in cfg["s"]:
         for r1 in cfg["r1"]:
             model = VolModel.deterministic_sin(cfg["base"], r1)
-            mc = _mc_config(
-                cfg, cfg["seed"], model, Alternative(s=s, low=cfg["low"])
-            )
+            mc = _mc_config(cfg, model, Alternative(s=s, low=cfg["low"]))
             summaries.append(run_power_experiment(mc))
     write_power_table(summaries, str(out))
     print(out)
 
 
-def _cmd_esd(args: argparse.Namespace) -> None:
-    cfg = _resolve(args, _ESD_OPTS)
+def _cmd_esd(cfg: dict) -> None:
     model = _scalar_model(cfg["base"], cfg["r1"], cfg["r2"])
-    mc = _mc_config(cfg, cfg["seed"], model)
-    for artifact in run_esd_figure(mc, cfg["out_dir"]):
+    for artifact in run_esd_figure(_mc_config(cfg, model), cfg["out_dir"]):
         print(f"{artifact.path} ks={artifact.ks_distance:.6f}")
 
 
-def _cmd_qq(args: argparse.Namespace) -> None:
-    cfg = _resolve(args, _QQ_OPTS)
+def _cmd_qq(cfg: dict) -> None:
     model = _scalar_model(cfg["base"], cfg["r1"], cfg["r2"])
-    mc = _mc_config(cfg, cfg["seed"], model)
-    for artifact in run_qq_figure(mc, cfg["out_dir"]):
+    for artifact in run_qq_figure(_mc_config(cfg, model), cfg["out_dir"]):
         print(f"{artifact.path} corr={artifact.correlation:.6f}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spotspectra",
         description="Spectral analysis of high-frequency spot volatility estimates.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command")
     for name, opts, handler, desc in [
@@ -347,21 +288,26 @@ def build_parser() -> argparse.ArgumentParser:
         ("mc-size", _MC_SIZE_OPTS, _cmd_mc_size, "Monte Carlo null rejection table"),
         ("mc-power", _MC_POWER_OPTS, _cmd_mc_power, "Monte Carlo power table"),
     ]:
-        p = sub.add_parser(name, help=desc, description=desc)
-        _add_opts(p, opts)
+        p = sub.add_parser(name, help=desc, description=desc, allow_abbrev=False)
+        p.add_argument("--config", metavar="FILE", help="flat key=value option file")
+        for flag, kwargs in opts:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        parser.print_help()
-        return 2
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
     try:
-        handler(args)
+        config = pre.parse_known_args(argv[1:])[0].config
+        args = parser.parse_args(argv[:1] + (_config_argv(config) if config else []) + argv[1:])
+        if args.command is None:
+            parser.print_help()
+            return 2
+        args.handler(vars(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -106,6 +106,8 @@ class MCConfig:
             raise ConfigError(f"k_n must be a positive integer, got {self.k_n!r}")
         object.__setattr__(self, "k_n", k_n)
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
+        if not self.p_list:
+            raise ConfigError("p_list must name at least one dimension")
         if any(p < 1 for p in self.p_list):
             raise ConfigError(f"p_list entries must be positive, got {self.p_list!r}")
         if len(set(self.p_list)) != len(self.p_list):
@@ -117,6 +119,8 @@ class MCConfig:
                 f"window of length {k_n} at t = {self.t} overruns n = {self.n}"
             )
         object.__setattr__(self, "levels", tuple(float(x) for x in self.levels))
+        if not self.levels:
+            raise ConfigError("levels must name at least one test level")
         if any(not 0.0 < lv < 1.0 for lv in self.levels):
             raise ConfigError(f"levels must lie in (0, 1), got {self.levels!r}")
         if not isinstance(self.workers, int) or self.workers < 1:

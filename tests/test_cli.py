@@ -56,7 +56,7 @@ def test_simulate_stdout_default(tmp_path, capsys):
 def test_simulate_kind_validation(capsys):
     rc = main(["simulate", "--n", "16", "--p", "2", "--kind", "nope"])
     assert rc == 2
-    assert "invalid value for --kind" in capsys.readouterr().err
+    assert "error: argument --kind: invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_simulate_diag_rejected_for_scalar_kind(capsys):
@@ -100,7 +100,7 @@ def test_simulate_constant_diag_rejects_amplitudes(capsys, amplitude):
 def test_bad_int_value_exits_2(capsys):
     rc = main(["simulate", "--n", "zap", "--p", "2"])
     assert rc == 2
-    assert "invalid value for --n" in capsys.readouterr().err
+    assert "error: argument --n: invalid int value: 'zap'" in capsys.readouterr().err
 
 
 def test_spot_matches_api(tmp_path):
@@ -228,10 +228,10 @@ def test_unwritable_output_csv_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mc-size"],
-        ["mc-power", "--s", "0.5"],
+        ["mc-size", "--reps", "1"],
+        ["mc-power", "--reps", "1", "--s", "0.5"],
         ["esd"],
-        ["qq"],
+        ["qq", "--reps", "1"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -244,7 +244,7 @@ def test_uncreatable_out_dir_exits_2(tmp_path, capsys, monkeypatch, argv):
     blocker.write_text("")
     out_dir = blocker / "x"
     rc = main(
-        argv + ["--seed", "0", "--reps", "1", "--p-list", "4", "--n", "100",
+        argv + ["--seed", "0", "--p-list", "4", "--n", "100",
                 "--out-dir", str(out_dir)]
     )
     assert rc == 2
@@ -255,7 +255,7 @@ def test_uncreatable_out_dir_exits_2(tmp_path, capsys, monkeypatch, argv):
 def test_missing_required_option_exits_2(capsys):
     rc = main(["mc-size", "--reps", "2"])
     assert rc == 2
-    assert "missing required option --seed" in capsys.readouterr().err
+    assert "error: the following arguments are required: --seed" in capsys.readouterr().err
 
 
 def test_config_file_fills_and_cli_overrides(tmp_path):
@@ -293,7 +293,7 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("n = 16\np = 2\nbogus = 1\n")
     rc = main(["simulate", "--config", str(cfg)])
     assert rc == 2
-    assert "not recognised" in capsys.readouterr().err
+    assert "error: unrecognized arguments: --bogus=1" in capsys.readouterr().err
 
 
 def test_config_file_bad_line_exits_2(tmp_path, capsys):
@@ -302,6 +302,98 @@ def test_config_file_bad_line_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg)])
     assert rc == 2
     assert "expected key=value" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_bytes(b"\xffn = 16\n")
+    assert main(["simulate", "--config", str(cfg), "--p", "2"]) == 2
+    assert f"error: config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_config_file_naming_a_config_exits_2(tmp_path, capsys):
+    other = tmp_path / "other.cfg"
+    other.write_text("n = 16\np = 2\n")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"config = {other}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert f"error: {cfg}:1: a config file cannot name another" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_abbreviated_option_exits_2(tmp_path, capsys, source):
+    argv = ["simulate", "--n", "16", "--p", "2"]
+    if source == "flag":
+        argv += ["--repl", "1"]
+    else:
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("repl = 1\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: --repl")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-size", "--p-list", ","],
+        ["mc-size", "--levels", ""],
+        ["mc-size", "--r1", ""],
+        ["mc-power", "--s", ""],
+        ["esd", "--p-list", ""],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_empty_list_value_exits_2(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--seed", "0", "--out-dir", str(out_dir)]) == 2
+    assert f"error: argument {argv[1]}: invalid" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+_SAME_OPTIONS = {
+    "simulate": {"n": "64", "p": "3", "seed": "5", "r1": "0.0004", "out": "{out}/a.csv"},
+    "spot": {"path": "{path}", "t": "0.25", "k-n": "8", "out": "{out}/a.csv"},
+    "test": {"matrix": "{matrix}", "k-n": "8", "kind": "lw", "scale": "0.0009",
+             "out": "{out}/a.csv"},
+    "esd": {"seed": "1", "n": "400", "p-list": "8,12", "r1": "0.0004", "out-dir": "{out}"},
+    "qq": {"seed": "1", "reps": "3", "n": "400", "p-list": "8", "out-dir": "{out}"},
+    "mc-size": {"seed": "3", "reps": "2", "n": "400", "p-list": "8", "r1": "0,0.0004",
+                "levels": "0.05", "out-dir": "{out}"},
+    "mc-power": {"seed": "3", "reps": "2", "n": "400", "p-list": "8", "s": "0.5",
+                 "low": "0.0005", "out-dir": "{out}"},
+}
+
+
+@pytest.mark.parametrize("command", list(_SAME_OPTIONS))
+def test_config_file_matches_flags(tmp_path, capsys, command):
+    path_csv = tmp_path / "path.csv"
+    matrix_csv = tmp_path / "matrix.csv"
+    main(["simulate", "--n", "64", "--p", "3", "--seed", "2", "--out", str(path_csv)])
+    main(["spot", "--path", str(path_csv), "--out", str(matrix_csv)])
+    capsys.readouterr()
+    results = []
+    for via in ("flags", "config"):
+        out = tmp_path / via
+        out.mkdir()
+        opts = {
+            key: value.format(out=out, path=path_csv, matrix=matrix_csv)
+            for key, value in _SAME_OPTIONS[command].items()
+        }
+        if via == "flags":
+            argv = [command] + [arg for key, value in opts.items() for arg in (f"--{key}", value)]
+        else:
+            # config keys may spell a dash as an underscore
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key.replace('-', '_')} = {value}\n" for key, value in opts.items()))
+            argv = [command, "--config", str(cfg)]
+        assert main(argv) == 0
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        results.append((files, capsys.readouterr().out.replace(str(out), "OUT")))
+    assert results[0][0]
+    assert results[0] == results[1]
 
 
 def test_mc_size_writes_table(tmp_path, capsys):
@@ -333,7 +425,7 @@ def test_mc_power_writes_table(tmp_path, capsys):
 
 def test_esd_prints_distance_per_dimension(tmp_path, capsys):
     rc = main(
-        ["esd", "--seed", "1", "--reps", "1", "--n", "400", "--p-list", "8,12",
+        ["esd", "--seed", "1", "--n", "400", "--p-list", "8,12",
          "--out-dir", str(tmp_path)]
     )
     assert rc == 0
@@ -364,7 +456,7 @@ def test_qq_prints_correlation_per_series(tmp_path, capsys):
 
 def test_scalar_model_rejects_both_amplitudes(tmp_path, capsys):
     rc = main(
-        ["esd", "--seed", "1", "--reps", "1", "--n", "400", "--p-list", "8",
+        ["esd", "--seed", "1", "--n", "400", "--p-list", "8",
          "--r1", "0.1", "--r2", "0.02", "--out-dir", str(tmp_path)]
     )
     assert rc == 2

@@ -345,9 +345,10 @@ def test_esd_default_design_ks(tmp_path):
     assert artifact.ks_distance < 0.08
 
 
-def test_esd_empty_p_list(tmp_path):
-    assert run_esd_figure(MCConfig(seed=0, n=400, p_list=()), tmp_path) == []
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("field", ["p_list", "levels"])
+def test_mc_config_rejects_empty_list(field):
+    with pytest.raises(ConfigError, match=f"{field} must name at least one"):
+        MCConfig(seed=0, n=400, **{field: ()})
 
 
 def test_qq_artifacts(tmp_path):
