@@ -7,7 +7,8 @@ produce figure data, and ``mc-size`` / ``mc-power`` run the Monte Carlo
 tables.  argparse is the only option parser: each ``key = value`` line of a
 ``--config`` file becomes a ``--key=value`` argument placed before the command
 line's own, so the command line wins and a config key is accepted exactly when
-the flag of that name is.  No option may be abbreviated.  Exit codes: 0
+the subcommand has the flag of that name; any other key is an error naming the
+file and line.  No option may be abbreviated.  Exit codes: 0
 success, 2 bad configuration or input (one ``error: ...`` line on stderr), 3
 numerical failure.
 """
@@ -58,7 +59,8 @@ def _list_of(conv: Callable[[str], object]) -> Callable[[str], tuple]:
     return parse
 
 
-def _config_argv(path: str) -> list[str]:
+def _config_argv(path: str, command: str) -> list[str]:
+    flags = {flag for flag, _ in _COMMANDS[command][0]}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -75,7 +77,10 @@ def _config_argv(path: str) -> list[str]:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key == "config":
             raise ConfigError(f"{path}:{lineno}: a config file cannot name another")
-        argv.append(f"--{key.replace('_', '-')}={raw}")
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise ConfigError(f"{path}:{lineno}: unknown option {key!r} for {command}")
+        argv.append(f"{flag}={raw}")
     return argv
 
 
@@ -272,6 +277,17 @@ def _cmd_qq(cfg: dict) -> None:
         print(f"{artifact.path} corr={artifact.correlation:.6f}")
 
 
+_COMMANDS = {
+    "simulate": (_SIM_OPTS, _cmd_simulate, "simulate a price path and write it as CSV"),
+    "spot": (_SPOT_OPTS, _cmd_spot, "spot covariance estimate from a path CSV"),
+    "test": (_TEST_OPTS, _cmd_test, "run identity/sphericity tests on a matrix CSV"),
+    "esd": (_ESD_OPTS, _cmd_esd, "eigenvalue distribution of one estimate vs the MP law"),
+    "qq": (_QQ_OPTS, _cmd_qq, "null z-score quantiles vs normal quantiles"),
+    "mc-size": (_MC_SIZE_OPTS, _cmd_mc_size, "Monte Carlo null rejection table"),
+    "mc-power": (_MC_POWER_OPTS, _cmd_mc_power, "Monte Carlo power table"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spotspectra",
@@ -279,15 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command")
-    for name, opts, handler, desc in [
-        ("simulate", _SIM_OPTS, _cmd_simulate, "simulate a price path and write it as CSV"),
-        ("spot", _SPOT_OPTS, _cmd_spot, "spot covariance estimate from a path CSV"),
-        ("test", _TEST_OPTS, _cmd_test, "run identity/sphericity tests on a matrix CSV"),
-        ("esd", _ESD_OPTS, _cmd_esd, "eigenvalue distribution of one estimate vs the MP law"),
-        ("qq", _QQ_OPTS, _cmd_qq, "null z-score quantiles vs normal quantiles"),
-        ("mc-size", _MC_SIZE_OPTS, _cmd_mc_size, "Monte Carlo null rejection table"),
-        ("mc-power", _MC_POWER_OPTS, _cmd_mc_power, "Monte Carlo power table"),
-    ]:
+    for name, (opts, handler, desc) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc, allow_abbrev=False)
         p.add_argument("--config", metavar="FILE", help="flat key=value option file")
         for flag, kwargs in opts:
@@ -303,7 +311,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     pre.add_argument("--config")
     try:
         config = pre.parse_known_args(argv[1:])[0].config
-        args = parser.parse_args(argv[:1] + (_config_argv(config) if config else []) + argv[1:])
+        # An unknown command is left to the parser to report.
+        config_argv = _config_argv(config, argv[0]) if config and argv[0] in _COMMANDS else []
+        args = parser.parse_args(argv[:1] + config_argv + argv[1:])
         if args.command is None:
             parser.print_help()
             return 2

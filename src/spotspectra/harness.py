@@ -298,7 +298,7 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
         ks = kolmogorov_distance(sample, lambda x: mp_cdf(x, law))
         xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))
         path = out_dir / f"esd_p{p}.csv"
-        rows = ([x, esd_eval(sample, x), mp_cdf(x, law)] for x in xs.tolist())
+        rows = zip(xs.tolist(), esd_eval(sample, xs).tolist(), mp_cdf(xs, law).tolist())
         write_csv(path, ["x", "esd", "mp_cdf"], rows)
         artifacts.append(EsdArtifact(p=p, path=path, ks_distance=ks))
     return artifacts

@@ -77,6 +77,11 @@ def _unit_edges(y: float) -> tuple[float, float]:
     return (1.0 - root) ** 2, (1.0 + root) ** 2
 
 
+def _atan2(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # math.atan2 per element: np.arctan2 may differ from it in the last bit.
+    return np.fromiter(map(math.atan2, num.tolist(), den.tolist()), float, num.size)
+
+
 def mp_pdf(x: Union[float, np.ndarray], law: MPLaw) -> Union[float, np.ndarray]:
     """Density of the absolutely continuous part of the MP law at ``x``.
 
@@ -95,12 +100,13 @@ def mp_pdf(x: Union[float, np.ndarray], law: MPLaw) -> Union[float, np.ndarray]:
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def mp_cdf(x: float, law: MPLaw) -> float:
+def mp_cdf(x: Union[float, np.ndarray], law: MPLaw) -> Union[float, np.ndarray]:
     """Distribution function of the MP law at ``x`` (atom at 0 included).
 
-    Exactly 0 below the support, exactly 1 at and above the upper edge; in
-    between the bulk mass is the closed form of Bai & Silverstein (2010,
-    ch. 3).  With ``lo = u - a`` and ``hi = b - u`` at unit scale it reads
+    Accepts scalars or arrays and returns a ``float`` for a scalar.  Exactly 0
+    below the support, exactly 1 at and above the upper edge; in between the
+    bulk mass is the closed form of Bai & Silverstein (2010, ch. 3).  With
+    ``lo = u - a`` and ``hi = b - u`` at unit scale it reads
 
     .. math:: \\frac{\\sqrt{lo \\cdot hi} + 2(1 + y)\\operatorname{atan2}(\\sqrt{lo}, \\sqrt{hi})
               - 2|1 - y|\\operatorname{atan2}(\\sqrt{b \\cdot lo}, \\sqrt{a \\cdot hi})}{2 \\pi y},
@@ -109,22 +115,20 @@ def mp_cdf(x: float, law: MPLaw) -> float:
     keeps full precision next to both edges, where ``arcsin`` of a rounded
     ratio loses about ``1e-8``.
     """
-    u = float(x) / law.sigma2
+    u = np.asarray(x, dtype=float) / law.sigma2
     y = law.y
     ua, ub = _unit_edges(y)
-    if u < 0.0:
-        return 0.0
-    if u >= ub:
-        return 1.0
-    if u <= ua:
-        return law.atom
-    lo, hi = u - ua, ub - u
+    flat, top = u <= ua, u >= ub
+    out = np.where(top, 1.0, np.where(u < 0.0, 0.0, law.atom))
+    inside = ~(flat | top)  # a NaN lands here and stays NaN
+    lo, hi = u[inside] - ua, ub - u[inside]
     bulk = (
-        math.sqrt(lo * hi)
-        + 2.0 * (1.0 + y) * math.atan2(math.sqrt(lo), math.sqrt(hi))
-        - 2.0 * abs(1.0 - y) * math.atan2(math.sqrt(ub * lo), math.sqrt(ua * hi))
+        np.sqrt(lo * hi)
+        + 2.0 * (1.0 + y) * _atan2(np.sqrt(lo), np.sqrt(hi))
+        - 2.0 * abs(1.0 - y) * _atan2(np.sqrt(ub * lo), np.sqrt(ua * hi))
     )
-    return min(law.atom + bulk / (2.0 * math.pi * y), 1.0)
+    out[inside] = np.minimum(law.atom + bulk / (2.0 * math.pi * y), 1.0)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

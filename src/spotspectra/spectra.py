@@ -10,7 +10,7 @@ spectra are rejected as numerical failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -98,27 +98,31 @@ def eigenvalues_sym(matrix: np.ndarray) -> SpectralSample:
     return SpectralSample(eigenvalues=lam[::-1].copy())
 
 
-def esd_eval(sample: SpectralSample, x: float) -> float:
-    """Empirical spectral distribution at ``x``: fraction of eigenvalues ``<= x``."""
+def esd_eval(sample: SpectralSample, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Empirical spectral distribution at ``x``: fraction of eigenvalues ``<= x``.
+
+    Accepts scalars or arrays and returns a ``float`` for a scalar.
+    """
     asc = sample.eigenvalues[::-1]
-    return float(np.searchsorted(asc, x, side="right")) / sample.eigenvalues.size
+    out = np.searchsorted(asc, x, side="right") / sample.eigenvalues.size
+    return out if np.ndim(out) else float(out)
 
 
-def kolmogorov_distance(sample: SpectralSample, cdf: Callable[[float], float]) -> float:
+def kolmogorov_distance(
+    sample: SpectralSample, cdf: Callable[[np.ndarray], np.ndarray]
+) -> float:
     """Supremum distance between the ESD and a reference distribution function.
 
     ``cdf`` may itself have jumps; left limits are therefore compared with
     left limits, by evaluating both functions just below each eigenvalue.
     The supremum of ``|ESD - cdf|`` over the whole line is attained at an
     eigenvalue from one side or the other, which is what is scanned here.
+    ``cdf`` is called twice, each time on an array: the distinct eigenvalues,
+    then their left neighbours ``np.nextafter(lam, -inf)``.
     """
-    asc = np.unique(sample.eigenvalues)
-    p = sample.eigenvalues.size
-    dist = 0.0
-    for lam in asc:
-        right = float(np.searchsorted(sample.eigenvalues[::-1], lam, side="right")) / p
-        left = float(np.searchsorted(sample.eigenvalues[::-1], lam, side="left")) / p
-        f_right = float(cdf(float(lam)))
-        f_left = float(cdf(float(np.nextafter(lam, -np.inf))))
-        dist = max(dist, abs(right - f_right), abs(left - f_left))
-    return dist
+    asc = sample.eigenvalues[::-1]
+    lam = np.unique(asc)
+    p = asc.size
+    right = np.searchsorted(asc, lam, side="right") / p - cdf(lam)
+    left = np.searchsorted(asc, lam, side="left") / p - cdf(np.nextafter(lam, -np.inf))
+    return float(np.max(np.maximum(np.abs(right), np.abs(left))))

@@ -293,7 +293,24 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("n = 16\np = 2\nbogus = 1\n")
     rc = main(["simulate", "--config", str(cfg)])
     assert rc == 2
-    assert "error: unrecognized arguments: --bogus=1" in capsys.readouterr().err
+    assert f"error: {cfg}:3: unknown option 'bogus' for simulate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, line, key",
+    [
+        ("simulate", "# design\nn = 16\n\np = 2\nbogus = 1\n", 5, "bogus"),
+        # k_n is an option of spot and the mc-* commands, not of simulate
+        ("simulate", "n = 16\nk_n = 3\np = 2\n", 2, "k_n"),
+        ("esd", "seed = 1\nreps = 5\n", 2, "reps"),
+    ],
+)
+def test_config_file_unknown_key_names_file_and_line(tmp_path, capsys, command, text, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:{line}: unknown option {key!r} for {command}\n"
 
 
 def test_config_file_bad_line_exits_2(tmp_path, capsys):
@@ -331,7 +348,10 @@ def test_abbreviated_option_exits_2(tmp_path, capsys, source):
         argv += ["--config", str(cfg)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: unrecognized arguments: --repl")
+    if source == "flag":
+        assert err.startswith("error: unrecognized arguments: --repl")
+    else:
+        assert err.startswith(f"error: {cfg}:1: unknown option 'repl' for simulate")
     assert err.count("\n") == 1
 
 

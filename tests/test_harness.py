@@ -1,6 +1,7 @@
 """Monte Carlo harness: configs, summaries, experiments, figure artifacts."""
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -335,6 +336,39 @@ def test_esd_artifacts(tmp_path):
         y = artifact.p / cfg.k_n
         edge = (1.0 + math.sqrt(y)) ** 2
         assert x[np.nonzero(np.diff(esd))[0][-1] + 1] <= edge + 0.5
+
+
+# sha256 of esd_p{8,20,30}.csv and the KS distances at n = 400, k_n = 20:
+# y = 0.4, 1 and 1.5, so the bulk, the hard edge at zero and the atom.
+_ESD_PINNED = {
+    0: {
+        8: ("791e021e876bd1d01f2c75617943614c4bef2dfbcbdaafc14d7941a006c115be",
+            0.17551499415967337),
+        20: ("9aa968ed7c739069b9b03f938f1294bcc3acdb66460f380df30e37d49445ed55",
+             0.08682937839687699),
+        30: ("361644aabd4bb9c12be9a2c4ee6f512515e0338212a9545eef3662aee85f35c7",
+             0.05099953983095151),
+    },
+    8: {
+        8: ("d85024360264989f3fd4343ecc66b03057c74ebe6160e3aa41541cb19d018cdd",
+            0.15124137339887422),
+        20: ("350e01ba523cc700407943d98b0b34cafaf25754beaba981bd8cc5e0bc4a4234",
+             0.08738286809181323),
+        30: ("5a725a6e304cc7f3ea0ad07db5176b108adbbcd6bc33b335420af814f317d36f",
+             0.07235095619227683),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_ESD_PINNED))
+def test_esd_figure_writes_pinned_bytes(tmp_path, seed):
+    cfg = MCConfig(seed=seed, n=400, k_n=20, p_list=(8, 20, 30))
+    artifacts = run_esd_figure(cfg, tmp_path)
+    assert [a.p for a in artifacts] == [8, 20, 30]
+    for artifact in artifacts:
+        digest, ks = _ESD_PINNED[seed][artifact.p]
+        assert hashlib.sha256(artifact.path.read_bytes()).hexdigest() == digest
+        assert artifact.ks_distance == ks
 
 
 def test_esd_default_design_ks(tmp_path):

@@ -121,6 +121,52 @@ def test_mp_cdf_shape():
     np.testing.assert_array_equal(vals, [mp_cdf(x, thin) for x in xs.tolist()])
 
 
+def _scalar_mp_cdf(x, law):
+    # The scalar closed form mp_cdf had before it took arrays: the oracle for
+    # the array form, which must equal it bit for bit.
+    u = float(x) / law.sigma2
+    y = law.y
+    root = math.sqrt(y)
+    ua, ub = (1.0 - root) ** 2, (1.0 + root) ** 2
+    if u < 0.0:
+        return 0.0
+    if u >= ub:
+        return 1.0
+    if u <= ua:
+        return law.atom
+    lo, hi = u - ua, ub - u
+    bulk = (
+        math.sqrt(lo * hi)
+        + 2.0 * (1.0 + y) * math.atan2(math.sqrt(lo), math.sqrt(hi))
+        - 2.0 * abs(1.0 - y) * math.atan2(math.sqrt(ub * lo), math.sqrt(ua * hi))
+    )
+    return min(law.atom + bulk / (2.0 * math.pi * y), 1.0)
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 0.0009])
+@pytest.mark.parametrize("y", [0.3, 1.0, 1.5, 3.0])
+def test_mp_cdf_on_an_array_equals_the_scalar_formula(y, sigma2):
+    law = MPLaw(y=y, sigma2=sigma2)
+    edges = np.array([0.0, law.a, law.b])
+    xs = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [-1.0 * sigma2, -1e-300, law.b * 1.5, law.b + 10.0],
+            np.linspace(law.a, law.b, 201),
+            np.random.default_rng(11).uniform(-0.1, 1.1, 200) * law.b,
+        ]
+    )
+    values = mp_cdf(xs, law)
+    assert isinstance(values, np.ndarray) and values.shape == xs.shape
+    assert values.tolist() == [_scalar_mp_cdf(x, law) for x in xs.tolist()]
+    np.testing.assert_array_equal(mp_cdf(xs.reshape(2, -1), law), values.reshape(2, -1))
+    for x in (law.a, np.float64(law.b / 2), np.array(law.b / 3)):
+        value = mp_cdf(x, law)
+        assert type(value) is float and value == _scalar_mp_cdf(x, law)
+
+
 def test_mp_cdf_matches_quadrature_of_density():
     # independent oracle: atom plus the quadrature of mp_pdf from a to x, with
     # x = a + (b - a) sin^2(theta) removing the edge singularities (and the

@@ -118,21 +118,36 @@ def test_esd_counts_multiplicities():
     assert esd_eval(sample, 2.0) == 1.0
 
 
+def test_esd_eval_on_an_array_equals_the_scalar_loop():
+    rng = np.random.default_rng(3)
+    sample = SpectralSample(eigenvalues=np.array([2.0, 2.0, 1.5, 0.25, 0.0]))
+    lam = sample.eigenvalues
+    xs = np.concatenate(
+        [rng.uniform(-0.5, 2.5, 40), lam, np.nextafter(lam, -np.inf), np.nextafter(lam, np.inf)]
+    )
+    values = esd_eval(sample, xs)
+    assert isinstance(values, np.ndarray) and values.shape == xs.shape
+    assert values.tolist() == [esd_eval(sample, x) for x in xs.tolist()]
+    assert type(esd_eval(sample, 1.5)) is float
+    assert type(esd_eval(sample, np.float64(1.5))) is float
+
+
 def test_ks_against_point_mass():
     # spectrum (1, 2, 3) vs a point mass at 2: sup distance is 1/3
     sample = SpectralSample(eigenvalues=np.array([3.0, 2.0, 1.0]))
-    delta2 = lambda x: 1.0 if x >= 2.0 else 0.0
+    # kolmogorov_distance calls the cdf on arrays
+    delta2 = lambda x: np.where(x >= 2.0, 1.0, 0.0)
     assert kolmogorov_distance(sample, delta2) == pytest.approx(1 / 3)
     # degenerate spectrum on its own point mass: distance 0
     ones = SpectralSample(eigenvalues=np.ones(3))
-    delta1 = lambda x: 1.0 if x >= 1.0 else 0.0
+    delta1 = lambda x: np.where(x >= 1.0, 1.0, 0.0)
     assert kolmogorov_distance(ones, delta1) == 0.0
 
 
 def test_ks_single_eigenvalue_at_median():
     # one eigenvalue placed at the reference median: ESD jumps 0 -> 1 there,
     # the reference sits at 1/2, so the distance is exactly 1/2 on each side
-    median_cdf = lambda x: min(max(0.5 + 0.25 * (x - 1.0), 0.0), 1.0)
+    median_cdf = lambda x: np.clip(0.5 + 0.25 * (x - 1.0), 0.0, 1.0)
     sample = SpectralSample(eigenvalues=np.array([1.0]))
     assert kolmogorov_distance(sample, median_cdf) == pytest.approx(0.5)
 
