@@ -31,11 +31,12 @@ import numpy as np
 
 from ._blas import one_thread, set_one_thread
 from ._csvio import make_dir, write_csv
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .estimators import _scaled_spot_estimate, window_start
 from .hdtests import TestKind, evaluate_tests
 from .rmt import MPLaw, mp_cdf
 from .simkit import GridConfig, VolKind, VolModel, simulate_window_increments
+from .simkit import _draw_window, _substreams
 from .spectra import eigenvalues_sym, esd_eval, kolmogorov_distance
 
 __all__ = [
@@ -164,11 +165,15 @@ def _run_rep_range(
     grid = GridConfig(n=n, p=p, seed=seed)
     start = window_start(t, n)
     inv_scale = 1.0 / null_scale
+    stream = _substreams(seed, p)
     rows = []
-    for rep in range(rep_lo, rep_hi):
-        window = simulate_window_increments(grid, data_model, start, k_n, replication=rep)
-        est = _scaled_spot_estimate(window, n, t, k_n, inv_scale)
-        rows.append(evaluate_tests(est))
+    try:
+        for rep in range(rep_lo, rep_hi):
+            window = _draw_window(stream, grid, data_model, start, k_n, rep)
+            est = _scaled_spot_estimate(window, n, t, k_n, inv_scale)
+            rows.append(evaluate_tests(est))
+    except NumericalError as exc:
+        raise type(exc)(f"seed {seed}, p {p}, replication {rep}: {exc}") from exc
     z = np.array([[report.zscore for report in reports] for reports in rows])
     return {report.kind: z[:, i] for i, report in enumerate(rows[0])}
 

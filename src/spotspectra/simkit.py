@@ -22,15 +22,16 @@ Randomness is organised as counter-based Philox substreams keyed by
 ``(replication, coordinate)`` under a single master seed, so Monte Carlo
 results are reproducible bit-for-bit regardless of scheduling or worker
 count.  Coordinate index ``p`` (one past the last price coordinate) is
-reserved for the volatility driver of ``STOCHASTIC_BM``.  A window draw
-builds one ``Philox`` generator and re-keys it, with a zero counter, to each
-coordinate's key in turn; the draws equal those of a freshly keyed
-``Philox(key=(seed, replication << 20 | coordinate))``.
+reserved for the volatility driver of ``STOCHASTIC_BM``.  One ``Philox``
+generator serves a chunk of replications in the Monte Carlo harness and one
+public call elsewhere, re-keyed with a zero counter to each key in turn; it
+draws what ``Philox(key=(seed, replication << 20 | coordinate))`` would.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence, TextIO, Union
@@ -72,18 +73,16 @@ def _snapped_floor(x: float) -> int:
     return math.floor(x)
 
 
-def _substreams(seed: int, replication: int, top_coord: int) -> Callable[[int], Generator]:
-    """Return ``stream(coord)`` for one replication's substreams, ``coord <= top_coord``.
+def _substreams(seed: int, top_coord: int) -> Callable[[int, int], Generator]:
+    """Return ``stream(replication, coord)`` for substreams with ``coord <= top_coord``.
 
-    One ``Philox`` generator serves every coordinate: ``stream(coord)``
-    re-keys it to ``(seed, replication << 20 | coord)`` with a zero counter
-    and an empty output buffer, which draws exactly what a freshly keyed
-    ``Philox`` would.  Every call returns that same generator, so draw from
-    one substream before asking for the next.  The bounds are checked here,
-    once.
+    One ``Philox`` generator serves them all (a chunk of replications in the
+    harness, one public call elsewhere): ``stream`` re-keys it to ``(seed,
+    replication << 20 | coord)`` with a zero counter and an empty output
+    buffer, which draws exactly what a freshly keyed ``Philox`` would.  Every
+    call returns that same generator, so draw from one substream before
+    asking for the next.  Callers check ``replication``.
     """
-    if not 0 <= replication <= _MAX_REPLICATION:
-        raise ConfigError(f"replication index {replication} outside [0, 2**44)")
     if not 0 <= top_coord <= _MAX_COORD:
         raise ConfigError(f"coordinate index {top_coord} outside [0, 2**20)")
     bit_generator = Philox(key=0)  # re-keyed before every draw
@@ -99,7 +98,7 @@ def _substreams(seed: int, replication: int, top_coord: int) -> Callable[[int], 
         "uinteger": 0,
     }
 
-    def stream(coord: int) -> Generator:
+    def stream(replication: int, coord: int) -> Generator:
         key[1] = (replication << _COORD_BITS) | coord
         bit_generator.state = state
         return generator
@@ -288,14 +287,20 @@ def simulate_window_increments(
     """Sample the ``p x count`` increment block for cells ``start+1 .. start+count``.
 
     Each coordinate's noise comes from its ``(replication, coordinate)``
-    substream.  One generator per call is re-keyed with a zero counter for
-    each coordinate (and for the ``STOCHASTIC_BM`` driver on coordinate
-    ``p``), so its draws equal those of a freshly keyed ``Philox``.  The
+    substream, the ``STOCHASTIC_BM`` driver's from coordinate ``p``.  The
     window draw consumes the first ``count`` variates of each stream, so it
     coincides bit-for-bit with the leading columns of a full path only when
     ``start == 0``.  The distribution is correct for any ``start`` because
     the cell variances are evaluated at their true positions.
     """
+    return _draw_window(_substreams(config.seed, config.p), config, model, start, count, replication)
+
+
+def _draw_window(
+    stream: Callable[[int, int], Generator], config: GridConfig, model: VolModel,
+    start: int, count: int, replication: int,
+) -> np.ndarray:
+    """:func:`simulate_window_increments` drawn from a :func:`_substreams` family."""
     if not isinstance(start, int) or start < 0:
         raise ConfigError(f"start must be a nonnegative integer, got {start!r}")
     if not isinstance(count, int) or count < 1:
@@ -305,12 +310,17 @@ def simulate_window_increments(
             f"window [{start + 1}, {start + count}] overruns the sample: "
             f"start + count = {start + count} > n = {config.n}"
         )
+    try:
+        replication = operator.index(replication)
+    except TypeError:
+        raise ConfigError(f"replication index must be an integer, got {replication!r}") from None
+    if not 0 <= replication <= _MAX_REPLICATION:
+        raise ConfigError(f"replication index {replication} outside [0, 2**44)")
     p = config.p
-    stream = _substreams(config.seed, replication, p)
-    variances = _variance_profile(model, config.n, start, count, p, lambda: stream(p))
+    variances = _variance_profile(model, config.n, start, count, p, lambda: stream(replication, p))
     noise = np.empty((p, count))
     for j in range(p):
-        stream(j).standard_normal(count, out=noise[j])
+        stream(replication, j).standard_normal(out=noise[j])  # no size: it costs a shape check
     noise *= np.sqrt(variances)
     return noise
 

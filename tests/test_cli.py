@@ -6,12 +6,14 @@ codes, printed output, and written files against the library API.
 
 import csv
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from spotspectra import (
     GridConfig,
+    SingularEstimateError,
     TestReport,
     VolModel,
     read_matrix_csv,
@@ -20,7 +22,7 @@ from spotspectra import (
     write_matrix_csv,
     write_path_csv,
 )
-from spotspectra import cli
+from spotspectra import cli, harness
 from spotspectra.cli import main
 
 
@@ -441,6 +443,29 @@ def test_mc_power_writes_table(tmp_path, capsys):
     rows = _rows(out)
     assert rows[0] == ["test", "level", "r1", "pbar", "s", "rejection_pct"]
     assert {row[4] for row in rows[1:]} == {"0.5"}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, workers):
+    # At --workers 2 a forked pool process runs replications 5..9, so the
+    # key must survive the trip back to this process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = harness._draw_window
+
+    def fail_at_5(stream, grid, model, start, count, rep):
+        if rep == 5:
+            raise SingularEstimateError("injected pivot failure")
+        return real(stream, grid, model, start, count, rep)
+
+    monkeypatch.setattr(harness, "_draw_window", fail_at_5)
+    rc = main(
+        ["mc-size", "--seed", "3", "--reps", "10", "--n", "400", "--p-list", "8",
+         "--workers", workers, "--out-dir", str(tmp_path)]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: seed 3, p 8, replication 5: injected pivot failure\n"
+    )
 
 
 def test_esd_prints_distance_per_dimension(tmp_path, capsys):

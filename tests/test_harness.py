@@ -32,7 +32,7 @@ from spotspectra import (
     write_power_table,
     write_size_table,
 )
-from spotspectra import _blas, estimators, harness
+from spotspectra import _blas, estimators, harness, simkit
 from spotspectra.estimators import window_start
 
 _SMALL = dict(reps=30, n=400, p_list=(8, 30))  # k_n defaults to isqrt(400) = 20
@@ -247,6 +247,53 @@ def test_replication_builds_one_estimate(monkeypatch):
     assert len(calls) == 5
 
 
+def test_rep_range_builds_one_philox(monkeypatch):
+    built = []
+    real = simkit.Philox
+    monkeypatch.setattr(simkit, "Philox", lambda *a, **k: built.append(k) or real(*a, **k))
+    model = VolModel.stochastic_bm(0.0009, 0.02)
+    z = harness._run_rep_range(0, 400, 0.25, 20, 8, model, 0.0009, 0, 20)
+    assert len(built) == 1
+    assert all(len(zs) == 20 for zs in z.values())
+
+
+def test_rep_range_failure_names_its_key(monkeypatch):
+    real = harness.evaluate_tests
+    calls = []
+
+    def fail_third(est):
+        calls.append(est)
+        if len(calls) == 3:
+            raise SingularEstimateError("injected pivot failure")
+        return real(est)
+
+    monkeypatch.setattr(harness, "evaluate_tests", fail_third)
+    model = VolModel.deterministic_sin(0.0009, 0.0004)
+    with pytest.raises(
+        SingularEstimateError, match=r"^seed 4, p 8, replication 12: injected pivot failure$"
+    ) as info:
+        harness._run_rep_range(4, 400, 0.0, 20, 8, model, 0.0009, 10, 20)
+    assert str(info.value.__cause__) == "injected pivot failure"
+
+
+_CHUNK_MODELS = {
+    "sin": VolModel.deterministic_sin(0.0009, 0.0004),
+    "two_block": VolModel.two_block(8, 0.6, high=0.0009, low=0.0004, r1=0.0004),
+    "bm": VolModel.stochastic_bm(0.0009, 0.02),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_CHUNK_MODELS))
+def test_rep_range_pieces_join_to_the_whole(model):
+    # one generator per chunk: where the chunks end must not move a draw
+    args = (5, 400, 0.25, 20, 8, _CHUNK_MODELS[model], 0.0009)
+    whole = harness._run_rep_range(*args, 0, 20)
+    pieces = [harness._run_rep_range(*args, lo, hi) for lo, hi in ((0, 7), (7, 8), (8, 20))]
+    assert list(whole) == list(pieces[0])
+    for kind in whole:
+        assert np.array_equal(whole[kind], np.concatenate([piece[kind] for piece in pieces]))
+
+
 def _public_estimate(seed, n, t, k_n, p, model, base, rep):
     # the composition of public calls the benchmark's oracles use
     grid = GridConfig(n=n, p=p, seed=seed)
@@ -457,3 +504,67 @@ def test_power_table_csv():
         write_power_table(
             [run_size_experiment(MCConfig(seed=12, reps=2, n=400, p_list=(8,)))], buf2
         )
+
+
+# sha256 of the qq_*.csv files of run_qq_figure at n = 400, k_n = 20,
+# p in {8, 30} and 20 replications, under a seasonal and a stochastic
+# volatility null.  The harness and simulate_window_increments share one
+# window draw, so these pin the draws bit for bit where the equality of the
+# two routes cannot.
+_QQ_MODELS = {
+    "sin": VolModel.deterministic_sin(0.0009, 0.0004),
+    "bm": VolModel.stochastic_bm(0.0009, 0.02),
+}
+_QQ_PINNED = {
+    (0, "sin"): {
+        "qq_bjyz_0.4.csv": "f6c8f8eb4c0ddd1251aa7c3efffb36ad9aabc250cd9cdb4a28a5b298be2ddeed",
+        "qq_j_0.4.csv": "aabfe65c235f5143d81a00236f63bb396522ed0946b14bf93149418fce6f0eb8",
+        "qq_j_1.5.csv": "515cfd794f5483ae507340b9125e13bbdb020b4d7ad1eb32b0910a08515d0a62",
+        "qq_lw_0.4.csv": "283a4bbc507bc70b01e2dbf7e0159784791b4f3fcf1745016a44b3d80931b137",
+        "qq_lw_1.5.csv": "3fad19067fda11b3b6dc7a774851e516fd2b242bc766de1876c2d5abb4f5e983",
+    },
+    (0, "bm"): {
+        "qq_bjyz_0.4.csv": "146ec11ce1edcec94f96fbb604df8f79d39ea5699f39479fc52019a46a43b592",
+        "qq_j_0.4.csv": "92489935ed1ca98c015d5c5d727608e40724c3fa082fada8f62c05b5074f98a0",
+        "qq_j_1.5.csv": "fc474426ca37e77f5af31e4ea442918ddedc06f462c551397d56fad9608a5a97",
+        "qq_lw_0.4.csv": "411c2c1055f94b19c2d52e90e0e45fffec0c6c20358abd700a10a82ffee0f1dd",
+        "qq_lw_1.5.csv": "998792bd63d67ae0690ce17d7f9e4f355c93e96605505bf4367bb9b62b6f310d",
+    },
+    (8, "sin"): {
+        "qq_bjyz_0.4.csv": "75ba991a50f5866af1e25d3e7d6b165c78103fb7a32a1f931b7dd7aa676ce6c8",
+        "qq_j_0.4.csv": "5afc65b749e578225e43133a126d7fec6942d23cfb094049a8847ac911a70dbf",
+        "qq_j_1.5.csv": "9813f640e99ed1db74b70234d353a83847ad649b67034d2e0e24f93b82ebe808",
+        "qq_lw_0.4.csv": "1c16400769f45e5ed5463d6fb9b26f55f42350534d0772368a78f918aecee57b",
+        "qq_lw_1.5.csv": "8dcf75d35592c8065357e3acb3b4e26215d14015929dd9b9aa5de835b91db5a1",
+    },
+    (8, "bm"): {
+        "qq_bjyz_0.4.csv": "4ec33739fdb32e3f4a0d7cffb2f1c28e2f548921b0ade7475277cbb31bc931bf",
+        "qq_j_0.4.csv": "1b86186b6dbad16f0e48207b5d3e4e6ef12fdae2af939371e22c4564eaba61f1",
+        "qq_j_1.5.csv": "aa19bff52072b4761563c396fdefb488a08f7e00a0ac85d5004cbad177709c3d",
+        "qq_lw_0.4.csv": "e9a9b6e12c7cb7eb8e134ad8cde0f894fc5a70bdffc2ddc3bb444e22ad155d24",
+        "qq_lw_1.5.csv": "ea5e42dfb5768ffddd3b81fd19ae942eefc4293c392186a8570e838e382b6e63",
+    },
+}
+
+
+@pytest.mark.parametrize("seed, model", sorted(_QQ_PINNED))
+def test_qq_figure_writes_pinned_bytes(tmp_path, seed, model):
+    cfg = MCConfig(seed=seed, reps=20, n=400, p_list=(8, 30), model=_QQ_MODELS[model])
+    artifacts = run_qq_figure(cfg, tmp_path)
+    digests = {a.path.name: hashlib.sha256(a.path.read_bytes()).hexdigest() for a in artifacts}
+    assert digests == _QQ_PINNED[(seed, model)]
+
+
+def test_power_table_writes_pinned_bytes(tmp_path):
+    # default design, 20 replications; s = 0.8 keeps the rates off 0 and 100
+    cfg = MCConfig(
+        seed=0,
+        reps=20,
+        model=VolModel.deterministic_sin(0.0009, 0.0004),
+        alternative=Alternative(s=0.8),
+    )
+    out = tmp_path / "power_table.csv"
+    write_power_table([run_power_experiment(cfg)], out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "286b7e829f30dc925563c5bf2d1c9f03795311ea3a592f6fb261817805ab4ef1"
+    )

@@ -204,19 +204,25 @@ def test_window_rows_equal_freshly_keyed_philox(model, rep, count):
 @pytest.mark.parametrize("count", [1, 3, 68])
 def test_rekey_resets_a_dirty_generator(rep, count):
     # advanced counter, partly used buffer and a pending 32-bit half are all
-    # reset by each re-key
+    # reset by each re-key, whether another coordinate or another
+    # replication left them
     seed, p = 2**64 - 1, 3
-    stream = simkit._substreams(seed, rep, p)
+    other = 2**44 - 1 - rep
+    stream = simkit._substreams(seed, p)
     for j in range(p + 1):
-        dirty = stream(p - j)
+        dirty = stream(rep, p - j)
         dirty.standard_normal(5)
         dirty.integers(2**32, size=3, dtype=np.uint32)
+        stream(other, j).standard_normal(7)
+        stream(other, j).integers(2**32, dtype=np.uint32)
         np.testing.assert_array_equal(
-            stream(j).standard_normal(count), _fresh_stream(seed, rep, j).standard_normal(count)
+            stream(rep, j).standard_normal(count),
+            _fresh_stream(seed, rep, j).standard_normal(count),
         )
-        stream(p - j).integers(2**32, dtype=np.uint32)
+        stream(rep, p - j).integers(2**32, dtype=np.uint32)
+        stream(other, j).integers(2**32, size=5, dtype=np.uint32)
         np.testing.assert_array_equal(
-            stream(j).integers(2**32, size=count, dtype=np.uint32),
+            stream(rep, j).integers(2**32, size=count, dtype=np.uint32),
             _fresh_stream(seed, rep, j).integers(2**32, size=count, dtype=np.uint32),
         )
 
@@ -224,10 +230,21 @@ def test_rekey_resets_a_dirty_generator(rep, count):
 def test_replication_index_must_fit_the_key():
     grid = GridConfig(n=10, p=2, seed=0)
     model = VolModel.deterministic_sin(1.0)
-    simulate_window_increments(grid, model, 0, 3, replication=2**44 - 1)
-    for rep in (2**44, -1):
+    top = simulate_window_increments(grid, model, 0, 3, replication=2**44 - 1)
+    # numpy integers are taken at their value: np.int64(2**44 - 1) << 20
+    # would overflow 64 bits
+    for rep in (np.int64(2**44 - 1), np.uint64(2**44 - 1)):
+        np.testing.assert_array_equal(
+            simulate_window_increments(grid, model, 0, 3, replication=rep), top
+        )
+    for rep in (2**44, -1, np.int64(-1)):
         with pytest.raises(ConfigError, match="replication index"):
             simulate_window_increments(grid, model, 0, 3, replication=rep)
+    for rep in (1.5, 2.0, np.float64(3.0), "3", None):
+        with pytest.raises(ConfigError, match="replication index"):
+            simulate_window_increments(grid, model, 0, 3, replication=rep)
+        with pytest.raises(ConfigError, match="replication index"):
+            simulate_path(grid, model, replication=rep)
 
 
 @pytest.mark.parametrize("kind", ["sin", "diag", "bm"])
