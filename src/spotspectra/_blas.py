@@ -54,7 +54,7 @@ class one_thread:
 
     Does nothing when the count is already 1, so nested scopes (a kernel
     inside a sweep) never call the setter.  A class rather than a generator
-    context manager, because the kernels enter it four times per
+    context manager, because the Gram product enters it once per
     replication and a generator costs about three times as much per entry.
     """
 

@@ -4,9 +4,14 @@ One experiment sweeps a list of cross-section dimensions ``p`` at a fixed
 window length ``k_n``; each replication simulates only the increment window
 the spot estimator consumes, normalizes the estimate by the null variance
 level so the null population is the identity, and records the z-scores of
-every applicable test.  Replications are keyed to counter-based substreams,
-so results are bit-for-bit identical no matter how many workers share the
-sweep.  ``workers`` counts worker processes, the calling process included:
+every applicable test.  The estimate takes the products of the public
+``rescale(spot_vol_from_window(...), 1 / base)`` in the same order, so it is
+bit-identical, but is symmetric by construction and is not validated again:
+the :mod:`~spotspectra.hdtests` kernel it goes to checks that
+``||A - I||_F**2`` is finite, so an overflow is a keyed numerical error.
+Replications are keyed to counter-based substreams, so results are
+bit-for-bit identical no matter how many workers share the sweep.
+``workers`` counts worker processes, the calling process included:
 a cell's replications are cut into ``workers`` chunks, the caller runs the
 first and a pool of at most ``workers - 1`` processes (bounded by the chunks
 and the usable CPUs) runs the rest.  A cell runs its kernels on one OpenBLAS
@@ -32,9 +37,9 @@ import numpy as np
 from ._blas import one_thread, set_one_thread
 from ._csvio import make_dir, write_csv
 from .errors import ConfigError, NumericalError
-from .estimators import _scaled_spot_estimate, window_start
-from .hdtests import TestKind, evaluate_tests
-from .rmt import MPLaw, mp_cdf
+from .estimators import _scaled_spot_estimate, _symmetrized_outer, window_start
+from .hdtests import TestKind, _default_kinds, _statistics
+from .rmt import MPLaw, mp_cdf, mp_lss_constants
 from .simkit import GridConfig, VolKind, VolModel, simulate_window_increments
 from .simkit import _draw_window, _substreams
 from .spectra import eigenvalues_sym, esd_eval, kolmogorov_distance
@@ -164,18 +169,23 @@ def _run_rep_range(
     """Z-scores for replications ``rep_lo .. rep_hi - 1`` of one cell."""
     grid = GridConfig(n=n, p=p, seed=seed)
     start = window_start(t, n)
+    kinds = _default_kinds(p / k_n)
+    constants = mp_lss_constants(p / k_n) if TestKind.BJYZ in kinds else None
+    eye = np.eye(p)
     inv_scale = 1.0 / null_scale
     stream = _substreams(seed, p)
-    rows = []
+    z = np.empty((rep_hi - rep_lo, len(kinds)))
     try:
-        for rep in range(rep_lo, rep_hi):
-            window = _draw_window(stream, grid, data_model, start, k_n, rep)
-            est = _scaled_spot_estimate(window, n, t, k_n, inv_scale)
-            rows.append(evaluate_tests(est))
+        with one_thread():
+            for rep in range(rep_lo, rep_hi):
+                window = _draw_window(stream, grid, data_model, start, k_n, rep)
+                matrix = (n / k_n) * _symmetrized_outer(window)
+                matrix *= inv_scale
+                stats = _statistics(matrix, k_n, kinds, constants, eye)
+                z[rep - rep_lo] = [zscore for _, zscore in stats]
     except NumericalError as exc:
         raise type(exc)(f"seed {seed}, p {p}, replication {rep}: {exc}") from exc
-    z = np.array([[report.zscore for report in reports] for reports in rows])
-    return {report.kind: z[:, i] for i, report in enumerate(rows[0])}
+    return {kind: z[:, i] for i, kind in enumerate(kinds)}
 
 
 def _run_cell(
@@ -223,8 +233,8 @@ def _null_scale(model: VolModel) -> float:
             "experiments need a scalar-volatility null model "
             f"(deterministic_sin or stochastic_bm), got {model.kind.value}"
         )
-    if model.base <= 0.0:
-        raise ConfigError(f"null variance level must be positive, got {model.base!r}")
+    if not model.base > 0.0 or not math.isfinite(1.0 / model.base):
+        raise ConfigError(f"null variance level needs a finite reciprocal, got {model.base!r}")
     return model.base
 
 

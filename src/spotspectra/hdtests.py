@@ -16,6 +16,11 @@ computed from matrix invariants with no eigendecomposition:
   ``A / (tr(A) / p)``, so rescaling ``A`` by a power of two leaves it
   bit-identical.
 
+One private kernel computes all three from one ``tr(A)`` and one
+``||A - I||_F**2``, and raises :class:`~spotspectra.errors.NumericalError`
+if that norm is not finite (an overflowed estimate).  The public tests wrap
+it in :class:`TestReport` objects; the Monte Carlo harness calls it directly.
+
 ``A`` is assumed symmetric positive semidefinite and is not checked: an
 indefinite matrix gives finite, meaningless ``lw`` and ``j`` statistics.
 Check a matrix from outside the program with
@@ -34,9 +39,9 @@ import numpy as np
 
 from ._blas import one_thread
 from ._csvio import write_csv
-from .errors import ConfigError, SingularEstimateError
+from .errors import ConfigError, NumericalError, SingularEstimateError
 from .estimators import SpotEstimate
-from .rmt import mp_lss_constants
+from .rmt import LssConstants, mp_lss_constants
 
 __all__ = [
     "TestKind",
@@ -92,22 +97,71 @@ def _two_sided_pvalue(zscore: float) -> float:
     return math.erfc(abs(zscore) / math.sqrt(2.0))
 
 
-def _report(kind: TestKind, est: SpotEstimate, raw: float, zscore: float) -> TestReport:
-    return TestReport(
-        kind=kind,
-        raw=raw,
-        zscore=zscore,
-        pvalue=_two_sided_pvalue(zscore),
-        z_n=est.z_n,
-        p=est.p,
-        k_n=est.k_n,
-    )
+def _statistics(
+    a: np.ndarray, k_n: int, kinds: Sequence[TestKind],
+    constants: Optional[LssConstants], eye: np.ndarray,
+) -> list[tuple[float, float]]:
+    """``(raw, zscore)`` of each test in ``kinds`` on the ``p x p`` matrix ``a``.
+
+    The caller holds one BLAS thread and passes ``eye = np.eye(p)`` and, if
+    ``kinds`` has ``bjyz``, ``constants = mp_lss_constants(p / k_n)``.
+    """
+    p = a.shape[0]
+    trace = float(np.trace(a))
+    d = a - eye
+    squared_distance = float(np.vdot(d, d))
+    if not math.isfinite(squared_distance):
+        raise NumericalError(f"||A - I||_F**2 = {squared_distance!r}: estimate is not finite")
+    stats = []
+    for kind in kinds:
+        if kind is TestKind.BJYZ:
+            try:
+                root_pivots = np.diagonal(np.linalg.cholesky(a))
+            except np.linalg.LinAlgError as exc:
+                raise SingularEstimateError(
+                    f"Cholesky factorization failed ({exc}): log-determinant undefined"
+                ) from exc
+            smallest = float(np.min(root_pivots)) ** 2
+            if smallest <= _FLOOR:
+                raise SingularEstimateError(
+                    f"smallest Cholesky pivot {smallest:.6e} at or below {_FLOOR:.1e}: "
+                    "log-determinant undefined"
+                )
+            raw = trace - 2.0 * float(np.sum(np.log(root_pivots))) - p
+            centered = raw - p * constants.center - constants.mean_shift
+            zscore = centered / math.sqrt(constants.variance)
+        elif kind is TestKind.LW:
+            z_n = p / k_n
+            raw = squared_distance / p - z_n * (trace / p) ** 2 + z_n
+            zscore = (k_n * raw - p - 1.0) / 2.0
+        else:
+            if not trace > 0.0:
+                raise SingularEstimateError(
+                    f"trace {trace!r} is not positive: sphericity normalization undefined"
+                )
+            d = a / (trace / p) - eye
+            raw = float(np.vdot(d, d)) / p
+            zscore = (k_n * raw - p - 1.0) / 2.0
+        stats.append((raw, zscore))
+    return stats
 
 
-def _squared_distance_to_identity(a: np.ndarray) -> float:
-    d = a - np.eye(a.shape[0])
+def _default_kinds(z_n: float) -> list[TestKind]:
+    return [k for k in TestKind if k is not TestKind.BJYZ or z_n < 1.0]
+
+
+def _reports(est: SpotEstimate, kinds: Iterable[TestKind]) -> list[TestReport]:
+    try:
+        kinds = [TestKind(kind) for kind in kinds]
+    except ValueError as exc:
+        raise ConfigError(f"unknown test kind: {exc}") from None
+    constants = mp_lss_constants(est.z_n) if TestKind.BJYZ in kinds else None
     with one_thread():
-        return float(np.vdot(d, d))
+        stats = _statistics(est.matrix, est.k_n, kinds, constants, np.eye(est.p))
+    return [
+        TestReport(kind, raw, zscore, _two_sided_pvalue(zscore), est.z_n, est.p, est.k_n)
+        for kind, (raw, zscore) in zip(kinds, stats)
+    ]
 
 
 def bjyz_test(est: SpotEstimate) -> TestReport:
@@ -126,26 +180,7 @@ def bjyz_test(est: SpotEstimate) -> TestReport:
         If the Cholesky factorization fails or a pivot ``L[i, i]**2`` is at
         or below ``1e-12``.
     """
-    constants = mp_lss_constants(est.z_n)
-    try:
-        with one_thread():
-            root_pivots = np.diagonal(np.linalg.cholesky(est.matrix))
-    except np.linalg.LinAlgError as exc:
-        raise SingularEstimateError(
-            f"Cholesky factorization failed ({exc}): log-determinant undefined"
-        ) from exc
-    smallest = float(np.min(root_pivots)) ** 2
-    if smallest <= _FLOOR:
-        raise SingularEstimateError(
-            f"smallest Cholesky pivot {smallest:.6e} at or below {_FLOOR:.1e}: "
-            "log-determinant undefined"
-        )
-    p = est.p
-    raw = float(np.trace(est.matrix)) - 2.0 * float(np.sum(np.log(root_pivots))) - p
-    zscore = (raw - p * constants.center - constants.mean_shift) / math.sqrt(
-        constants.variance
-    )
-    return _report(TestKind.BJYZ, est, raw, zscore)
+    return _reports(est, [TestKind.BJYZ])[0]
 
 
 def lw_test(est: SpotEstimate) -> TestReport:
@@ -155,10 +190,7 @@ def lw_test(est: SpotEstimate) -> TestReport:
     is ``mean((lam - 1)**2) - z_n * mean(lam)**2 + z_n``, standardized as
     ``(k_n * raw - p - 1) / 2``.  Defined for every aspect ratio.
     """
-    p = est.p
-    mean_lam = float(np.trace(est.matrix)) / p
-    raw = _squared_distance_to_identity(est.matrix) / p - est.z_n * mean_lam**2 + est.z_n
-    return _report(TestKind.LW, est, raw, (est.k_n * raw - p - 1.0) / 2.0)
+    return _reports(est, [TestKind.LW])[0]
 
 
 def j_test(est: SpotEstimate) -> TestReport:
@@ -173,17 +205,7 @@ def j_test(est: SpotEstimate) -> TestReport:
     SingularEstimateError
         If the trace is not strictly positive (normalization undefined).
     """
-    trace = float(np.trace(est.matrix))
-    if not trace > 0.0:
-        raise SingularEstimateError(
-            f"trace {trace!r} is not positive: sphericity normalization undefined"
-        )
-    p = est.p
-    raw = _squared_distance_to_identity(est.matrix / (trace / p)) / p
-    return _report(TestKind.J, est, raw, (est.k_n * raw - p - 1.0) / 2.0)
-
-
-_RUNNERS = {TestKind.BJYZ: bjyz_test, TestKind.LW: lw_test, TestKind.J: j_test}
+    return _reports(est, [TestKind.J])[0]
 
 
 def evaluate_tests(
@@ -195,15 +217,7 @@ def evaluate_tests(
     ``kinds=None`` all applicable tests run in the order ``bjyz, lw, j``,
     where the log-spectral test is included only when ``z_n < 1``.
     """
-    if kinds is None:
-        kinds = [k for k in TestKind if k is not TestKind.BJYZ or est.z_n < 1.0]
-    reports = []
-    for kind in kinds:
-        runner = _RUNNERS.get(kind)
-        if runner is None:
-            raise ConfigError(f"unknown test kind {kind!r}")
-        reports.append(runner(est))
-    return reports
+    return _reports(est, _default_kinds(est.z_n) if kinds is None else kinds)
 
 
 def write_report_csv(reports: Iterable[TestReport], stream: Union[str, TextIO]) -> None:

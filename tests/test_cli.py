@@ -468,6 +468,23 @@ def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, workers):
     )
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mc_size_overflow_is_a_keyed_numerical_failure(tmp_path, capsys, monkeypatch, workers):
+    # At this level the spot estimate overflows to inf: a numerical failure
+    # of replication 0 (run by this process at both worker counts), not bad
+    # input.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(
+            ["mc-size", "--seed", "0", "--reps", "5", "--n", "400", "--p-list", "8",
+             "--base", "1.7e308", "--workers", workers, "--out-dir", str(tmp_path)]
+        )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: seed 0, p 8, replication 0: ")
+    assert err.endswith(": estimate is not finite\n")
+
+
 def test_esd_prints_distance_per_dimension(tmp_path, capsys):
     rc = main(
         ["esd", "--seed", "1", "--n", "400", "--p-list", "8,12",

@@ -236,7 +236,10 @@ def test_replications_make_no_eigendecomposition(monkeypatch):
     assert calls == []
 
 
-def test_replication_builds_one_estimate(monkeypatch):
+def test_replication_builds_no_estimate(monkeypatch):
+    # The sweep's matrices are symmetric by construction and are not
+    # validated again; test_sweep_zscores_equal_public_route checks that they
+    # give what the validated public estimates give.
     calls = []
     real = estimators.checked_symmetric
     monkeypatch.setattr(
@@ -244,7 +247,7 @@ def test_replication_builds_one_estimate(monkeypatch):
     )
     model = VolModel.deterministic_sin(0.0009, 0.0004)
     harness._run_rep_range(0, 400, 0.0, 20, 8, model, 0.0009, 3, 8)
-    assert len(calls) == 5
+    assert calls == []
 
 
 def test_rep_range_builds_one_philox(monkeypatch):
@@ -258,16 +261,16 @@ def test_rep_range_builds_one_philox(monkeypatch):
 
 
 def test_rep_range_failure_names_its_key(monkeypatch):
-    real = harness.evaluate_tests
+    real = harness._statistics
     calls = []
 
-    def fail_third(est):
-        calls.append(est)
+    def fail_third(*args):
+        calls.append(args)
         if len(calls) == 3:
             raise SingularEstimateError("injected pivot failure")
-        return real(est)
+        return real(*args)
 
-    monkeypatch.setattr(harness, "evaluate_tests", fail_third)
+    monkeypatch.setattr(harness, "_statistics", fail_third)
     model = VolModel.deterministic_sin(0.0009, 0.0004)
     with pytest.raises(
         SingularEstimateError, match=r"^seed 4, p 8, replication 12: injected pivot failure$"
@@ -315,6 +318,33 @@ def test_harness_zscores_equal_public_route(cell):
     assert list(z) == [report.kind for report in reports[0]]
     for i, kind in enumerate(z):
         np.testing.assert_array_equal(z[kind], [r[i].zscore for r in reports])
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+@pytest.mark.parametrize("p", [8, 20, 30])  # z_n below, at and above 1
+@pytest.mark.parametrize("model", ["sin", "two_block", "bm"])
+def test_sweep_zscores_equal_public_route(model, p, seed):
+    n, t, k_n, base, rep_lo, rep_hi = 400, 0.0, 20, 0.0009, 3, 9
+    data_model = {
+        "sin": VolModel.deterministic_sin(base, 0.0004),
+        "two_block": VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004),
+        "bm": VolModel.stochastic_bm(base, 0.02),
+    }[model]
+    z = harness._run_rep_range(seed, n, t, k_n, p, data_model, base, rep_lo, rep_hi)
+    reports = [
+        evaluate_tests(_public_estimate(seed, n, t, k_n, p, data_model, base, rep))
+        for rep in range(rep_lo, rep_hi)
+    ]
+    assert list(z) == [report.kind for report in reports[0]]
+    assert (TestKind.BJYZ in z) == (p < k_n)
+    for i, kind in enumerate(z):
+        assert np.array_equal(z[kind], [r[i].zscore for r in reports])
+
+
+def test_sweep_rejects_a_null_level_without_a_finite_reciprocal():
+    cfg = MCConfig(seed=0, **dict(_SMALL, reps=2), model=VolModel.deterministic_sin(1e-320))
+    with pytest.raises(ConfigError, match="needs a finite reciprocal"):
+        run_size_experiment(cfg)
 
 
 def test_esd_figure_eigenvalues_equal_public_route(tmp_path, monkeypatch):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from spotspectra import (
+    ConfigError,
     DegenerateStatisticError,
+    NumericalError,
     SingularEstimateError,
     SpotEstimate,
     TestKind,
@@ -166,6 +168,13 @@ def test_j_rejects_zero_trace():
         j_test(_estimate(np.zeros((3, 3)), 8))
 
 
+def test_overflowing_distance_to_identity_is_a_numerical_error():
+    # finite entries, but ||A - I||_F**2 overflows to inf
+    for test in (bjyz_test, lw_test, j_test):
+        with pytest.raises(NumericalError, match="estimate is not finite"):
+            test(_estimate(np.eye(3) * 1e200, 8))
+
+
 def test_evaluate_tests_default_selection():
     rng = np.random.default_rng(7)
     narrow = _random_estimate(rng, 6, 24)
@@ -176,6 +185,14 @@ def test_evaluate_tests_default_selection():
     assert kinds == [TestKind.LW, TestKind.J]
     with pytest.raises(DegenerateStatisticError):
         evaluate_tests(wide, kinds=[TestKind.BJYZ])
+
+
+def test_evaluate_tests_rejects_an_unknown_kind():
+    est = _estimate(np.eye(4), 8)
+    assert evaluate_tests(est, kinds=["lw"]) == evaluate_tests(est, kinds=[TestKind.LW])
+    for kind in ("bogus", None):
+        with pytest.raises(ConfigError, match="unknown test kind"):
+            evaluate_tests(est, kinds=[TestKind.LW, kind])
 
 
 def test_evaluate_tests_matches_standalone_calls():
