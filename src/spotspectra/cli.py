@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._blas import one_thread
 from ._csvio import make_dir
 from .errors import ConfigError, NumericalError
 from .estimators import SpotEstimate, _check_factor, read_matrix_csv, spot_vol, write_matrix_csv
@@ -146,7 +147,8 @@ _MC_COMMON = [
         default=0.0,
     ),
     _opt("levels", "test levels", type=_list_of(float), default=(0.10, 0.05, 0.01)),
-    _opt("workers", "worker processes per cell, this one included", type=int, default=1),
+    _opt("workers", "worker processes per experiment call, this one included", type=int,
+         default=1),
     _opt("out-dir", "output directory", default="."),
 ]
 
@@ -248,7 +250,8 @@ def _cmd_mc_size(cfg: dict) -> None:
     else:
         models = [VolModel.deterministic_sin(cfg["base"], v) for v in cfg["r1"]]
     out = make_dir(cfg["out_dir"]) / "size_table.csv"
-    summaries = [run_size_experiment(_mc_config(cfg, model)) for model in models]
+    with one_thread():
+        summaries = [run_size_experiment(_mc_config(cfg, model)) for model in models]
     write_size_table(summaries, str(out))
     print(out)
 
@@ -256,11 +259,12 @@ def _cmd_mc_size(cfg: dict) -> None:
 def _cmd_mc_power(cfg: dict) -> None:
     out = make_dir(cfg["out_dir"]) / "power_table.csv"
     summaries = []
-    for s in cfg["s"]:
-        for r1 in cfg["r1"]:
-            model = VolModel.deterministic_sin(cfg["base"], r1)
-            mc = _mc_config(cfg, model, Alternative(s=s, low=cfg["low"]))
-            summaries.append(run_power_experiment(mc))
+    with one_thread():
+        for s in cfg["s"]:
+            for r1 in cfg["r1"]:
+                model = VolModel.deterministic_sin(cfg["base"], r1)
+                mc = _mc_config(cfg, model, Alternative(s=s, low=cfg["low"]))
+                summaries.append(run_power_experiment(mc))
     write_power_table(summaries, str(out))
     print(out)
 
@@ -273,8 +277,9 @@ def _cmd_esd(cfg: dict) -> None:
 
 def _cmd_qq(cfg: dict) -> None:
     model = _scalar_model(cfg["base"], cfg["r1"], cfg["r2"])
-    for artifact in run_qq_figure(_mc_config(cfg, model), cfg["out_dir"]):
-        print(f"{artifact.path} corr={artifact.correlation:.6f}")
+    with one_thread():
+        for artifact in run_qq_figure(_mc_config(cfg, model), cfg["out_dir"]):
+            print(f"{artifact.path} corr={artifact.correlation:.6f}")
 
 
 _COMMANDS = {

@@ -11,6 +11,7 @@ __all__ = [
     "DegenerateStatisticError",
     "NumericalError",
     "SingularEstimateError",
+    "WorkerError",
 ]
 
 
@@ -37,3 +38,8 @@ class NumericalError(SpotSpectraError, RuntimeError):
 
 class SingularEstimateError(NumericalError):
     """An estimate that should be positive definite is numerically singular."""
+
+
+class WorkerError(SpotSpectraError, RuntimeError):
+    """A Monte Carlo worker process exited without reporting; as the cause
+    of an error a worker did report, it holds that error's traceback."""

@@ -10,12 +10,13 @@ bit-identical, but is symmetric by construction and is not validated again:
 the :mod:`~spotspectra.hdtests` kernel it goes to checks that
 ``||A - I||_F**2`` is finite, so an overflow is a keyed numerical error.
 Replications are keyed to counter-based substreams, so results are
-bit-for-bit identical no matter how many workers share the sweep.
-``workers`` counts worker processes, the calling process included:
-a cell's replications are cut into ``workers`` chunks, the caller runs the
-first and a pool of at most ``workers - 1`` processes (bounded by the chunks
-and the usable CPUs) runs the rest.  A cell runs its kernels on one OpenBLAS
-thread, in the caller and in every pool process, and restores the caller's
+bit-for-bit identical no matter how many workers share the sweep, and one
+draw of a replication's noise rows serves every ``p`` of an experiment call.
+``workers`` counts worker processes, the calling process included: a call
+cuts its replications into one chunk per process (at most ``workers``, the
+replications and the usable CPUs), runs chunk 0 itself and each other
+chunk, over all of its cells, in one child process.  The call runs its
+kernels on one OpenBLAS thread in every process and restores the caller's
 thread count when it ends.
 
 The log-spectral test is skipped (left out of the result dictionaries, the
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
+from multiprocessing import Pipe, Process
 from pathlib import Path
 from statistics import NormalDist
 from typing import Iterator, Optional, Sequence, TextIO, Union
@@ -36,12 +38,12 @@ import numpy as np
 
 from ._blas import one_thread, set_one_thread
 from ._csvio import make_dir, write_csv
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, WorkerError
 from .estimators import _scaled_spot_estimate, _symmetrized_outer, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
 from .simkit import GridConfig, VolKind, VolModel, simulate_window_increments
-from .simkit import _draw_window, _substreams
+from .simkit import _draw_noise, _substreams, _variance_profile
 from .spectra import eigenvalues_sym, esd_eval, kolmogorov_distance
 
 __all__ = [
@@ -85,8 +87,8 @@ class MCConfig:
     null data-generating process (a scalar-volatility kind whose ``base`` is
     the null variance level); power experiments derive the two-block
     alternative from it and ``alternative``.  ``workers`` is the number of
-    worker processes per cell, the calling process included; ``1`` runs the
-    sweep in the calling process alone.
+    worker processes per experiment call, the calling process included;
+    ``1`` runs the sweep in the calling process alone.
     """
 
     seed: int
@@ -156,75 +158,100 @@ class MCSummary:
 
 
 def _run_rep_range(
-    seed: int,
-    n: int,
-    t: float,
-    k_n: int,
-    p: int,
-    data_model: VolModel,
-    null_scale: float,
-    rep_lo: int,
-    rep_hi: int,
-) -> dict[TestKind, np.ndarray]:
-    """Z-scores for replications ``rep_lo .. rep_hi - 1`` of one cell."""
-    grid = GridConfig(n=n, p=p, seed=seed)
+    seed: int, n: int, t: float, k_n: int, cells: tuple[tuple[int, VolModel], ...],
+    null_scale: float, rep_lo: int, rep_hi: int,
+) -> list[dict[TestKind, np.ndarray]]:
+    """Z-scores for replications ``rep_lo .. rep_hi - 1`` of each ``(p, data_model)`` cell.
+
+    A replication draws the noise rows of the largest ``p`` once and each
+    cell scales its leading ``p`` rows: a row's substream does not depend on
+    ``p``, so every cell sees the window it would draw alone.
+    """
     start = window_start(t, n)
-    kinds = _default_kinds(p / k_n)
-    constants = mp_lss_constants(p / k_n) if TestKind.BJYZ in kinds else None
-    eye = np.eye(p)
+    top = max(p for p, _ in cells)
+    stream = _substreams(seed, top)
+    noise = np.empty((top, k_n))
+    rows = list(noise)
+    plans = []
+    for p, model in cells:
+        kinds = _default_kinds(p / k_n)
+        constants = mp_lss_constants(p / k_n) if TestKind.BJYZ in kinds else None
+        # Only the STOCHASTIC_BM driver makes the profile differ per replication.
+        fixed = model.kind is not VolKind.STOCHASTIC_BM or model.r2 == 0.0
+        sd = np.sqrt(_variance_profile(model, n, start, k_n, p, None)) if fixed else None
+        z = np.empty((rep_hi - rep_lo, len(kinds)))
+        plans.append((kinds, z, p, model, sd, constants, np.eye(p)))
     inv_scale = 1.0 / null_scale
-    stream = _substreams(seed, p)
-    z = np.empty((rep_hi - rep_lo, len(kinds)))
     try:
         with one_thread():
             for rep in range(rep_lo, rep_hi):
-                window = _draw_window(stream, grid, data_model, start, k_n, rep)
-                matrix = (n / k_n) * _symmetrized_outer(window)
-                matrix *= inv_scale
-                stats = _statistics(matrix, k_n, kinds, constants, eye)
-                z[rep - rep_lo] = [zscore for _, zscore in stats]
+                p = top
+                _draw_noise(stream, rows, rep)
+                for kinds, z, p, model, sd, constants, eye in plans:
+                    if sd is None:
+                        var = _variance_profile(model, n, start, k_n, p, lambda: stream(rep, p))
+                        sd = np.sqrt(var)
+                    with np.errstate(over="ignore"):  # inf is the kernel's keyed NumericalError
+                        matrix = (n / k_n) * _symmetrized_outer(noise[:p] * sd)
+                        matrix *= inv_scale
+                    stats = _statistics(matrix, k_n, kinds, constants, eye)
+                    z[rep - rep_lo] = [zscore for _, zscore in stats]
     except NumericalError as exc:
         raise type(exc)(f"seed {seed}, p {p}, replication {rep}: {exc}") from exc
-    return {kind: z[:, i] for i, kind in enumerate(kinds)}
+    return [{kind: z[:, i] for i, kind in enumerate(kinds)} for kinds, z, *_ in plans]
 
 
-def _run_cell(
-    cfg: MCConfig, p: int, data_model: VolModel, null_scale: float
-) -> dict[TestKind, np.ndarray]:
-    args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, p, data_model, null_scale)
-    bounds = _chunk_bounds(cfg.reps, cfg.workers)
-    # workers comes from the user: never run more processes, this one
-    # included, than there are chunks or usable cores.
-    processes = min(cfg.workers, len(bounds), _usable_cpus())
-    with one_thread():
-        if processes == 1:
-            pieces = [_run_rep_range(*args, lo, hi) for lo, hi in bounds]
-        else:
-            # This process is worker 0: the pool runs chunks 1.. meanwhile.
-            with ProcessPoolExecutor(
-                max_workers=processes - 1, initializer=set_one_thread
-            ) as pool:
-                futures = [pool.submit(_run_rep_range, *args, lo, hi) for lo, hi in bounds[1:]]
-                pieces = [_run_rep_range(*args, *bounds[0])]
-                pieces += [future.result() for future in futures]
-    merged = {kind: np.empty(cfg.reps) for kind in pieces[0]}
-    for (lo, hi), piece in zip(bounds, pieces):
-        for kind in merged:
-            merged[kind][lo:hi] = piece[kind]
-    return merged
+def _run_child(sender, *args: object) -> None:
+    """Child process entry: send ``(_run_rep_range(*args), None)`` or ``(exception, traceback)``."""
+    set_one_thread()
+    try:
+        result = _run_rep_range(*args), None
+    except Exception as exc:
+        result = exc, traceback.format_exc()
+    sender.send(result)
 
 
-def _usable_cpus() -> int:
-    # The CPUs this process may run on (a taskset or cgroup cpuset can leave
-    # fewer than the machine has), where the platform can tell.
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _chunk_bounds(reps: int, workers: int) -> list[tuple[int, int]]:
-    size = max(1, math.ceil(reps / workers))
-    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+def _summary(cfg: MCConfig, cells: tuple[tuple[int, VolModel], ...], base: float) -> MCSummary:
+    """All replications of ``cells``, one chunk per process: this one runs chunk 0."""
+    args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, cells, base)
+    # workers comes from the user: never run more processes, this one included,
+    # than there are replications or CPUs this process may run on (a taskset or
+    # cgroup cpuset can leave fewer than the machine has).
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    size = math.ceil(cfg.reps / min(cfg.workers, cpus))
+    bounds = [(lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)]
+    children = []
+    try:
+        with one_thread():
+            for lo, hi in bounds[1:]:
+                receiver, sender = Pipe(duplex=False)
+                child = Process(target=_run_child, args=(sender, *args, lo, hi))
+                child.start()
+                children.append((child, receiver))
+                sender.close()  # the child's copy is the last: its exit ends the pipe
+            pieces = [_run_rep_range(*args, *bounds[0])]
+            for (child, receiver), (lo, hi) in zip(children, bounds[1:]):
+                try:
+                    piece, trace = receiver.recv()
+                except EOFError:
+                    child.join()
+                    raise WorkerError(
+                        f"seed {cfg.seed}, p {list(cfg.p_list)}, replications {lo}..{hi - 1}: "
+                        f"worker process exited with code {child.exitcode} before reporting"
+                    ) from None
+                child.join()
+                if trace is not None:
+                    raise piece from WorkerError(f"worker process traceback:\n{trace}")
+                pieces.append(piece)
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.kill()  # does nothing once it has exited
+            child.join()
+    return MCSummary(config=cfg, zscores={
+        (kind, p): np.concatenate([piece[i][kind] for piece in pieces])
+        for i, (p, _) in enumerate(cells) for kind in pieces[0][i]
+    })
 
 
 def _null_scale(model: VolModel) -> float:
@@ -247,13 +274,7 @@ def run_size_experiment(cfg: MCConfig) -> MCSummary:
     """
     if cfg.alternative is not None:
         raise ConfigError("size experiment takes no alternative; use run_power_experiment")
-    base = _null_scale(cfg.model)
-    zscores: dict[tuple[TestKind, int], np.ndarray] = {}
-    for p in cfg.p_list:
-        cell = _run_cell(cfg, p, cfg.model, base)
-        for kind, z in cell.items():
-            zscores[(kind, p)] = z
-    return MCSummary(config=cfg, zscores=zscores)
+    return _summary(cfg, tuple((p, cfg.model) for p in cfg.p_list), _null_scale(cfg.model))
 
 
 def run_power_experiment(cfg: MCConfig) -> MCSummary:
@@ -272,15 +293,12 @@ def run_power_experiment(cfg: MCConfig) -> MCSummary:
             f"got {cfg.model.kind.value}"
         )
     base = _null_scale(cfg.model)
-    zscores: dict[tuple[TestKind, int], np.ndarray] = {}
-    for p in cfg.p_list:
-        data_model = VolModel.two_block(
-            p, cfg.alternative.s, high=base, low=cfg.alternative.low, r1=cfg.model.r1
-        )
-        cell = _run_cell(cfg, p, data_model, base)
-        for kind, z in cell.items():
-            zscores[(kind, p)] = z
-    return MCSummary(config=cfg, zscores=zscores)
+    alt = cfg.alternative
+    cells = tuple(
+        (p, VolModel.two_block(p, alt.s, high=base, low=alt.low, r1=cfg.model.r1))
+        for p in cfg.p_list
+    )
+    return _summary(cfg, cells, base)
 
 
 @dataclass(frozen=True, eq=False)

@@ -293,14 +293,6 @@ def simulate_window_increments(
     ``start == 0``.  The distribution is correct for any ``start`` because
     the cell variances are evaluated at their true positions.
     """
-    return _draw_window(_substreams(config.seed, config.p), config, model, start, count, replication)
-
-
-def _draw_window(
-    stream: Callable[[int, int], Generator], config: GridConfig, model: VolModel,
-    start: int, count: int, replication: int,
-) -> np.ndarray:
-    """:func:`simulate_window_increments` drawn from a :func:`_substreams` family."""
     if not isinstance(start, int) or start < 0:
         raise ConfigError(f"start must be a nonnegative integer, got {start!r}")
     if not isinstance(count, int) or count < 1:
@@ -317,12 +309,21 @@ def _draw_window(
     if not 0 <= replication <= _MAX_REPLICATION:
         raise ConfigError(f"replication index {replication} outside [0, 2**44)")
     p = config.p
+    stream = _substreams(config.seed, p)
     variances = _variance_profile(model, config.n, start, count, p, lambda: stream(replication, p))
     noise = np.empty((p, count))
-    for j in range(p):
-        stream(replication, j).standard_normal(out=noise[j])  # no size: it costs a shape check
+    _draw_noise(stream, noise, replication)
     noise *= np.sqrt(variances)
     return noise
+
+
+def _draw_noise(
+    stream: Callable[[int, int], Generator], rows: Sequence[np.ndarray], replication: int,
+) -> None:
+    """Fill row ``j`` of ``rows`` (an array or a list of row views) with the
+    first variates of substream ``(replication, j)``."""
+    for j, row in enumerate(rows):
+        stream(replication, j).standard_normal(out=row)  # no size: it costs a shape check
 
 
 def simulate_path(config: GridConfig, model: VolModel, replication: int = 0) -> PricePath:

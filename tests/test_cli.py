@@ -1,12 +1,16 @@
 """End-to-end tests for the command line interface.
 
-Each test drives ``cli.main`` in-process with an argv list and checks exit
-codes, printed output, and written files against the library API.
+Each test drives ``cli.main`` with an argv list, in-process except where
+the test needs the real standard error, and checks exit codes, printed
+output, and written files against the library API.
 """
 
 import csv
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,8 @@ from spotspectra import (
     write_matrix_csv,
     write_path_csv,
 )
-from spotspectra import cli, harness
+import spotspectra
+from spotspectra import _blas, cli, harness
 from spotspectra.cli import main
 
 
@@ -447,17 +452,17 @@ def test_mc_power_writes_table(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, workers):
-    # At --workers 2 a forked pool process runs replications 5..9, so the
+    # At --workers 2 a forked child process runs replications 5..9, so the
     # key must survive the trip back to this process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real = harness._draw_window
+    real = harness._draw_noise
 
-    def fail_at_5(stream, grid, model, start, count, rep):
+    def fail_at_5(stream, rows, rep):
         if rep == 5:
             raise SingularEstimateError("injected pivot failure")
-        return real(stream, grid, model, start, count, rep)
+        return real(stream, rows, rep)
 
-    monkeypatch.setattr(harness, "_draw_window", fail_at_5)
+    monkeypatch.setattr(harness, "_draw_noise", fail_at_5)
     rc = main(
         ["mc-size", "--seed", "3", "--reps", "10", "--n", "400", "--p-list", "8",
          "--workers", workers, "--out-dir", str(tmp_path)]
@@ -483,6 +488,42 @@ def test_mc_size_overflow_is_a_keyed_numerical_failure(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: seed 0, p 8, replication 0: ")
     assert err.endswith(": estimate is not finite\n")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mc_size_overflow_prints_only_its_keyed_line(tmp_path, workers):
+    # A process of its own, so that a warning numpy prints reaches stderr.
+    src = str(Path(spotspectra.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["mc-size", "--seed", "0", "--reps", "5", "--n", "400", "--p-list", "8",
+            "--base", "1.7e308", "--workers", workers, "--out-dir", str(tmp_path)]
+    run = subprocess.run(
+        [sys.executable, "-m", "spotspectra.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 3
+    assert run.stderr == (
+        "numerical failure: seed 0, p 8, replication 0: "
+        "||A - I||_F**2 = inf: estimate is not finite\n"
+    )
+
+
+def test_mc_size_sets_the_blas_threads_once(tmp_path, capsys, monkeypatch, blas_threads):
+    # One scope for the whole command: each restore after a fork restarts
+    # OpenBLAS's helper threads, so two models must not restore twice.
+    get, set_ = blas_threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    set_(2)
+    calls = []
+    monkeypatch.setattr(_blas, "_controls", lambda: (get, lambda n: calls.append(n) or set_(n)))
+    rc = main(
+        ["mc-size", "--seed", "3", "--reps", "4", "--n", "400", "--p-list", "8,30",
+         "--r1", "0,0.0004", "--workers", "2", "--out-dir", str(tmp_path)]
+    )
+    assert rc == 0
+    assert calls == [1, 2]
+    assert get() == 2
 
 
 def test_esd_prints_distance_per_dimension(tmp_path, capsys):

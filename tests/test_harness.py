@@ -4,8 +4,10 @@ import csv
 import hashlib
 import io
 import math
+import multiprocessing
 import os
-from concurrent.futures import Future
+import signal
+import time
 from statistics import NormalDist
 
 import numpy as np
@@ -20,6 +22,7 @@ from spotspectra import (
     SingularEstimateError,
     TestKind,
     VolModel,
+    WorkerError,
     eigenvalues_sym,
     evaluate_tests,
     rescale,
@@ -32,7 +35,7 @@ from spotspectra import (
     write_power_table,
     write_size_table,
 )
-from spotspectra import _blas, estimators, harness, simkit
+from spotspectra import estimators, harness, simkit
 from spotspectra.estimators import window_start
 
 _SMALL = dict(reps=30, n=400, p_list=(8, 30))  # k_n defaults to isqrt(400) = 20
@@ -117,64 +120,95 @@ def test_worker_count_does_not_change_output():
             np.testing.assert_array_equal(serial.zscores[key], parallel.zscores[key])
 
 
-class _InlinePool:
-    # A stand-in pool that records its size and runs each chunk at submit, so
-    # no process is started whatever the worker count.  Its initializer is
-    # checked, not run: it would set this process's BLAS thread count for good.
-    sizes = []
+class _InlineProcess:
+    # A stand-in for multiprocessing.Process whose start runs the child entry
+    # in this process and records its replication range, so no process is
+    # started whatever the worker count.  The fixture swaps the entry's
+    # set_one_thread for a counter: it would set this process's BLAS thread
+    # count for good.
+    chunks = []
+    one_thread_calls = 0
 
-    def __init__(self, max_workers, initializer):
-        assert initializer is _blas.set_one_thread
-        self.sizes.append(max_workers)
+    def __init__(self, target, args):
+        assert target is harness._run_child
+        self.args = args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        self.chunks.append(tuple(self.args[-2:]))
+        calls = _InlineProcess.one_thread_calls
+        harness._run_child(*self.args)
+        assert _InlineProcess.one_thread_calls == calls + 1
 
-    def __exit__(self, *exc):
-        return False
+    def kill(self):
+        pass
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def join(self):
+        pass
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    return _InlinePool.sizes
+def inline_processes(monkeypatch):
+    def count_one_thread():
+        _InlineProcess.one_thread_calls += 1
+
+    monkeypatch.setattr(harness, "Process", _InlineProcess)
+    monkeypatch.setattr(harness, "set_one_thread", count_one_thread)
+    monkeypatch.setattr(_InlineProcess, "chunks", [])
+    monkeypatch.setattr(_InlineProcess, "one_thread_calls", 0)
+    return _InlineProcess.chunks
 
 
-def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch, inline_pool):
+def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch, inline_processes):
     # Without an affinity call the bound is os.cpu_count().  The calling
-    # process runs chunk 0, so the pool is one process smaller than the bound.
+    # process runs chunk 0, so one child fewer than the bound starts, once
+    # per experiment call whatever the number of dimensions.
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     serial = run_size_experiment(MCConfig(seed=7, **_SMALL))
-    for workers, cores, expected in ((8, 3, [2]), (50, 64, [29]), (4, None, [])):
-        # 30 reps: 8 workers make 8 chunks, 50 workers make 30 chunks
+    for workers, cores, expected in (
+        (8, 3, [(10, 20), (20, 30)]),
+        (50, 64, [(lo, lo + 1) for lo in range(1, 30)]),
+        (4, None, []),
+    ):
+        # 30 reps: 3 processes make 3 chunks, 50 workers make 30 chunks
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        inline_pool.clear()
+        inline_processes.clear()
         bounded = run_size_experiment(MCConfig(seed=7, **_SMALL, workers=workers))
-        assert inline_pool == expected * len(_SMALL["p_list"])
+        assert inline_processes == expected
         for key in serial.zscores:
             np.testing.assert_array_equal(serial.zscores[key], bounded.zscores[key])
 
 
-def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch, inline_pool):
+def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch, inline_processes):
     # A process pinned to fewer CPUs than the machine has (taskset, cpuset)
     # counts only the CPUs it may run on.
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    for affinity, expected in (({0}, []), ({0, 1, 2}, [2])):
+    for affinity, expected in (({0}, []), ({0, 1, 2}, [(10, 20), (20, 30)])):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-        inline_pool.clear()
+        inline_processes.clear()
         run_size_experiment(MCConfig(seed=7, **dict(_SMALL, p_list=(8,)), workers=8))
-        assert inline_pool == expected
+        assert inline_processes == expected
+
+
+def test_chunks_are_cut_per_process(monkeypatch, inline_processes):
+    # 4 workers on 2 usable CPUs: one child, and this process runs half of
+    # the replications (rounded up), not a quarter.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = harness._run_rep_range
+    ranges = []
+    monkeypatch.setattr(harness, "_run_rep_range", lambda *a: ranges.append(a[-2:]) or real(*a))
+    cfg = dict(_SMALL, reps=7)
+    split = run_size_experiment(MCConfig(seed=7, **cfg, workers=4))
+    assert inline_processes == [(4, 7)]
+    assert ranges == [(4, 7), (0, 4)]  # the stand-in child runs at start
+    serial = run_size_experiment(MCConfig(seed=7, **cfg))
+    assert set(split.zscores) == set(serial.zscores)
+    for key in serial.zscores:
+        np.testing.assert_array_equal(serial.zscores[key], split.zscores[key])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_restores_blas_threads_when_a_replication_raises(
-    monkeypatch, inline_pool, blas_threads, workers
+    monkeypatch, inline_processes, blas_threads, workers
 ):
     get, set_ = blas_threads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -191,10 +225,77 @@ def test_sweep_restores_blas_threads_when_a_replication_raises(
     set_(2)
     with pytest.raises(SingularEstimateError, match="replication 0 failed"):
         run_size_experiment(MCConfig(seed=7, reps=4, n=400, p_list=(8,), workers=workers))
-    # The pool takes chunk 1 (replications 2, 3) before this process runs chunk 0.
+    # The child takes chunk 1 (replications 2, 3) before this process runs chunk 0.
     assert seen == [(2, 1), (0, 1)][2 - workers :]
-    assert inline_pool == [1] * (workers - 1)
+    assert inline_processes == [(2, 4)] * (workers - 1)
     assert get() == 2
+
+
+_FORK = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the child must inherit this test's patches",
+)
+
+
+@_FORK
+def test_worker_that_exits_without_reporting_is_a_keyed_error(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = harness._run_rep_range
+    monkeypatch.setattr(
+        harness, "_run_rep_range", lambda *a: os._exit(7) if a[-2] else real(*a)
+    )
+    with pytest.raises(
+        WorkerError,
+        match=r"^seed 7, p \[8, 30\], replications 15\.\.29: "
+        r"worker process exited with code 7 before reporting$",
+    ):
+        run_size_experiment(MCConfig(seed=7, **_SMALL, workers=2))
+    assert multiprocessing.active_children() == []
+
+
+@_FORK
+def test_a_child_error_carries_the_child_traceback(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = harness._run_rep_range
+
+    def child_fails(*args):
+        if args[-2]:
+            raise KeyError("child bug")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_run_rep_range", child_fails)
+    with pytest.raises(KeyError, match="child bug") as info:
+        run_size_experiment(MCConfig(seed=7, reps=4, n=400, p_list=(8,), workers=2))
+    cause = info.value.__cause__
+    assert isinstance(cause, WorkerError)
+    assert "in child_fails" in str(cause)
+    assert str(cause).endswith("KeyError: 'child bug'\n")
+    assert multiprocessing.active_children() == []
+
+
+@_FORK
+def test_a_failing_caller_kills_its_children(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = harness._run_rep_range
+    started = []
+
+    class Recorded(multiprocessing.Process):
+        def start(self):
+            super().start()
+            started.append(self)
+
+    def chunk(*args):
+        if args[-2] == 0:
+            raise SingularEstimateError("caller failed")
+        time.sleep(60)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "Process", Recorded)
+    monkeypatch.setattr(harness, "_run_rep_range", chunk)
+    with pytest.raises(SingularEstimateError, match="caller failed"):
+        run_size_experiment(MCConfig(seed=7, **_SMALL, workers=2))
+    assert [child.exitcode for child in started] == [-signal.SIGKILL]
+    assert multiprocessing.active_children() == []
 
 
 def test_zscores_do_not_depend_on_the_callers_blas_threads(blas_threads):
@@ -209,7 +310,7 @@ def test_zscores_do_not_depend_on_the_callers_blas_threads(blas_threads):
         set_(threads)
         estimates = [_public_estimate(13, n, t, k_n, p, model, base, rep) for rep in range(reps)]
         public = [[r.zscore for r in evaluate_tests(est)] for est in estimates]
-        swept = harness._run_rep_range(13, n, t, k_n, p, model, base, 0, reps)
+        swept = harness._run_rep_range(13, n, t, k_n, ((p, model),), base, 0, reps)[0]
         assert get() == threads
         runs.append((
             np.array([est.matrix for est in estimates]),
@@ -246,7 +347,7 @@ def test_replication_builds_no_estimate(monkeypatch):
         estimators, "checked_symmetric", lambda *a: calls.append(a) or real(*a)
     )
     model = VolModel.deterministic_sin(0.0009, 0.0004)
-    harness._run_rep_range(0, 400, 0.0, 20, 8, model, 0.0009, 3, 8)
+    harness._run_rep_range(0, 400, 0.0, 20, ((8, model),), 0.0009, 3, 8)
     assert calls == []
 
 
@@ -255,7 +356,7 @@ def test_rep_range_builds_one_philox(monkeypatch):
     real = simkit.Philox
     monkeypatch.setattr(simkit, "Philox", lambda *a, **k: built.append(k) or real(*a, **k))
     model = VolModel.stochastic_bm(0.0009, 0.02)
-    z = harness._run_rep_range(0, 400, 0.25, 20, 8, model, 0.0009, 0, 20)
+    z = harness._run_rep_range(0, 400, 0.25, 20, ((8, model),), 0.0009, 0, 20)[0]
     assert len(built) == 1
     assert all(len(zs) == 20 for zs in z.values())
 
@@ -275,7 +376,7 @@ def test_rep_range_failure_names_its_key(monkeypatch):
     with pytest.raises(
         SingularEstimateError, match=r"^seed 4, p 8, replication 12: injected pivot failure$"
     ) as info:
-        harness._run_rep_range(4, 400, 0.0, 20, 8, model, 0.0009, 10, 20)
+        harness._run_rep_range(4, 400, 0.0, 20, ((8, model),), 0.0009, 10, 20)
     assert str(info.value.__cause__) == "injected pivot failure"
 
 
@@ -289,12 +390,36 @@ _CHUNK_MODELS = {
 @pytest.mark.parametrize("model", sorted(_CHUNK_MODELS))
 def test_rep_range_pieces_join_to_the_whole(model):
     # one generator per chunk: where the chunks end must not move a draw
-    args = (5, 400, 0.25, 20, 8, _CHUNK_MODELS[model], 0.0009)
-    whole = harness._run_rep_range(*args, 0, 20)
-    pieces = [harness._run_rep_range(*args, lo, hi) for lo, hi in ((0, 7), (7, 8), (8, 20))]
+    args = (5, 400, 0.25, 20, ((8, _CHUNK_MODELS[model]),), 0.0009)
+    whole = harness._run_rep_range(*args, 0, 20)[0]
+    pieces = [harness._run_rep_range(*args, lo, hi)[0] for lo, hi in ((0, 7), (7, 8), (8, 20))]
     assert list(whole) == list(pieces[0])
     for kind in whole:
         assert np.array_equal(whole[kind], np.concatenate([piece[kind] for piece in pieces]))
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+@pytest.mark.parametrize("model", ["sin", "two_block", "bm"])
+def test_rep_range_cells_share_one_draw(model, seed):
+    # The cells of one call take the leading rows of one noise draw; each
+    # must get exactly what it gets alone.  p = 8, 20, 30: z_n below, at and
+    # above 1, in an order that does not put the largest p first or last.
+    base = 0.0009
+    cells = tuple(
+        (p, {
+            "sin": VolModel.deterministic_sin(base, 0.0004),
+            "two_block": VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004),
+            "bm": VolModel.stochastic_bm(base, 0.02),
+        }[model])
+        for p in (20, 30, 8)
+    )
+    shared = harness._run_rep_range(seed, 400, 0.25, 20, cells, base, 3, 12)
+    assert len(shared) == len(cells)
+    for cell, z in zip(cells, shared):
+        alone = harness._run_rep_range(seed, 400, 0.25, 20, (cell,), base, 3, 12)[0]
+        assert list(z) == list(alone)
+        for kind in z:
+            assert np.array_equal(z[kind], alone[kind])
 
 
 def _public_estimate(seed, n, t, k_n, p, model, base, rep):
@@ -310,7 +435,7 @@ def test_harness_zscores_equal_public_route(cell):
     model = VolModel.deterministic_sin(base, 0.0004)
     if cell == "power":
         model = VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004)
-    z = harness._run_rep_range(11, n, t, k_n, p, model, base, 0, reps)
+    z = harness._run_rep_range(11, n, t, k_n, ((p, model),), base, 0, reps)[0]
     reports = [
         evaluate_tests(_public_estimate(11, n, t, k_n, p, model, base, rep))
         for rep in range(reps)
@@ -330,7 +455,7 @@ def test_sweep_zscores_equal_public_route(model, p, seed):
         "two_block": VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004),
         "bm": VolModel.stochastic_bm(base, 0.02),
     }[model]
-    z = harness._run_rep_range(seed, n, t, k_n, p, data_model, base, rep_lo, rep_hi)
+    z = harness._run_rep_range(seed, n, t, k_n, ((p, data_model),), base, rep_lo, rep_hi)[0]
     reports = [
         evaluate_tests(_public_estimate(seed, n, t, k_n, p, data_model, base, rep))
         for rep in range(rep_lo, rep_hi)
