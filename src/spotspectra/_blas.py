@@ -7,7 +7,9 @@ z-scores then depend on the host's thread count) and, with several worker
 processes, makes each worker's spinning helpers starve the others.
 
 :func:`one_thread` runs a block on one OpenBLAS thread and restores the
-caller's count afterwards.  The controls are looked up once per process in
+caller's count afterwards.  A worker process forked inside a scope inherits
+its count of 1; after a fork any setter call would restart OpenBLAS's
+spinning helper threads.  The controls are looked up once per process in
 the library numpy's linear algebra is linked against; on a build without
 them (another BLAS) every call here does nothing and the library default
 stands.  The thread count is process-wide, so a scope is not meant to be
@@ -70,15 +72,3 @@ class one_thread:
         if self._old != 1:
             _controls()[1](self._old)
 
-
-def set_one_thread() -> None:
-    """Use one OpenBLAS thread for the rest of this process (pool workers).
-
-    A forked worker inherits a count of 1 from a caller inside
-    :func:`one_thread` and is left alone: after a fork, any call of the
-    setter restarts OpenBLAS's helper threads, which then spin for about
-    0.1 s of CPU time beside the workers.
-    """
-    controls = _controls()
-    if controls is not None and controls[0]() != 1:
-        controls[1](1)

@@ -10,7 +10,7 @@ line's own, so the command line wins and a config key is accepted exactly when
 the subcommand has the flag of that name; any other key is an error naming the
 file and line.  No option may be abbreviated.  Exit codes: 0
 success, 2 bad configuration or input (one ``error: ...`` line on stderr), 3
-numerical failure.
+numerical failure, 4 a Monte Carlo worker process that exited without reporting.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ._blas import one_thread
 from ._csvio import make_dir
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, WorkerError
 from .estimators import SpotEstimate, _check_factor, read_matrix_csv, spot_vol, write_matrix_csv
 from .harness import (
     Alternative,
@@ -246,6 +246,8 @@ def _mc_config(cfg: dict, model: VolModel,
 
 def _cmd_mc_size(cfg: dict) -> None:
     if cfg["r2"] is not None:
+        if any(cfg["r1"]):
+            raise ConfigError("give either r1 or r2, not both")
         models = [VolModel.stochastic_bm(cfg["base"], v) for v in cfg["r2"]]
     else:
         models = [VolModel.deterministic_sin(cfg["base"], v) for v in cfg["r1"]]
@@ -329,6 +331,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except WorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -173,26 +173,14 @@ def spot_vol_from_window(
     ``n`` is the full-sample size the ``n / k_n`` rescaling refers to; the
     window is assumed to start at increment ``window_start(t, n) + 1``.
     """
-    return _scaled_spot_estimate(window, n, t, k_n, 1.0)
-
-
-def _scaled_spot_estimate(
-    window: np.ndarray, n: int, t: float, k_n: int, factor: float
-) -> SpotEstimate:
-    # rescale(spot_vol_from_window(window, n, t, k_n), factor), building and
-    # validating one SpotEstimate; same products in the same order, so the
-    # matrix is bit-identical.
-    _check_factor(factor)
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[1] != k_n:
         raise ConfigError(
             f"window block must have k_n = {k_n} columns, got shape {window.shape}"
         )
     start = window_start(t, n)
-    matrix = (n / k_n) * _symmetrized_outer(window)
-    matrix *= factor
     return SpotEstimate(
-        matrix=matrix,
+        matrix=(n / k_n) * _symmetrized_outer(window),
         t=t,
         k_n=k_n,
         z_n=window.shape[0] / k_n,

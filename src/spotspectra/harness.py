@@ -10,8 +10,10 @@ bit-identical, but is symmetric by construction and is not validated again:
 the :mod:`~spotspectra.hdtests` kernel it goes to checks that
 ``||A - I||_F**2`` is finite, so an overflow is a keyed numerical error.
 Replications are keyed to counter-based substreams, so results are
-bit-for-bit identical no matter how many workers share the sweep, and one
-draw of a replication's noise rows serves every ``p`` of an experiment call.
+bit-for-bit identical no matter how many workers share the sweep.  Every
+window comes from a :mod:`~spotspectra.simkit` window source, which draws a
+replication's noise rows once for all ``p`` of an experiment call or an ESD
+figure; the figure's estimates take the same products and are validated once.
 ``workers`` counts worker processes, the calling process included: a call
 cuts its replications into one chunk per process (at most ``workers``, the
 replications and the usable CPUs), runs chunk 0 itself and each other
@@ -26,6 +28,7 @@ way singular columns are left blank in a report) whenever ``p / k_n >= 1``.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import traceback
 from dataclasses import dataclass
@@ -36,14 +39,13 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from ._blas import one_thread, set_one_thread
+from ._blas import one_thread
 from ._csvio import make_dir, write_csv
 from .errors import ConfigError, NumericalError, WorkerError
-from .estimators import _scaled_spot_estimate, _symmetrized_outer, window_start
+from .estimators import _symmetrized_outer, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
-from .simkit import GridConfig, VolKind, VolModel, simulate_window_increments
-from .simkit import _draw_noise, _substreams, _variance_profile
+from .simkit import VolKind, VolModel, _window_source
 from .spectra import eigenvalues_sym, esd_eval, kolmogorov_distance
 
 __all__ = [
@@ -113,7 +115,10 @@ class MCConfig:
         if not isinstance(k_n, int) or k_n < 1:
             raise ConfigError(f"k_n must be a positive integer, got {self.k_n!r}")
         object.__setattr__(self, "k_n", k_n)
-        object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
+        try:
+            object.__setattr__(self, "p_list", tuple(operator.index(p) for p in self.p_list))
+        except TypeError:
+            raise ConfigError(f"p_list entries must be integers, got {self.p_list!r}") from None
         if not self.p_list:
             raise ConfigError("p_list must name at least one dimension")
         if any(p < 1 for p in self.p_list):
@@ -157,43 +162,34 @@ class MCSummary:
         }
 
 
+def _null_unit(window: np.ndarray, n: int, k_n: int, inv_scale: float) -> np.ndarray:
+    """The matrix of ``rescale(spot_vol_from_window(window, n, ...), inv_scale)``."""
+    with np.errstate(over="ignore"):  # its consumer reports an inf
+        matrix = (n / k_n) * _symmetrized_outer(window)
+        matrix *= inv_scale
+    return matrix
+
+
 def _run_rep_range(
     seed: int, n: int, t: float, k_n: int, cells: tuple[tuple[int, VolModel], ...],
     null_scale: float, rep_lo: int, rep_hi: int,
 ) -> list[dict[TestKind, np.ndarray]]:
-    """Z-scores for replications ``rep_lo .. rep_hi - 1`` of each ``(p, data_model)`` cell.
-
-    A replication draws the noise rows of the largest ``p`` once and each
-    cell scales its leading ``p`` rows: a row's substream does not depend on
-    ``p``, so every cell sees the window it would draw alone.
-    """
-    start = window_start(t, n)
-    top = max(p for p, _ in cells)
-    stream = _substreams(seed, top)
-    noise = np.empty((top, k_n))
-    rows = list(noise)
+    """Z-scores for replications ``rep_lo .. rep_hi - 1`` of each ``(p, data_model)`` cell."""
+    draw = _window_source(seed, n, window_start(t, n), k_n, cells)
     plans = []
-    for p, model in cells:
+    for p, _ in cells:
         kinds = _default_kinds(p / k_n)
         constants = mp_lss_constants(p / k_n) if TestKind.BJYZ in kinds else None
-        # Only the STOCHASTIC_BM driver makes the profile differ per replication.
-        fixed = model.kind is not VolKind.STOCHASTIC_BM or model.r2 == 0.0
-        sd = np.sqrt(_variance_profile(model, n, start, k_n, p, None)) if fixed else None
-        z = np.empty((rep_hi - rep_lo, len(kinds)))
-        plans.append((kinds, z, p, model, sd, constants, np.eye(p)))
+        plans.append((kinds, np.empty((rep_hi - rep_lo, len(kinds))), constants, np.eye(p)))
+    top = max(p for p, _ in cells)
     inv_scale = 1.0 / null_scale
     try:
         with one_thread():
             for rep in range(rep_lo, rep_hi):
-                p = top
-                _draw_noise(stream, rows, rep)
-                for kinds, z, p, model, sd, constants, eye in plans:
-                    if sd is None:
-                        var = _variance_profile(model, n, start, k_n, p, lambda: stream(rep, p))
-                        sd = np.sqrt(var)
-                    with np.errstate(over="ignore"):  # inf is the kernel's keyed NumericalError
-                        matrix = (n / k_n) * _symmetrized_outer(noise[:p] * sd)
-                        matrix *= inv_scale
+                p = top  # a failed draw is keyed to the rows it draws
+                for window, (kinds, z, constants, eye) in zip(draw(rep), plans):
+                    p = window.shape[0]
+                    matrix = _null_unit(window, n, k_n, inv_scale)
                     stats = _statistics(matrix, k_n, kinds, constants, eye)
                     z[rep - rep_lo] = [zscore for _, zscore in stats]
     except NumericalError as exc:
@@ -203,7 +199,6 @@ def _run_rep_range(
 
 def _run_child(sender, *args: object) -> None:
     """Child process entry: send ``(_run_rep_range(*args), None)`` or ``(exception, traceback)``."""
-    set_one_thread()
     try:
         result = _run_rep_range(*args), None
     except Exception as exc:
@@ -319,14 +314,12 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     the MP distribution with index ``p / k_n``.
     """
     out_dir = make_dir(out_dir)
-    base = _null_scale(cfg.model)
-    start = window_start(cfg.t, cfg.n)
+    inv_scale = 1.0 / _null_scale(cfg.model)
+    cells = tuple((p, cfg.model) for p in cfg.p_list)
+    windows = _window_source(cfg.seed, cfg.n, window_start(cfg.t, cfg.n), cfg.k_n, cells)(0)
     artifacts = []
-    for p in cfg.p_list:
-        grid = GridConfig(n=cfg.n, p=p, seed=cfg.seed)
-        window = simulate_window_increments(grid, cfg.model, start, cfg.k_n, replication=0)
-        est = _scaled_spot_estimate(window, cfg.n, cfg.t, cfg.k_n, 1.0 / base)
-        sample = eigenvalues_sym(est.matrix)
+    for p, window in zip(cfg.p_list, windows):
+        sample = eigenvalues_sym(_null_unit(window, cfg.n, cfg.k_n, inv_scale))
         law = MPLaw(y=p / cfg.k_n)
         ks = kolmogorov_distance(sample, lambda x: mp_cdf(x, law))
         xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))
@@ -390,7 +383,8 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
 def write_size_table(
     summaries: Sequence[MCSummary], stream: Union[str, TextIO]
 ) -> None:
-    """Write null rejection percentages as CSV: ``test,level,r1,pbar,rejection_pct``."""
+    """Write null rejection percentages as CSV: ``test,level,r1,pbar,rejection_pct``,
+    with ``r2`` in place of ``r1`` when every summary is ``stochastic_bm``."""
     _write_rate_table(summaries, stream, with_s=False)
 
 
@@ -405,22 +399,27 @@ def write_power_table(
 def _write_rate_table(
     summaries: Sequence[MCSummary], stream: Union[str, TextIO], with_s: bool
 ) -> None:
-    header = ["test", "level", "r1", "pbar"] + (["s"] if with_s else []) + ["rejection_pct"]
+    stochastic = {s.config.model.kind is VolKind.STOCHASTIC_BM for s in summaries}
+    if len(stochastic) > 1:
+        raise ConfigError("a rate table cannot mix stochastic_bm summaries with others")
+    amplitude = "r2" if stochastic == {True} else "r1"
+    header = ["test", "level", amplitude, "pbar"] + (["s"] if with_s else []) + ["rejection_pct"]
     for summary in summaries:
         if with_s and summary.config.alternative is None:
             raise ConfigError("power table rows need summaries with an alternative")
-    write_csv(stream, header, _rate_rows(summaries, with_s))
+    write_csv(stream, header, _rate_rows(summaries, with_s, amplitude))
 
 
-def _rate_rows(summaries: Sequence[MCSummary], with_s: bool) -> Iterator[list[str]]:
+def _rate_rows(summaries: Sequence[MCSummary], with_s: bool, amplitude: str) -> Iterator[list[str]]:
     for summary in summaries:
         cfg = summary.config
+        swept = repr(getattr(cfg.model, amplitude))
         for kind in TestKind:
             for level in cfg.levels:
                 for p in cfg.p_list:
                     if (kind, p) not in summary.zscores:
                         continue
-                    row = [kind.value, repr(level), repr(cfg.model.r1), repr(p / cfg.k_n)]
+                    row = [kind.value, repr(level), swept, repr(p / cfg.k_n)]
                     if with_s:
                         row.append(repr(cfg.alternative.s))
                     row.append(repr(100.0 * summary.rejection_rate(kind, level, p)))

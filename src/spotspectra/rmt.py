@@ -176,7 +176,6 @@ class StieltjesPoint:
     m: complex
     m_under: complex
     residual: float
-    iterations: int
 
 
 def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
@@ -217,11 +216,10 @@ def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
         return -1.0 / (z - shifted)
 
     mu = None
-    iterations = 0
     for damping in _FP_DAMPINGS:
         candidate = -1.0 / z
         failed = False
-        for it in range(1, _FP_MAX_ITER + 1):
+        for _ in range(_FP_MAX_ITER):
             nxt = (1.0 - damping) * candidate + damping * fixed_point_map(candidate)
             if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)) or nxt.imag <= 0.0:
                 failed = True  # left the upper half-plane; retry more cautiously
@@ -234,7 +232,6 @@ def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
             failed = True
         if not failed:
             mu = candidate
-            iterations = it
             break
     if mu is None:
         raise NumericalError(
@@ -255,7 +252,7 @@ def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
         raise NumericalError(
             f"recovered Stieltjes transform lies outside the upper half-plane: {m!r}"
         )
-    return StieltjesPoint(z=z, m=m, m_under=mu, residual=residual, iterations=iterations)
+    return StieltjesPoint(z=z, m=m, m_under=mu, residual=residual)
 
 
 class LssConstants(NamedTuple):

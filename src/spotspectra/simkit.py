@@ -23,8 +23,8 @@ Randomness is organised as counter-based Philox substreams keyed by
 results are reproducible bit-for-bit regardless of scheduling or worker
 count.  Coordinate index ``p`` (one past the last price coordinate) is
 reserved for the volatility driver of ``STOCHASTIC_BM``.  One ``Philox``
-generator serves a chunk of replications in the Monte Carlo harness and one
-public call elsewhere, re-keyed with a zero counter to each key in turn; it
+generator serves each public call and each window source (the harness's
+route to windows), re-keyed with a zero counter to each key in turn; it
 draws what ``Philox(key=(seed, replication << 20 | coordinate))`` would.
 """
 
@@ -76,8 +76,8 @@ def _snapped_floor(x: float) -> int:
 def _substreams(seed: int, top_coord: int) -> Callable[[int, int], Generator]:
     """Return ``stream(replication, coord)`` for substreams with ``coord <= top_coord``.
 
-    One ``Philox`` generator serves them all (a chunk of replications in the
-    harness, one public call elsewhere): ``stream`` re-keys it to ``(seed,
+    One ``Philox`` generator serves them all (a window source or one public
+    call): ``stream`` re-keys it to ``(seed,
     replication << 20 | coord)`` with a zero counter and an empty output
     buffer, which draws exactly what a freshly keyed ``Philox`` would.  Every
     call returns that same generator, so draw from one substream before
@@ -324,6 +324,41 @@ def _draw_noise(
     first variates of substream ``(replication, j)``."""
     for j, row in enumerate(rows):
         stream(replication, j).standard_normal(out=row)  # no size: it costs a shape check
+
+
+def _window_source(
+    seed: int, n: int, start: int, count: int, cells: Sequence[tuple[int, VolModel]],
+) -> Callable[[int], list[np.ndarray]]:
+    """Return ``draw(replication)``: the ``p x count`` windows of cells
+    ``start+1 .. start+count``, one per ``(p, model)`` of ``cells`` and each
+    what :func:`simulate_window_increments` draws for that cell alone.
+
+    A draw fills the largest ``p``'s noise rows once, in a reused buffer, and
+    each cell scales its leading ``p`` rows (a row's substream does not depend
+    on ``p``).  Only a ``STOCHASTIC_BM`` profile with ``r2 > 0`` is random: it
+    is drawn per replication from coordinate ``p``; the others are hoisted.
+    """
+    top = max(p for p, _ in cells)
+    stream = _substreams(seed, top)
+    noise = np.empty((top, count))
+    rows = list(noise)
+    sds = [
+        None if model.kind is VolKind.STOCHASTIC_BM and model.r2 != 0.0
+        else np.sqrt(_variance_profile(model, n, start, count, p, None))
+        for p, model in cells
+    ]
+
+    def draw(replication: int) -> list[np.ndarray]:
+        _draw_noise(stream, rows, replication)
+        windows = []
+        for (p, model), sd in zip(cells, sds):
+            if sd is None:
+                var = _variance_profile(model, n, start, count, p, lambda: stream(replication, p))
+                sd = np.sqrt(var)
+            windows.append(noise[:p] * sd)
+        return windows
+
+    return draw
 
 
 def simulate_path(config: GridConfig, model: VolModel, replication: int = 0) -> PricePath:

@@ -34,20 +34,16 @@ def test_openblas_builds_expose_thread_controls():
 
 def test_setter_runs_only_when_the_count_is_not_1(monkeypatch):
     # After a fork any setter call restarts OpenBLAS's helper threads, so a
-    # count that is already 1 (nested scopes, forked pool workers) is left alone.
+    # count that is already 1 (nested scopes, forked workers) is left alone.
     for count, expected in ((1, []), (3, [1, 3])):
         calls = []
         monkeypatch.setattr(_blas, "_controls", lambda: (lambda: count, calls.append))
         with _blas.one_thread():
             pass
         assert calls == expected
-        calls.clear()
-        _blas.set_one_thread()
-        assert calls == expected[:1]
 
 
 def test_without_thread_controls_the_scopes_do_nothing(monkeypatch):
     monkeypatch.setattr(_blas, "_controls", lambda: None)
     with _blas.one_thread():
         pass
-    _blas.set_one_thread()

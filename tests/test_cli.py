@@ -7,6 +7,7 @@ output, and written files against the library API.
 
 import csv
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from spotspectra import (
     write_path_csv,
 )
 import spotspectra
-from spotspectra import _blas, cli, harness
+from spotspectra import _blas, cli, harness, simkit
 from spotspectra.cli import main
 
 
@@ -455,14 +456,14 @@ def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, workers):
     # At --workers 2 a forked child process runs replications 5..9, so the
     # key must survive the trip back to this process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real = harness._draw_noise
+    real = simkit._draw_noise
 
     def fail_at_5(stream, rows, rep):
         if rep == 5:
             raise SingularEstimateError("injected pivot failure")
         return real(stream, rows, rep)
 
-    monkeypatch.setattr(harness, "_draw_noise", fail_at_5)
+    monkeypatch.setattr(simkit, "_draw_noise", fail_at_5)
     rc = main(
         ["mc-size", "--seed", "3", "--reps", "10", "--n", "400", "--p-list", "8",
          "--workers", workers, "--out-dir", str(tmp_path)]
@@ -471,6 +472,28 @@ def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, workers):
     assert capsys.readouterr().err == (
         "numerical failure: seed 3, p 8, replication 5: injected pivot failure\n"
     )
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the child must inherit this test's patches",
+)
+def test_dead_worker_is_one_line_and_exit_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = harness._run_rep_range
+    monkeypatch.setattr(
+        harness, "_run_rep_range", lambda *a: os._exit(7) if a[-2] else real(*a)
+    )
+    rc = main(
+        ["mc-size", "--seed", "3", "--reps", "10", "--n", "400", "--p-list", "8",
+         "--workers", "2", "--out-dir", str(tmp_path)]
+    )
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "worker failure: seed 3, p [8], replications 5..9: "
+        "worker process exited with code 7 before reporting\n"
+    )
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -558,12 +581,14 @@ def test_qq_prints_correlation_per_series(tmp_path, capsys):
 
 
 def test_scalar_model_rejects_both_amplitudes(tmp_path, capsys):
-    rc = main(
-        ["esd", "--seed", "1", "--n", "400", "--p-list", "8",
-         "--r1", "0.1", "--r2", "0.02", "--out-dir", str(tmp_path)]
-    )
-    assert rc == 2
-    assert "either r1 or r2, not both" in capsys.readouterr().err
+    for command, r1 in (("esd", "0.1"), ("mc-size", "0.0004")):
+        rc = main(
+            [command, "--seed", "1", "--n", "400", "--p-list", "8",
+             "--r1", r1, "--r2", "0.02", "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "either r1 or r2, not both" in capsys.readouterr().err
+    assert not (tmp_path / "size_table.csv").exists()
 
 
 def test_no_subcommand_prints_help(capsys):

@@ -35,7 +35,7 @@ from spotspectra import (
     write_power_table,
     write_size_table,
 )
-from spotspectra import estimators, harness, simkit
+from spotspectra import estimators, harness, simkit, spectra
 from spotspectra.estimators import window_start
 
 _SMALL = dict(reps=30, n=400, p_list=(8, 30))  # k_n defaults to isqrt(400) = 20
@@ -59,6 +59,11 @@ def test_mc_config_defaults_and_validation():
         MCConfig(seed=0, p_list=(0,))
     with pytest.raises(ConfigError, match="p_list entries must be distinct"):
         MCConfig(seed=0, p_list=(34, 68, 34))
+    # entries are taken as integers, never truncated or parsed
+    assert MCConfig(seed=0, p_list=(np.int64(34), 68)).p_list == (34, 68)
+    for p_list in ((34.7, 68.2), ("34",), (34.0,)):
+        with pytest.raises(ConfigError, match="p_list entries must be integers"):
+            MCConfig(seed=0, p_list=p_list)
 
 
 def test_alternative_validation():
@@ -123,11 +128,8 @@ def test_worker_count_does_not_change_output():
 class _InlineProcess:
     # A stand-in for multiprocessing.Process whose start runs the child entry
     # in this process and records its replication range, so no process is
-    # started whatever the worker count.  The fixture swaps the entry's
-    # set_one_thread for a counter: it would set this process's BLAS thread
-    # count for good.
+    # started whatever the worker count.
     chunks = []
-    one_thread_calls = 0
 
     def __init__(self, target, args):
         assert target is harness._run_child
@@ -135,9 +137,7 @@ class _InlineProcess:
 
     def start(self):
         self.chunks.append(tuple(self.args[-2:]))
-        calls = _InlineProcess.one_thread_calls
         harness._run_child(*self.args)
-        assert _InlineProcess.one_thread_calls == calls + 1
 
     def kill(self):
         pass
@@ -148,13 +148,8 @@ class _InlineProcess:
 
 @pytest.fixture
 def inline_processes(monkeypatch):
-    def count_one_thread():
-        _InlineProcess.one_thread_calls += 1
-
     monkeypatch.setattr(harness, "Process", _InlineProcess)
-    monkeypatch.setattr(harness, "set_one_thread", count_one_thread)
     monkeypatch.setattr(_InlineProcess, "chunks", [])
-    monkeypatch.setattr(_InlineProcess, "one_thread_calls", 0)
     return _InlineProcess.chunks
 
 
@@ -270,6 +265,27 @@ def test_a_child_error_carries_the_child_traceback(monkeypatch):
     assert isinstance(cause, WorkerError)
     assert "in child_fails" in str(cause)
     assert str(cause).endswith("KeyError: 'child bug'\n")
+    assert multiprocessing.active_children() == []
+
+
+@_FORK
+def test_a_forked_child_runs_on_one_blas_thread(monkeypatch, tmp_path, blas_threads):
+    # The child never calls the setter: it inherits the count of 1 that the
+    # call's scope set before the fork.
+    get, set_ = blas_threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = harness._run_rep_range
+
+    def record(*args):
+        (tmp_path / f"threads_{args[-2]}").write_text(str(get()))
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_run_rep_range", record)
+    set_(2)
+    run_size_experiment(MCConfig(seed=7, reps=4, n=400, p_list=(8,), workers=2))
+    assert (tmp_path / "threads_2").read_text() == "1"  # the child's chunk
+    assert (tmp_path / "threads_0").read_text() == "1"
+    assert get() == 2
     assert multiprocessing.active_children() == []
 
 
@@ -478,12 +494,35 @@ def test_esd_figure_eigenvalues_equal_public_route(tmp_path, monkeypatch):
     monkeypatch.setattr(
         harness, "eigenvalues_sym", lambda m: samples.append(real(m)) or samples[-1]
     )
-    cfg = MCConfig(seed=2, reps=1, n=400, p_list=(8, 30), t=0.25)
-    run_esd_figure(cfg, tmp_path)
-    assert len(samples) == len(cfg.p_list)
-    for sample, p in zip(samples, cfg.p_list):
-        est = _public_estimate(cfg.seed, cfg.n, cfg.t, cfg.k_n, p, cfg.model, cfg.model.base, 0)
-        np.testing.assert_array_equal(sample.eigenvalues, eigenvalues_sym(est.matrix).eigenvalues)
+    for model in (VolModel.deterministic_sin(0.0009, 0.0004), VolModel.stochastic_bm(0.0009, 0.02)):
+        samples.clear()
+        cfg = MCConfig(seed=2, reps=1, n=400, p_list=(8, 30), t=0.25, model=model)
+        run_esd_figure(cfg, tmp_path)
+        assert len(samples) == len(cfg.p_list)
+        for sample, p in zip(samples, cfg.p_list):
+            est = _public_estimate(cfg.seed, cfg.n, cfg.t, cfg.k_n, p, model, model.base, 0)
+            public = eigenvalues_sym(est.matrix).eigenvalues
+            np.testing.assert_array_equal(sample.eigenvalues, public)
+
+
+def test_esd_figure_draws_all_dimensions_from_one_philox(tmp_path, monkeypatch):
+    built = []
+    real = simkit.Philox
+    monkeypatch.setattr(simkit, "Philox", lambda *a, **k: built.append(k) or real(*a, **k))
+    model = VolModel.stochastic_bm(0.0009, 0.02)
+    run_esd_figure(MCConfig(seed=2, n=400, p_list=(8, 30), model=model), tmp_path)
+    assert len(built) == 1
+
+
+def test_esd_figure_validates_each_estimate_once(tmp_path, monkeypatch):
+    calls = []
+    for module in (estimators, spectra):
+        real = module.checked_symmetric
+        monkeypatch.setattr(
+            module, "checked_symmetric", lambda *a, real=real: calls.append(a[0].shape) or real(*a)
+        )
+    run_esd_figure(MCConfig(seed=2, n=400, p_list=(8, 30)), tmp_path)
+    assert calls == [(8, 8), (30, 30)]
 
 
 def test_size_experiment_rejects_bad_configs():
@@ -643,6 +682,24 @@ def test_size_table_csv():
             TestKind(kind), float(level), 8
         )
         assert float(pct) == expected
+    # an r2 sweep names its amplitude column r2 and fills it with model.r2
+    r2_summaries = [
+        run_size_experiment(
+            MCConfig(seed=11, reps=10, n=400, p_list=(8,), model=VolModel.stochastic_bm(0.0009, r2))
+        )
+        for r2 in (0.01, 0.05)
+    ]
+    buf = io.StringIO()
+    write_size_table(r2_summaries, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0] == ["test", "level", "r2", "pbar", "rejection_pct"]
+    assert len(rows) == 1 + 2 * 3 * 3
+    assert [row[2] for row in rows[1:]] == ["0.01"] * 9 + ["0.05"] * 9
+    for i, row in enumerate(rows[1:]):
+        expected = r2_summaries[i // 9].rejection_rate(TestKind(row[0]), float(row[1]), 8)
+        assert float(row[4]) == 100.0 * expected
+    with pytest.raises(ConfigError, match="cannot mix stochastic_bm"):
+        write_size_table(summaries[:1] + r2_summaries[:1], io.StringIO())
 
 
 def test_power_table_csv():
