@@ -12,14 +12,17 @@ the :mod:`~spotspectra.hdtests` kernel it goes to checks that
 Replications are keyed to counter-based substreams, so results are
 bit-for-bit identical no matter how many workers share the sweep.  Every
 window comes from a :mod:`~spotspectra.simkit` window source, which draws a
-replication's noise rows once for all ``p`` of an experiment call or an ESD
-figure; the figure's estimates take the same products and are validated once.
-``workers`` counts worker processes, the calling process included: a call
-cuts its replications into one chunk per process (at most ``workers``, the
-replications and the usable CPUs), runs chunk 0 itself and each other
-chunk, over all of its cells, in one child process.  The call runs its
-kernels on one OpenBLAS thread in every process and restores the caller's
-thread count when it ends.
+replication's noise rows once for all ``(model, p)`` cells of a run or for
+all ``p`` of an ESD figure; the figure's estimates take the same products and
+are validated once.  An experiment call runs its model's cells, and the
+``mc-size`` and ``mc-power`` commands run every model of their table as one.
+``workers`` counts worker processes, the calling process included: a run
+cuts its replications into one chunk per process, runs chunk 0 itself and
+each other chunk, over all of its cells, in one child process.  It starts at
+most ``workers`` processes, no more than the replications or the usable
+CPUs, and none whose chunk is too small to pay for the fork (see
+``_CHILD_MIN_ROWS``).  A run keeps its kernels on one OpenBLAS thread in
+every process and restores the caller's thread count when it ends.
 
 The log-spectral test is skipped (left out of the result dictionaries, the
 way singular columns are left blank in a report) whenever ``p / k_n >= 1``.
@@ -31,7 +34,7 @@ import math
 import operator
 import os
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pipe, Process
 from pathlib import Path
 from statistics import NormalDist
@@ -64,6 +67,19 @@ __all__ = [
 
 _DEFAULT_MODEL = VolModel.deterministic_sin(0.0009, 0.0)
 
+# The fewest replication rows (one cell's noise row of one replication) that
+# a chunk must hold for a child process to run it.  Measured on 2 cores of an
+# AVX-512 Xeon (numpy 2.4, OpenBLAS 0.3.31): one child costs about 10 ms,
+# that is ~1.5 ms to start, ~430 copy-on-write page faults in the child at
+# ~7 us each, ~400 more in the caller and ~1.5 ms to join, while one row costs
+# about 4-6 us (p = 34 takes ~190 us per replication).  A fork breaks even
+# near 2,000 rows; twice that is safe.
+_CHILD_MIN_ROWS = 4096
+
+# One cell of a run: (p, data model, label), where the label names the model's
+# amplitude in a failure's key.
+_Cell = tuple[int, VolModel, str]
+
 
 @dataclass(frozen=True)
 class Alternative:
@@ -88,9 +104,10 @@ class MCConfig:
     ``k_n`` defaults to ``floor(sqrt(n))`` when omitted.  ``model`` is the
     null data-generating process (a scalar-volatility kind whose ``base`` is
     the null variance level); power experiments derive the two-block
-    alternative from it and ``alternative``.  ``workers`` is the number of
-    worker processes per experiment call, the calling process included;
-    ``1`` runs the sweep in the calling process alone.
+    alternative from it and ``alternative``.  ``workers`` is the most worker
+    processes a run may use, the calling process included; ``1`` runs the
+    sweep in the calling process alone.  A run uses fewer when it has fewer
+    replications or usable CPUs, or too little work to pay for a child.
     """
 
     seed: int
@@ -171,29 +188,29 @@ def _null_unit(window: np.ndarray, n: int, k_n: int, inv_scale: float) -> np.nda
 
 
 def _run_rep_range(
-    seed: int, n: int, t: float, k_n: int, cells: tuple[tuple[int, VolModel], ...],
+    seed: int, n: int, t: float, k_n: int, cells: tuple[_Cell, ...],
     null_scale: float, rep_lo: int, rep_hi: int,
 ) -> list[dict[TestKind, np.ndarray]]:
-    """Z-scores for replications ``rep_lo .. rep_hi - 1`` of each ``(p, data_model)`` cell."""
-    draw = _window_source(seed, n, window_start(t, n), k_n, cells)
+    """Z-scores for replications ``rep_lo .. rep_hi - 1`` of each cell."""
+    draw = _window_source(seed, n, window_start(t, n), k_n, [cell[:2] for cell in cells])
     plans = []
-    for p, _ in cells:
+    for p, _, _ in cells:
         kinds = _default_kinds(p / k_n)
         constants = mp_lss_constants(p / k_n) if TestKind.BJYZ in kinds else None
         plans.append((kinds, np.empty((rep_hi - rep_lo, len(kinds))), constants, np.eye(p)))
-    top = max(p for p, _ in cells)
+    top = max(p for p, _, _ in cells)
     inv_scale = 1.0 / null_scale
     try:
         with one_thread():
             for rep in range(rep_lo, rep_hi):
-                p = top  # a failed draw is keyed to the rows it draws
-                for window, (kinds, z, constants, eye) in zip(draw(rep), plans):
-                    p = window.shape[0]
+                cell = None  # a failed draw is keyed to the rows it draws, which all cells share
+                for cell, window, (kinds, z, constants, eye) in zip(cells, draw(rep), plans):
                     matrix = _null_unit(window, n, k_n, inv_scale)
                     stats = _statistics(matrix, k_n, kinds, constants, eye)
                     z[rep - rep_lo] = [zscore for _, zscore in stats]
     except NumericalError as exc:
-        raise type(exc)(f"seed {seed}, p {p}, replication {rep}: {exc}") from exc
+        where = f"p {top}" if cell is None else f"{cell[2]}, p {cell[0]}"
+        raise type(exc)(f"seed {seed}, {where}, replication {rep}: {exc}") from exc
     return [{kind: z[:, i] for i, kind in enumerate(kinds)} for kinds, z, *_ in plans]
 
 
@@ -206,14 +223,19 @@ def _run_child(sender, *args: object) -> None:
     sender.send(result)
 
 
-def _summary(cfg: MCConfig, cells: tuple[tuple[int, VolModel], ...], base: float) -> MCSummary:
-    """All replications of ``cells``, one chunk per process: this one runs chunk 0."""
+def _summary(cfgs: Sequence[MCConfig], cells: tuple[_Cell, ...], base: float) -> list[MCSummary]:
+    """All replications of ``cells``, which hold each config's cells in turn, one per
+    ``p``, one chunk per process: this one runs chunk 0."""
+    cfg = cfgs[0]
     args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, cells, base)
     # workers comes from the user: never run more processes, this one included,
     # than there are replications or CPUs this process may run on (a taskset or
-    # cgroup cpuset can leave fewer than the machine has).
+    # cgroup cpuset can leave fewer than the machine has), nor a child whose
+    # chunk costs less than the fork.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    size = math.ceil(cfg.reps / min(cfg.workers, cpus))
+    rows = cfg.reps * sum(p for p, _, _ in cells)
+    processes = max(1, min(cfg.workers, cpus, cfg.reps, rows // _CHILD_MIN_ROWS))
+    size = math.ceil(cfg.reps / processes)
     bounds = [(lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)]
     children = []
     try:
@@ -243,10 +265,16 @@ def _summary(cfg: MCConfig, cells: tuple[tuple[int, VolModel], ...], base: float
             receiver.close()
             child.kill()  # does nothing once it has exited
             child.join()
-    return MCSummary(config=cfg, zscores={
-        (kind, p): np.concatenate([piece[i][kind] for piece in pieces])
-        for i, (p, _) in enumerate(cells) for kind in pieces[0][i]
-    })
+    joined = (
+        {kind: np.concatenate([piece[i][kind] for piece in pieces]) for kind in pieces[0][i]}
+        for i in range(len(cells))
+    )
+    return [
+        MCSummary(config=c, zscores={
+            (kind, p): z for p in c.p_list for kind, z in next(joined).items()
+        })
+        for c in cfgs
+    ]
 
 
 def _null_scale(model: VolModel) -> float:
@@ -260,6 +288,44 @@ def _null_scale(model: VolModel) -> float:
     return model.base
 
 
+def _cells(cfg: MCConfig) -> tuple[_Cell, ...]:
+    """The cells of a size experiment, or of a power experiment when
+    ``cfg.alternative`` is set."""
+    base = _null_scale(cfg.model)
+    if cfg.alternative is None:
+        amplitude = "r2" if cfg.model.kind is VolKind.STOCHASTIC_BM else "r1"
+        label = f"{amplitude} {getattr(cfg.model, amplitude)!r}"
+        return tuple((p, cfg.model, label) for p in cfg.p_list)
+    if cfg.model.kind is not VolKind.DETERMINISTIC_SIN:
+        raise ConfigError(
+            "power experiment modulates a deterministic_sin null model, "
+            f"got {cfg.model.kind.value}"
+        )
+    alt, r1 = cfg.alternative, cfg.model.r1
+    return tuple(
+        (p, VolModel.two_block(p, alt.s, high=base, low=alt.low, r1=r1), f"s {alt.s!r}, r1 {r1!r}")
+        for p in cfg.p_list
+    )
+
+
+def _run_experiments(cfgs: Sequence[MCConfig]) -> list[MCSummary]:
+    """One summary per config, each what its own size or power experiment
+    returns, from one run over all of their ``(model, p)`` cells: each
+    replication draws its noise rows once for every cell, and one fan-out
+    serves them all.  The configs may differ only in the model's kind and
+    amplitude and in the alternative."""
+    first = cfgs[0]
+    cells = tuple(cell for cfg in cfgs for cell in _cells(cfg))
+    for cfg in cfgs:
+        same = replace(cfg, model=first.model, alternative=first.alternative) == first
+        if not same or cfg.model.base != first.model.base:
+            raise ConfigError(
+                "experiments run together may differ only in the model's kind and "
+                "amplitude and in the alternative"
+            )
+    return _summary(cfgs, cells, first.model.base)
+
+
 def run_size_experiment(cfg: MCConfig) -> MCSummary:
     """Monte Carlo null rejection rates of every applicable test.
 
@@ -269,7 +335,7 @@ def run_size_experiment(cfg: MCConfig) -> MCSummary:
     """
     if cfg.alternative is not None:
         raise ConfigError("size experiment takes no alternative; use run_power_experiment")
-    return _summary(cfg, tuple((p, cfg.model) for p in cfg.p_list), _null_scale(cfg.model))
+    return _run_experiments([cfg])[0]
 
 
 def run_power_experiment(cfg: MCConfig) -> MCSummary:
@@ -282,18 +348,7 @@ def run_power_experiment(cfg: MCConfig) -> MCSummary:
     """
     if cfg.alternative is None:
         raise ConfigError("power experiment requires an alternative")
-    if cfg.model.kind is not VolKind.DETERMINISTIC_SIN:
-        raise ConfigError(
-            "power experiment modulates a deterministic_sin null model, "
-            f"got {cfg.model.kind.value}"
-        )
-    base = _null_scale(cfg.model)
-    alt = cfg.alternative
-    cells = tuple(
-        (p, VolModel.two_block(p, alt.s, high=base, low=alt.low, r1=cfg.model.r1))
-        for p in cfg.p_list
-    )
-    return _summary(cfg, cells, base)
+    return _run_experiments([cfg])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +366,8 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     Writes ``esd_p<p>.csv`` with columns ``x, esd, mp_cdf`` on a grid that
     contains every eigenvalue jump plus an even overlay up to just past the
     MP upper edge, and reports the Kolmogorov distance between the ESD and
-    the MP distribution with index ``p / k_n``.
+    the MP distribution with index ``p / k_n``.  An estimate that overflows
+    is a :class:`NumericalError` keyed ``seed S, p P, replication 0``.
     """
     out_dir = make_dir(out_dir)
     inv_scale = 1.0 / _null_scale(cfg.model)
@@ -319,7 +375,10 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     windows = _window_source(cfg.seed, cfg.n, window_start(cfg.t, cfg.n), cfg.k_n, cells)(0)
     artifacts = []
     for p, window in zip(cfg.p_list, windows):
-        sample = eigenvalues_sym(_null_unit(window, cfg.n, cfg.k_n, inv_scale))
+        matrix = _null_unit(window, cfg.n, cfg.k_n, inv_scale)
+        if not np.isfinite(matrix).all():
+            raise NumericalError(f"seed {cfg.seed}, p {p}, replication 0: estimate is not finite")
+        sample = eigenvalues_sym(matrix)
         law = MPLaw(y=p / cfg.k_n)
         ks = kolmogorov_distance(sample, lambda x: mp_cdf(x, law))
         xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))

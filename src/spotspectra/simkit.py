@@ -37,7 +37,7 @@ from enum import Enum
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
-# Imported eagerly (numpy loads it lazily) so that forked pool workers
+# Imported eagerly (numpy loads it lazily) so that forked worker processes
 # inherit it instead of each importing it again.
 from numpy.random import Generator, Philox
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from spotspectra import _blas
+from spotspectra import _blas, harness
 
 
 @pytest.fixture
@@ -16,3 +16,10 @@ def blas_threads():
     old = get()
     yield controls
     set_(old)
+
+
+@pytest.fixture
+def no_child_floor(monkeypatch):
+    """Let a run fork a child for a chunk of any size, so that a small test
+    design exercises worker processes as a large one would."""
+    monkeypatch.setattr(harness, "_CHILD_MIN_ROWS", 1)

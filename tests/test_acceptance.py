@@ -8,6 +8,7 @@ component is pinned to ``ACCEPT_SEED`` and is reproducible bit for bit.
 
 import cmath
 import math
+import os
 import time
 from statistics import NormalDist
 
@@ -37,6 +38,7 @@ from spotspectra import (
     solve_silverstein,
     spot_vol,
 )
+from spotspectra import harness
 
 ACCEPT_SEED = 8  # master seed for every Monte Carlo acceptance run
 
@@ -344,7 +346,7 @@ def test_acceptance_oracle_equivalence(capsys):
     assert tiling_ok
 
 
-def test_acceptance_invariance_suite(capsys):
+def test_acceptance_invariance_suite(capsys, monkeypatch, no_child_floor):
     path = simulate_path(
         GridConfig(n=_N, p=34, seed=ACCEPT_SEED),
         VolModel.deterministic_sin(_BASE, 0.0),
@@ -376,11 +378,17 @@ def test_acceptance_invariance_suite(capsys):
     rotated = spot_vol(q @ incr, 0.0, _K_N).matrix
     equiv_dev = float(np.max(np.abs(rotated - q @ est.matrix @ q.T)))
 
+    # Four processes really run: three forked children take chunks of 10
+    # replications, however few CPUs the host has.
     worker_cfg = dict(model=VolModel.deterministic_sin(_BASE, 0.0008),
                       reps=40, p_list=(34,))
     serial = run_size_experiment(_config(**worker_cfg, workers=1))
+    started = []
+    real = harness.Process
+    monkeypatch.setattr(harness, "Process", lambda **kw: started.append(kw) or real(**kw))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     parallel = run_size_experiment(_config(**worker_cfg, workers=4))
-    workers_ok = set(serial.zscores) == set(parallel.zscores) and all(
+    workers_ok = len(started) == 3 and set(serial.zscores) == set(parallel.zscores) and all(
         np.array_equal(serial.zscores[key], parallel.zscores[key])
         for key in serial.zscores
     )

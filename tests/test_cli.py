@@ -17,15 +17,21 @@ import numpy as np
 import pytest
 
 from spotspectra import (
+    Alternative,
     GridConfig,
+    MCConfig,
     SingularEstimateError,
     TestReport,
     VolModel,
     read_matrix_csv,
+    run_power_experiment,
+    run_size_experiment,
     simulate_path,
     spot_vol,
     write_matrix_csv,
     write_path_csv,
+    write_power_table,
+    write_size_table,
 )
 import spotspectra
 from spotspectra import _blas, cli, harness, simkit
@@ -246,8 +252,8 @@ def test_unwritable_output_csv_exits_2(tmp_path, capsys):
 def test_uncreatable_out_dir_exits_2(tmp_path, capsys, monkeypatch, argv):
     # mc-size and mc-power must create the directory before the sweep runs
     swept = []
-    for name in ("run_size_experiment", "run_power_experiment"):
-        monkeypatch.setattr(cli, name, lambda cfg: swept.append(cfg))
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "_run_experiments", lambda cfgs: swept.append(cfgs))
     blocker = tmp_path / "afile"
     blocker.write_text("")
     out_dir = blocker / "x"
@@ -452,7 +458,7 @@ def test_mc_power_writes_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, workers):
+def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, no_child_floor, workers):
     # At --workers 2 a forked child process runs replications 5..9, so the
     # key must survive the trip back to this process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -478,7 +484,7 @@ def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, workers):
     multiprocessing.get_start_method() != "fork",
     reason="the child must inherit this test's patches",
 )
-def test_dead_worker_is_one_line_and_exit_4(tmp_path, capsys, monkeypatch):
+def test_dead_worker_is_one_line_and_exit_4(tmp_path, capsys, monkeypatch, no_child_floor):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     real = harness._run_rep_range
     monkeypatch.setattr(
@@ -497,7 +503,9 @@ def test_dead_worker_is_one_line_and_exit_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_mc_size_overflow_is_a_keyed_numerical_failure(tmp_path, capsys, monkeypatch, workers):
+def test_mc_size_overflow_is_a_keyed_numerical_failure(
+    tmp_path, capsys, monkeypatch, no_child_floor, workers
+):
     # At this level the spot estimate overflows to inf: a numerical failure
     # of replication 0 (run by this process at both worker counts), not bad
     # input.
@@ -509,30 +517,39 @@ def test_mc_size_overflow_is_a_keyed_numerical_failure(tmp_path, capsys, monkeyp
         )
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: seed 0, p 8, replication 0: ")
+    assert err.startswith("numerical failure: seed 0, r1 0.0, p 8, replication 0: ")
     assert err.endswith(": estimate is not finite\n")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_mc_size_overflow_prints_only_its_keyed_line(tmp_path, workers):
-    # A process of its own, so that a warning numpy prints reaches stderr.
+    # A process of its own, so that a warning numpy prints reaches stderr.  It
+    # lowers the child floor and sees two CPUs, so that at --workers 2 a
+    # forked child runs replications 3..4 as well.
     src = str(Path(spotspectra.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import os, sys; from spotspectra import cli, harness; "
+        "harness._CHILD_MIN_ROWS = 1; os.sched_getaffinity = lambda pid: {0, 1}; "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
     argv = ["mc-size", "--seed", "0", "--reps", "5", "--n", "400", "--p-list", "8",
             "--base", "1.7e308", "--workers", workers, "--out-dir", str(tmp_path)]
     run = subprocess.run(
-        [sys.executable, "-m", "spotspectra.cli", *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert run.returncode == 3
     assert run.stderr == (
-        "numerical failure: seed 0, p 8, replication 0: "
+        "numerical failure: seed 0, r1 0.0, p 8, replication 0: "
         "||A - I||_F**2 = inf: estimate is not finite\n"
     )
 
 
-def test_mc_size_sets_the_blas_threads_once(tmp_path, capsys, monkeypatch, blas_threads):
+def test_mc_size_sets_the_blas_threads_once(
+    tmp_path, capsys, monkeypatch, no_child_floor, blas_threads
+):
     # One scope for the whole command: each restore after a fork restarts
     # OpenBLAS's helper threads, so two models must not restore twice.
     get, set_ = blas_threads
@@ -547,6 +564,56 @@ def test_mc_size_sets_the_blas_threads_once(tmp_path, capsys, monkeypatch, blas_
     assert rc == 0
     assert calls == [1, 2]
     assert get() == 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mc_tables_equal_one_experiment_call_per_model(
+    tmp_path, capsys, monkeypatch, no_child_floor, workers
+):
+    # A command runs every model of its table through one fan-out: at
+    # --workers 2 it forks one child, not one per model, and its table keeps
+    # the bytes of one experiment call per model.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+    real = harness.Process
+    monkeypatch.setattr(harness, "Process", lambda **kw: started.append(kw) or real(**kw))
+    design = dict(seed=8, reps=9, n=400, p_list=(8, 30))
+    common = ["--seed", "8", "--reps", "9", "--n", "400", "--p-list", "8,30", "--workers", workers]
+    cases = [
+        (["mc-size", "--r1", "0,0.0004"], write_size_table,
+         [run_size_experiment(MCConfig(**design, model=VolModel.deterministic_sin(0.0009, r1)))
+          for r1 in (0.0, 0.0004)]),
+        (["mc-size", "--r2", "0.01,0.02"], write_size_table,
+         [run_size_experiment(MCConfig(**design, model=VolModel.stochastic_bm(0.0009, r2)))
+          for r2 in (0.01, 0.02)]),
+        (["mc-power", "--r1", "0,0.0004"], write_power_table,
+         [run_power_experiment(MCConfig(**design, model=VolModel.deterministic_sin(0.0009, r1),
+                                        alternative=Alternative(s=s)))
+          for s in (0.45, 0.6, 0.75) for r1 in (0.0, 0.0004)]),
+    ]
+    started.clear()
+    for i, (argv, write, summaries) in enumerate(cases):
+        out = tmp_path / f"cmd{i}"
+        assert main(argv + common + ["--out-dir", str(out)]) == 0
+        table = next(out.iterdir())
+        write(summaries, str(tmp_path / "per_model.csv"))
+        assert table.read_bytes() == (tmp_path / "per_model.csv").read_bytes()
+    assert len(started) == len(cases) * (int(workers) - 1)
+
+
+def test_esd_overflow_is_a_keyed_numerical_failure(tmp_path, capsys):
+    # The same overflow as test_mc_size_overflow_*: a numerical failure of
+    # replication 0 (exit 3), not bad input (exit 2), and no file written.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(
+            ["esd", "--seed", "8", "--n", "400", "--k-n", "20", "--base", "1.7e308",
+             "--p-list", "8", "--out-dir", str(tmp_path)]
+        )
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: seed 8, p 8, replication 0: estimate is not finite\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_esd_prints_distance_per_dimension(tmp_path, capsys):

@@ -115,8 +115,9 @@ def test_experiments_are_deterministic():
     assert any(not np.array_equal(a.zscores[k], c.zscores[k]) for k in a.zscores)
 
 
-def test_worker_count_does_not_change_output():
+def test_worker_count_does_not_change_output(monkeypatch, no_child_floor):
     # At p = 102, k_n = 68 the BLAS kernels would thread; below they do not.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for design in (_SMALL, dict(reps=6, n=4680, p_list=(102,))):
         serial = run_size_experiment(MCConfig(seed=7, **design, workers=1))
         parallel = run_size_experiment(MCConfig(seed=7, **design, workers=4))
@@ -153,7 +154,7 @@ def inline_processes(monkeypatch):
     return _InlineProcess.chunks
 
 
-def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch, inline_processes):
+def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch, inline_processes, no_child_floor):
     # Without an affinity call the bound is os.cpu_count().  The calling
     # process runs chunk 0, so one child fewer than the bound starts, once
     # per experiment call whatever the number of dimensions.
@@ -173,7 +174,7 @@ def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch, inline_processe
             np.testing.assert_array_equal(serial.zscores[key], bounded.zscores[key])
 
 
-def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch, inline_processes):
+def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch, inline_processes, no_child_floor):
     # A process pinned to fewer CPUs than the machine has (taskset, cpuset)
     # counts only the CPUs it may run on.
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -184,7 +185,7 @@ def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch, inline_processes):
         assert inline_processes == expected
 
 
-def test_chunks_are_cut_per_process(monkeypatch, inline_processes):
+def test_chunks_are_cut_per_process(monkeypatch, inline_processes, no_child_floor):
     # 4 workers on 2 usable CPUs: one child, and this process runs half of
     # the replications (rounded up), not a quarter.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -203,7 +204,7 @@ def test_chunks_are_cut_per_process(monkeypatch, inline_processes):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_restores_blas_threads_when_a_replication_raises(
-    monkeypatch, inline_processes, blas_threads, workers
+    monkeypatch, inline_processes, no_child_floor, blas_threads, workers
 ):
     get, set_ = blas_threads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -226,6 +227,50 @@ def test_sweep_restores_blas_threads_when_a_replication_raises(
     assert get() == 2
 
 
+def test_no_child_below_the_floor(monkeypatch):
+    # A child must get at least _CHILD_MIN_ROWS replication rows (replications
+    # x the sum of the cells' p) to pay for its fork; below that the calling
+    # process runs every replication, whatever the worker count.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def no_process(**kwargs):
+        raise AssertionError("a child process was started")
+
+    monkeypatch.setattr(harness, "Process", no_process)
+    serial = run_size_experiment(MCConfig(seed=7, **_SMALL))
+    below = run_size_experiment(MCConfig(seed=7, **_SMALL, workers=2))
+    for key in serial.zscores:
+        np.testing.assert_array_equal(serial.zscores[key], below.zscores[key])
+    # one row short of two chunks' worth at p = 8
+    reps = 2 * harness._CHILD_MIN_ROWS // 8 - 1
+    run_size_experiment(MCConfig(seed=7, reps=reps, n=400, p_list=(8,), workers=2))
+
+
+def test_chunks_clear_the_floor(monkeypatch, inline_processes):
+    # Exactly two chunks' worth of rows: 8 workers on 4 CPUs run 2 processes.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    reps = 2 * harness._CHILD_MIN_ROWS // 8
+    run_size_experiment(MCConfig(seed=7, reps=reps, n=400, p_list=(8,), workers=8))
+    assert inline_processes == [(reps // 2, reps)]
+
+
+def test_children_above_the_floor_match_serial(monkeypatch):
+    # No lowered floor: 216 replications of p = 8 and 30 hold 8,208 rows, two
+    # chunks' worth, so one real child runs half of them.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = dict(_SMALL, reps=216)
+    assert cfg["reps"] * sum(cfg["p_list"]) >= 2 * harness._CHILD_MIN_ROWS
+    serial = run_size_experiment(MCConfig(seed=7, **cfg))
+    started = []
+    real = harness.Process
+    monkeypatch.setattr(harness, "Process", lambda **kw: started.append(kw) or real(**kw))
+    parallel = run_size_experiment(MCConfig(seed=7, **cfg, workers=2))
+    assert [kw["args"][-2:] for kw in started] == [(108, 216)]
+    assert set(serial.zscores) == set(parallel.zscores)
+    for key in serial.zscores:
+        assert np.array_equal(serial.zscores[key], parallel.zscores[key])
+
+
 _FORK = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="the child must inherit this test's patches",
@@ -233,7 +278,7 @@ _FORK = pytest.mark.skipif(
 
 
 @_FORK
-def test_worker_that_exits_without_reporting_is_a_keyed_error(monkeypatch):
+def test_worker_that_exits_without_reporting_is_a_keyed_error(monkeypatch, no_child_floor):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     real = harness._run_rep_range
     monkeypatch.setattr(
@@ -249,7 +294,7 @@ def test_worker_that_exits_without_reporting_is_a_keyed_error(monkeypatch):
 
 
 @_FORK
-def test_a_child_error_carries_the_child_traceback(monkeypatch):
+def test_a_child_error_carries_the_child_traceback(monkeypatch, no_child_floor):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     real = harness._run_rep_range
 
@@ -269,7 +314,9 @@ def test_a_child_error_carries_the_child_traceback(monkeypatch):
 
 
 @_FORK
-def test_a_forked_child_runs_on_one_blas_thread(monkeypatch, tmp_path, blas_threads):
+def test_a_forked_child_runs_on_one_blas_thread(
+    monkeypatch, tmp_path, no_child_floor, blas_threads
+):
     # The child never calls the setter: it inherits the count of 1 that the
     # call's scope set before the fork.
     get, set_ = blas_threads
@@ -290,7 +337,7 @@ def test_a_forked_child_runs_on_one_blas_thread(monkeypatch, tmp_path, blas_thre
 
 
 @_FORK
-def test_a_failing_caller_kills_its_children(monkeypatch):
+def test_a_failing_caller_kills_its_children(monkeypatch, no_child_floor):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     real = harness._run_rep_range
     started = []
@@ -326,7 +373,7 @@ def test_zscores_do_not_depend_on_the_callers_blas_threads(blas_threads):
         set_(threads)
         estimates = [_public_estimate(13, n, t, k_n, p, model, base, rep) for rep in range(reps)]
         public = [[r.zscore for r in evaluate_tests(est)] for est in estimates]
-        swept = harness._run_rep_range(13, n, t, k_n, ((p, model),), base, 0, reps)[0]
+        swept = harness._run_rep_range(13, n, t, k_n, ((p, model, "r1 0.0004"),), base, 0, reps)[0]
         assert get() == threads
         runs.append((
             np.array([est.matrix for est in estimates]),
@@ -363,7 +410,7 @@ def test_replication_builds_no_estimate(monkeypatch):
         estimators, "checked_symmetric", lambda *a: calls.append(a) or real(*a)
     )
     model = VolModel.deterministic_sin(0.0009, 0.0004)
-    harness._run_rep_range(0, 400, 0.0, 20, ((8, model),), 0.0009, 3, 8)
+    harness._run_rep_range(0, 400, 0.0, 20, ((8, model, "r1 0.0004"),), 0.0009, 3, 8)
     assert calls == []
 
 
@@ -372,7 +419,7 @@ def test_rep_range_builds_one_philox(monkeypatch):
     real = simkit.Philox
     monkeypatch.setattr(simkit, "Philox", lambda *a, **k: built.append(k) or real(*a, **k))
     model = VolModel.stochastic_bm(0.0009, 0.02)
-    z = harness._run_rep_range(0, 400, 0.25, 20, ((8, model),), 0.0009, 0, 20)[0]
+    z = harness._run_rep_range(0, 400, 0.25, 20, ((8, model, "r2 0.02"),), 0.0009, 0, 20)[0]
     assert len(built) == 1
     assert all(len(zs) == 20 for zs in z.values())
 
@@ -390,10 +437,74 @@ def test_rep_range_failure_names_its_key(monkeypatch):
     monkeypatch.setattr(harness, "_statistics", fail_third)
     model = VolModel.deterministic_sin(0.0009, 0.0004)
     with pytest.raises(
-        SingularEstimateError, match=r"^seed 4, p 8, replication 12: injected pivot failure$"
+        SingularEstimateError,
+        match=r"^seed 4, r1 0\.0004, p 8, replication 12: injected pivot failure$",
     ) as info:
-        harness._run_rep_range(4, 400, 0.0, 20, ((8, model),), 0.0009, 10, 20)
+        harness._run_rep_range(4, 400, 0.0, 20, ((8, model, "r1 0.0004"),), 0.0009, 10, 20)
     assert str(info.value.__cause__) == "injected pivot failure"
+
+
+@pytest.mark.parametrize("table, label", [
+    ("size", "r1 0.0004"), ("bm", "r2 0.02"), ("power", "s 0.6, r1 0.0004"),
+])
+def test_run_failure_names_its_model(monkeypatch, table, label):
+    # Two models at the same p run together: the failing cell's key names
+    # its model's amplitude, so the two cells cannot be told apart by p alone.
+    real = harness._statistics
+    calls = []
+
+    def fail_fourth(*args):
+        calls.append(args)
+        if len(calls) == 4:  # replication 1 of the second model
+            raise SingularEstimateError("injected pivot failure")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_statistics", fail_fourth)
+    design = dict(seed=4, reps=3, n=400, p_list=(8,))
+    cfgs = {
+        "size": [MCConfig(**design, model=VolModel.deterministic_sin(0.0009, r1))
+                 for r1 in (0.0, 0.0004)],
+        "bm": [MCConfig(**design, model=VolModel.stochastic_bm(0.0009, r2))
+               for r2 in (0.01, 0.02)],
+        "power": [MCConfig(**design, model=VolModel.deterministic_sin(0.0009, 0.0004),
+                           alternative=Alternative(s=s)) for s in (0.45, 0.6)],
+    }[table]
+    with pytest.raises(
+        SingularEstimateError, match=rf"^seed 4, {label}, p 8, replication 1: injected pivot failure$"
+    ):
+        harness._run_experiments(cfgs)
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+def test_run_of_many_models_equals_one_call_each(seed):
+    # Two models at each p share every replication's noise draw; each
+    # summary must hold what its model's own experiment call gives.
+    design = dict(seed=seed, reps=9, n=400, p_list=(8, 30))
+    cfgs = [MCConfig(**design, model=VolModel.deterministic_sin(0.0009, r1)) for r1 in (0.0, 0.0004)]
+    cfgs += [MCConfig(**design, model=VolModel.stochastic_bm(0.0009, 0.02))]
+    cfgs += [
+        MCConfig(**design, model=VolModel.deterministic_sin(0.0009, r1), alternative=Alternative(s=s))
+        for s in (0.45, 0.6) for r1 in (0.0, 0.0004)
+    ]
+    merged = harness._run_experiments(cfgs)
+    assert [summary.config for summary in merged] == cfgs
+    for cfg, summary in zip(cfgs, merged):
+        alone = (run_power_experiment if cfg.alternative else run_size_experiment)(cfg)
+        assert list(summary.zscores) == list(alone.zscores)
+        for key in alone.zscores:
+            assert np.array_equal(summary.zscores[key], alone.zscores[key])
+
+
+def test_run_of_many_models_rejects_other_differences():
+    design = dict(seed=0, reps=2, n=400, p_list=(8,))
+    first = MCConfig(**design)
+    for other in (
+        MCConfig(**dict(design, reps=3)),
+        MCConfig(**design, workers=2),
+        MCConfig(**design, model=VolModel.deterministic_sin(0.0004, 0.0)),
+    ):
+        with pytest.raises(ConfigError, match="may differ only in"):
+            harness._run_experiments([first, other])
 
 
 _CHUNK_MODELS = {
@@ -406,7 +517,7 @@ _CHUNK_MODELS = {
 @pytest.mark.parametrize("model", sorted(_CHUNK_MODELS))
 def test_rep_range_pieces_join_to_the_whole(model):
     # one generator per chunk: where the chunks end must not move a draw
-    args = (5, 400, 0.25, 20, ((8, _CHUNK_MODELS[model]),), 0.0009)
+    args = (5, 400, 0.25, 20, ((8, _CHUNK_MODELS[model], model),), 0.0009)
     whole = harness._run_rep_range(*args, 0, 20)[0]
     pieces = [harness._run_rep_range(*args, lo, hi)[0] for lo, hi in ((0, 7), (7, 8), (8, 20))]
     assert list(whole) == list(pieces[0])
@@ -426,7 +537,7 @@ def test_rep_range_cells_share_one_draw(model, seed):
             "sin": VolModel.deterministic_sin(base, 0.0004),
             "two_block": VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004),
             "bm": VolModel.stochastic_bm(base, 0.02),
-        }[model])
+        }[model], model)
         for p in (20, 30, 8)
     )
     shared = harness._run_rep_range(seed, 400, 0.25, 20, cells, base, 3, 12)
@@ -451,7 +562,7 @@ def test_harness_zscores_equal_public_route(cell):
     model = VolModel.deterministic_sin(base, 0.0004)
     if cell == "power":
         model = VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004)
-    z = harness._run_rep_range(11, n, t, k_n, ((p, model),), base, 0, reps)[0]
+    z = harness._run_rep_range(11, n, t, k_n, ((p, model, cell),), base, 0, reps)[0]
     reports = [
         evaluate_tests(_public_estimate(11, n, t, k_n, p, model, base, rep))
         for rep in range(reps)
@@ -471,7 +582,7 @@ def test_sweep_zscores_equal_public_route(model, p, seed):
         "two_block": VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004),
         "bm": VolModel.stochastic_bm(base, 0.02),
     }[model]
-    z = harness._run_rep_range(seed, n, t, k_n, ((p, data_model),), base, rep_lo, rep_hi)[0]
+    z = harness._run_rep_range(seed, n, t, k_n, ((p, data_model, model),), base, rep_lo, rep_hi)[0]
     reports = [
         evaluate_tests(_public_estimate(seed, n, t, k_n, p, data_model, base, rep))
         for rep in range(rep_lo, rep_hi)
