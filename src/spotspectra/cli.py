@@ -223,9 +223,7 @@ def _cmd_test(cfg: dict) -> None:
         matrix = matrix / cfg["scale"]
     # The tests assume a positive semidefinite matrix; this one comes from a file.
     eigenvalues_sym(matrix)
-    k_n = cfg["k_n"]
-    p = matrix.shape[0]
-    est = SpotEstimate(matrix=matrix, t=0.0, k_n=k_n, z_n=p / k_n, window=(1, k_n))
+    est = SpotEstimate(matrix=matrix, t=0.0, k_n=cfg["k_n"], window=(1, cfg["k_n"]))
     kinds = None if cfg["kind"] == "all" else [TestKind(cfg["kind"])]
     write_report_csv(evaluate_tests(est, kinds), _out_stream(cfg["out"]))
 

@@ -16,7 +16,7 @@ module forms
   which averages :math:`k_n` rescaled outer products over a shrinking window
   right of :math:`t`.  The floor is taken by :func:`window_start`, which
   first snaps a product :math:`tn` lying within a relative ``1e-9`` of an
-  integer to that integer.
+  integer to that integer, and rejects a product that is not finite.
 
 The spot estimate is the input to the spectral tests: its aspect ratio
 ``z_n = p / k_n`` plays the role of the concentration index in the
@@ -26,7 +26,7 @@ Marchenko--Pastur approximation of its eigenvalue distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TextIO, Union
 
 import numpy as np
@@ -52,9 +52,9 @@ class SpotEstimate:
     """A spot covariance estimate plus the window metadata the tests need.
 
     Construction checks that ``matrix`` is square, finite and symmetric up
-    to a relative ``1e-8``, and that ``z_n == p / k_n``.  It does not check
-    that ``matrix`` is positive semidefinite, which :mod:`spotspectra.hdtests`
-    assumes.
+    to a relative ``1e-8``, and that ``k_n`` is a positive integer.  It does
+    not check that ``matrix`` is positive semidefinite, which
+    :mod:`spotspectra.hdtests` assumes.
 
     Attributes
     ----------
@@ -64,8 +64,6 @@ class SpotEstimate:
         Time the window is anchored at.
     k_n
         Number of increments averaged.
-    z_n
-        Aspect ratio ``p / k_n``.
     window
         1-based increment index range ``(first, last)`` that was averaged.
     """
@@ -73,23 +71,23 @@ class SpotEstimate:
     matrix: np.ndarray
     t: float
     k_n: int
-    z_n: float
     window: tuple[int, int]
 
     def __post_init__(self) -> None:
         m = checked_symmetric(self.matrix, "estimate matrix")
         if not isinstance(self.k_n, int) or self.k_n < 1:
             raise ConfigError(f"k_n must be a positive integer, got {self.k_n!r}")
-        if self.z_n != m.shape[0] / self.k_n:
-            raise ConfigError(
-                f"z_n = {self.z_n!r} inconsistent with p / k_n = {m.shape[0] / self.k_n!r}"
-            )
         object.__setattr__(self, "matrix", m)
 
     @property
     def p(self) -> int:
         """Matrix dimension."""
         return self.matrix.shape[0]
+
+    @property
+    def z_n(self) -> float:
+        """Aspect ratio ``p / k_n``."""
+        return self.p / self.k_n
 
 
 def _symmetrized_outer(block: np.ndarray) -> np.ndarray:
@@ -103,7 +101,10 @@ def _symmetrized_outer(block: np.ndarray) -> np.ndarray:
 def window_start(t: float, n: int) -> int:
     """Cells before a window anchored at time ``t`` on an ``n``-cell grid:
     ``floor(t*n)``, where a product within a relative ``1e-9`` of an integer
-    counts as that integer, so ``t = 0.29, n = 100`` starts after cell 29."""
+    counts as that integer, so ``t = 0.29, n = 100`` starts after cell 29.
+    A product that is not finite (NaN, or overflowed) is a ``ConfigError``."""
+    if not math.isfinite(t * n):
+        raise ConfigError(f"window start t * n is not finite: t = {t!r}, n = {n!r}")
     return _snapped_floor(t * n)
 
 
@@ -183,7 +184,6 @@ def spot_vol_from_window(
         matrix=(n / k_n) * _symmetrized_outer(window),
         t=t,
         k_n=k_n,
-        z_n=window.shape[0] / k_n,
         window=(start + 1, start + k_n),
     )
 
@@ -195,13 +195,7 @@ def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
     hypothesised variance level so the null population becomes the identity).
     """
     _check_factor(factor)
-    return SpotEstimate(
-        matrix=estimate.matrix * factor,
-        t=estimate.t,
-        k_n=estimate.k_n,
-        z_n=estimate.z_n,
-        window=estimate.window,
-    )
+    return replace(estimate, matrix=estimate.matrix * factor)
 
 
 def _check_factor(factor: float, name: str = "scale factor") -> None:

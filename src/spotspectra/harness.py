@@ -197,16 +197,16 @@ def _run_rep_range(
     for p, _, _ in cells:
         kinds = _default_kinds(p / k_n)
         constants = mp_lss_constants(p / k_n) if TestKind.BJYZ in kinds else None
-        plans.append((kinds, np.empty((rep_hi - rep_lo, len(kinds))), constants, np.eye(p)))
+        plans.append((kinds, np.empty((rep_hi - rep_lo, len(kinds))), constants))
     top = max(p for p, _, _ in cells)
     inv_scale = 1.0 / null_scale
     try:
         with one_thread():
             for rep in range(rep_lo, rep_hi):
                 cell = None  # a failed draw is keyed to the rows it draws, which all cells share
-                for cell, window, (kinds, z, constants, eye) in zip(cells, draw(rep), plans):
+                for cell, window, (kinds, z, constants) in zip(cells, draw(rep), plans):
                     matrix = _null_unit(window, n, k_n, inv_scale)
-                    stats = _statistics(matrix, k_n, kinds, constants, eye)
+                    stats = _statistics(matrix, k_n, kinds, constants)
                     z[rep - rep_lo] = [zscore for _, zscore in stats]
     except NumericalError as exc:
         where = f"p {top}" if cell is None else f"{cell[2]}, p {cell[0]}"
@@ -223,11 +223,54 @@ def _run_child(sender, *args: object) -> None:
     sender.send(result)
 
 
-def _summary(cfgs: Sequence[MCConfig], cells: tuple[_Cell, ...], base: float) -> list[MCSummary]:
-    """All replications of ``cells``, which hold each config's cells in turn, one per
-    ``p``, one chunk per process: this one runs chunk 0."""
+def _null_scale(model: VolModel) -> float:
+    if model.kind not in (VolKind.DETERMINISTIC_SIN, VolKind.STOCHASTIC_BM):
+        raise ConfigError(
+            "experiments need a scalar-volatility null model "
+            f"(deterministic_sin or stochastic_bm), got {model.kind.value}"
+        )
+    if not model.base > 0.0 or not math.isfinite(1.0 / model.base):
+        raise ConfigError(f"null variance level needs a finite reciprocal, got {model.base!r}")
+    return model.base
+
+
+def _cells(cfg: MCConfig) -> tuple[_Cell, ...]:
+    """The cells of a size experiment, or of a power experiment when
+    ``cfg.alternative`` is set."""
+    base = _null_scale(cfg.model)
+    if cfg.alternative is None:
+        amplitude = "r2" if cfg.model.kind is VolKind.STOCHASTIC_BM else "r1"
+        label = f"{amplitude} {getattr(cfg.model, amplitude)!r}"
+        return tuple((p, cfg.model, label) for p in cfg.p_list)
+    if cfg.model.kind is not VolKind.DETERMINISTIC_SIN:
+        raise ConfigError(
+            "power experiment modulates a deterministic_sin null model, "
+            f"got {cfg.model.kind.value}"
+        )
+    alt, r1 = cfg.alternative, cfg.model.r1
+    return tuple(
+        (p, VolModel.two_block(p, alt.s, high=base, low=alt.low, r1=r1), f"s {alt.s!r}, r1 {r1!r}")
+        for p in cfg.p_list
+    )
+
+
+def _run_experiments(cfgs: Sequence[MCConfig]) -> list[MCSummary]:
+    """One summary per config, each what its own size or power experiment
+    returns, from one run over all of their ``(model, p)`` cells: each
+    replication draws its noise rows once for every cell, and one fan-out
+    serves them all, one chunk per process, this one running chunk 0.  The
+    configs may differ only in the model's kind and amplitude and in the
+    alternative."""
     cfg = cfgs[0]
-    args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, cells, base)
+    cells = tuple(cell for c in cfgs for cell in _cells(c))
+    for c in cfgs:
+        same = replace(c, model=cfg.model, alternative=cfg.alternative) == cfg
+        if not same or c.model.base != cfg.model.base:
+            raise ConfigError(
+                "experiments run together may differ only in the model's kind and "
+                "amplitude and in the alternative"
+            )
+    args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, cells, cfg.model.base)
     # workers comes from the user: never run more processes, this one included,
     # than there are replications or CPUs this process may run on (a taskset or
     # cgroup cpuset can leave fewer than the machine has), nor a child whose
@@ -275,55 +318,6 @@ def _summary(cfgs: Sequence[MCConfig], cells: tuple[_Cell, ...], base: float) ->
         })
         for c in cfgs
     ]
-
-
-def _null_scale(model: VolModel) -> float:
-    if model.kind not in (VolKind.DETERMINISTIC_SIN, VolKind.STOCHASTIC_BM):
-        raise ConfigError(
-            "experiments need a scalar-volatility null model "
-            f"(deterministic_sin or stochastic_bm), got {model.kind.value}"
-        )
-    if not model.base > 0.0 or not math.isfinite(1.0 / model.base):
-        raise ConfigError(f"null variance level needs a finite reciprocal, got {model.base!r}")
-    return model.base
-
-
-def _cells(cfg: MCConfig) -> tuple[_Cell, ...]:
-    """The cells of a size experiment, or of a power experiment when
-    ``cfg.alternative`` is set."""
-    base = _null_scale(cfg.model)
-    if cfg.alternative is None:
-        amplitude = "r2" if cfg.model.kind is VolKind.STOCHASTIC_BM else "r1"
-        label = f"{amplitude} {getattr(cfg.model, amplitude)!r}"
-        return tuple((p, cfg.model, label) for p in cfg.p_list)
-    if cfg.model.kind is not VolKind.DETERMINISTIC_SIN:
-        raise ConfigError(
-            "power experiment modulates a deterministic_sin null model, "
-            f"got {cfg.model.kind.value}"
-        )
-    alt, r1 = cfg.alternative, cfg.model.r1
-    return tuple(
-        (p, VolModel.two_block(p, alt.s, high=base, low=alt.low, r1=r1), f"s {alt.s!r}, r1 {r1!r}")
-        for p in cfg.p_list
-    )
-
-
-def _run_experiments(cfgs: Sequence[MCConfig]) -> list[MCSummary]:
-    """One summary per config, each what its own size or power experiment
-    returns, from one run over all of their ``(model, p)`` cells: each
-    replication draws its noise rows once for every cell, and one fan-out
-    serves them all.  The configs may differ only in the model's kind and
-    amplitude and in the alternative."""
-    first = cfgs[0]
-    cells = tuple(cell for cfg in cfgs for cell in _cells(cfg))
-    for cfg in cfgs:
-        same = replace(cfg, model=first.model, alternative=first.alternative) == first
-        if not same or cfg.model.base != first.model.base:
-            raise ConfigError(
-                "experiments run together may differ only in the model's kind and "
-                "amplitude and in the alternative"
-            )
-    return _summary(cfgs, cells, first.model.base)
 
 
 def run_size_experiment(cfg: MCConfig) -> MCSummary:

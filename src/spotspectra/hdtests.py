@@ -7,19 +7,22 @@ asymptotically standard normal under the null.  Each raw statistic is a
 linear spectral statistic of the estimate ``A`` with eigenvalues ``lam``,
 computed from matrix invariants with no eigendecomposition:
 
-* :func:`bjyz_test` -- likelihood-ratio identity test (Bai, Jiang, Yao and
-  Zheng 2009): ``sum(lam - log(lam) - 1) = tr(A) - log(det(A)) - p``, with
-  the log-determinant from the Cholesky factor; requires ``z_n < 1``.
-* :func:`lw_test` -- quadratic-loss identity test (Ledoit and Wolf 2002),
-  from ``sum((lam - 1)**2) = ||A - I||_F**2`` and ``tr(A)``; any ``z_n``.
-* :func:`j_test` -- John's sphericity test: the same loss for
-  ``A / (tr(A) / p)``, so rescaling ``A`` by a power of two leaves it
-  bit-identical.
+* ``bjyz`` -- likelihood-ratio identity test (Bai, Jiang, Yao and Zheng
+  2009): ``tr(A) - 2*sum(log(diag(L))) - p = sum(lam - log(lam) - 1)`` for
+  the Cholesky factor ``A = L L^T``, standardized as ``(raw - p*center -
+  mean_shift) / sqrt(variance)`` with the constants of
+  :func:`~spotspectra.rmt.mp_lss_constants` at ``z_n``; requires ``z_n < 1``.
+* ``lw`` -- quadratic-loss identity test (Ledoit and Wolf 2002):
+  ``||A - I||_F**2 / p - z_n * (tr(A) / p)**2 + z_n``, standardized as
+  ``(k_n * raw - p - 1) / 2``; any ``z_n``.
+* ``j`` -- John's sphericity test: ``||B - I||_F**2 / p`` for ``B = A /
+  (tr(A) / p)``, standardized like ``lw``, so rescaling ``A`` by a power of
+  two leaves it bit-identical.
 
-One private kernel computes all three from one ``tr(A)`` and one
-``||A - I||_F**2``, and raises :class:`~spotspectra.errors.NumericalError`
-if that norm is not finite (an overflowed estimate).  The public tests wrap
-it in :class:`TestReport` objects; the Monte Carlo harness calls it directly.
+:func:`evaluate_tests` runs them through one private kernel, which the Monte
+Carlo harness calls directly.  It computes all three from one ``tr(A)`` and
+one ``||A - I||_F**2``, and raises :class:`~spotspectra.errors.NumericalError`
+if that norm is not finite (an overflowed estimate).
 
 ``A`` is assumed symmetric positive semidefinite and is not checked: an
 indefinite matrix gives finite, meaningless ``lw`` and ``j`` statistics.
@@ -46,9 +49,6 @@ from .rmt import LssConstants, mp_lss_constants
 __all__ = [
     "TestKind",
     "TestReport",
-    "bjyz_test",
-    "lw_test",
-    "j_test",
     "evaluate_tests",
     "write_report_csv",
 ]
@@ -99,16 +99,18 @@ def _two_sided_pvalue(zscore: float) -> float:
 
 def _statistics(
     a: np.ndarray, k_n: int, kinds: Sequence[TestKind],
-    constants: Optional[LssConstants], eye: np.ndarray,
+    constants: Optional[LssConstants],
 ) -> list[tuple[float, float]]:
-    """``(raw, zscore)`` of each test in ``kinds`` on the ``p x p`` matrix ``a``.
+    """``(raw, zscore)`` of each test in ``kinds`` on the C-ordered ``p x p`` matrix ``a``.
 
-    The caller holds one BLAS thread and passes ``eye = np.eye(p)`` and, if
-    ``kinds`` has ``bjyz``, ``constants = mp_lss_constants(p / k_n)``.
+    The caller holds one BLAS thread and passes, if ``kinds`` has ``bjyz``,
+    ``constants = mp_lss_constants(p / k_n)``.  Subtracting 1 on the diagonal
+    alone is bit-identical to ``- np.eye(p)``: ``x - 0.0 == x`` for every float.
     """
     p = a.shape[0]
     trace = float(np.trace(a))
-    d = a - eye
+    d = a.copy()
+    d.reshape(-1)[:: p + 1] -= 1.0
     squared_distance = float(np.vdot(d, d))
     if not math.isfinite(squared_distance):
         raise NumericalError(f"||A - I||_F**2 = {squared_distance!r}: estimate is not finite")
@@ -139,7 +141,8 @@ def _statistics(
                 raise SingularEstimateError(
                     f"trace {trace!r} is not positive: sphericity normalization undefined"
                 )
-            d = a / (trace / p) - eye
+            d = a / (trace / p)
+            d.reshape(-1)[:: p + 1] -= 1.0
             raw = float(np.vdot(d, d)) / p
             zscore = (k_n * raw - p - 1.0) / 2.0
         stats.append((raw, zscore))
@@ -150,74 +153,34 @@ def _default_kinds(z_n: float) -> list[TestKind]:
     return [k for k in TestKind if k is not TestKind.BJYZ or z_n < 1.0]
 
 
-def _reports(est: SpotEstimate, kinds: Iterable[TestKind]) -> list[TestReport]:
-    try:
-        kinds = [TestKind(kind) for kind in kinds]
-    except ValueError as exc:
-        raise ConfigError(f"unknown test kind: {exc}") from None
-    constants = mp_lss_constants(est.z_n) if TestKind.BJYZ in kinds else None
-    with one_thread():
-        stats = _statistics(est.matrix, est.k_n, kinds, constants, np.eye(est.p))
-    return [
-        TestReport(kind, raw, zscore, _two_sided_pvalue(zscore), est.z_n, est.p, est.k_n)
-        for kind, (raw, zscore) in zip(kinds, stats)
-    ]
+def evaluate_tests(
+    est: SpotEstimate, kinds: Optional[Sequence[TestKind]] = None
+) -> list[TestReport]:
+    """The tests of the module docstring on one estimate, one report per entry of ``kinds``.
 
-
-def bjyz_test(est: SpotEstimate) -> TestReport:
-    """Log-spectral identity test: is the population covariance the identity?
-
-    Raw statistic ``tr(A) - 2*sum(log(diag(L))) - p`` for the Cholesky
-    factor ``A = L L^T``, which is ``sum(lam - log(lam) - 1)``, standardized
-    as ``(raw - p*center - mean_shift) / sqrt(variance)`` with the constants
-    of :func:`~spotspectra.rmt.mp_lss_constants` at ``z_n``.
+    With ``kinds=None`` all applicable tests run in the order ``bjyz, lw, j``,
+    where the log-spectral test is included only when ``z_n < 1``.
 
     Raises
     ------
     DegenerateStatisticError
-        If ``z_n >= 1``.
+        If ``kinds`` names ``bjyz`` and ``z_n >= 1``.
     SingularEstimateError
-        If the Cholesky factorization fails or a pivot ``L[i, i]**2`` is at
-        or below ``1e-12``.
+        For ``bjyz``, if the Cholesky factorization fails or a pivot
+        ``L[i, i]**2`` is at or below ``1e-12``; for ``j``, if the trace is
+        not strictly positive (normalization undefined).
     """
-    return _reports(est, [TestKind.BJYZ])[0]
-
-
-def lw_test(est: SpotEstimate) -> TestReport:
-    """Quadratic-loss identity test with dimension correction.
-
-    Raw statistic ``||A - I||_F**2 / p - z_n * (tr(A) / p)**2 + z_n``, which
-    is ``mean((lam - 1)**2) - z_n * mean(lam)**2 + z_n``, standardized as
-    ``(k_n * raw - p - 1) / 2``.  Defined for every aspect ratio.
-    """
-    return _reports(est, [TestKind.LW])[0]
-
-
-def j_test(est: SpotEstimate) -> TestReport:
-    """Sphericity test: is the population covariance proportional to the identity?
-
-    Raw statistic ``||B - I||_F**2 / p`` for ``B = A / (tr(A) / p)``,
-    standardized like :func:`lw_test`.  Because ``A`` is normalized first,
-    the report is bit-identical under ``A -> 2**m * A``.
-
-    Raises
-    ------
-    SingularEstimateError
-        If the trace is not strictly positive (normalization undefined).
-    """
-    return _reports(est, [TestKind.J])[0]
-
-
-def evaluate_tests(
-    est: SpotEstimate, kinds: Optional[Sequence[TestKind]] = None
-) -> list[TestReport]:
-    """Run several tests on one estimate, one report per entry of ``kinds``.
-
-    Each report is the one the standalone ``*_test`` call returns.  With
-    ``kinds=None`` all applicable tests run in the order ``bjyz, lw, j``,
-    where the log-spectral test is included only when ``z_n < 1``.
-    """
-    return _reports(est, _default_kinds(est.z_n) if kinds is None else kinds)
+    try:
+        kinds = [TestKind(kind) for kind in (_default_kinds(est.z_n) if kinds is None else kinds)]
+    except ValueError as exc:
+        raise ConfigError(f"unknown test kind: {exc}") from None
+    constants = mp_lss_constants(est.z_n) if TestKind.BJYZ in kinds else None
+    with one_thread():
+        stats = _statistics(np.ascontiguousarray(est.matrix), est.k_n, kinds, constants)
+    return [
+        TestReport(kind, raw, zscore, _two_sided_pvalue(zscore), est.z_n, est.p, est.k_n)
+        for kind, (raw, zscore) in zip(kinds, stats)
+    ]
 
 
 def write_report_csv(reports: Iterable[TestReport], stream: Union[str, TextIO]) -> None:

@@ -14,6 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from ._blas import one_thread
 from .errors import ConfigError, NumericalError
 
 __all__ = [
@@ -80,12 +81,14 @@ def eigenvalues_sym(matrix: np.ndarray) -> SpectralSample:
     ``±eps * ||A||_2``, and leaving the positive half of that noise in place
     would smear a point mass at zero across distinct tiny values.  Anything
     below the band raises :class:`~spotspectra.errors.NumericalError` because
-    the matrix is not a plausible covariance.
+    the matrix is not a plausible covariance.  The decomposition runs on one
+    OpenBLAS thread, so the bits do not depend on the caller's thread count.
     """
     m = checked_symmetric(matrix, "matrix")
     sym = 0.5 * (m + m.T)
     try:
-        lam = np.linalg.eigvalsh(sym)
+        with one_thread():
+            lam = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue decomposition failed: {exc}") from exc
     spectral_norm = max(abs(lam[0]), abs(lam[-1]))

@@ -24,10 +24,9 @@ from spotspectra import (
     SpotEstimate,
     TestKind,
     VolModel,
-    bjyz_test,
     eigenvalues_sym,
+    evaluate_tests,
     increments,
-    j_test,
     mp_lss_constants,
     realized_integrated_vol,
     rescale,
@@ -355,24 +354,24 @@ def test_acceptance_invariance_suite(capsys, monkeypatch, no_child_floor):
     est = spot_vol(incr, 0.0, _K_N)
     null_est = rescale(est, 1.0 / _BASE)
 
-    z_ref = j_test(est).zscore
-    dyadic_ok = all(
-        j_test(rescale(est, factor)).zscore == z_ref for factor in (0.25, 4.0, 1024.0)
-    )
-    generic_dev = abs(j_test(rescale(est, 3.7)).zscore - z_ref) / abs(z_ref)
+    def j_zscore(e):
+        return evaluate_tests(e, [TestKind.J])[0].zscore
+
+    def bjyz_raw(e):
+        return evaluate_tests(e, [TestKind.BJYZ])[0].raw
+
+    z_ref = j_zscore(est)
+    dyadic_ok = all(j_zscore(rescale(est, factor)) == z_ref for factor in (0.25, 4.0, 1024.0))
+    generic_dev = abs(j_zscore(rescale(est, 3.7)) - z_ref) / abs(z_ref)
 
     rng = np.random.default_rng(ACCEPT_SEED)
-    identity = SpotEstimate(
-        matrix=np.eye(34), t=0.0, k_n=_K_N, z_n=34 / _K_N, window=(1, _K_N)
-    )
-    raws = [bjyz_test(null_est).raw]
+    identity = SpotEstimate(matrix=np.eye(34), t=0.0, k_n=_K_N, window=(1, _K_N))
+    raws = [bjyz_raw(null_est)]
     for _ in range(50):
         g = rng.standard_normal((8, 20))
-        sample = SpotEstimate(
-            matrix=g @ g.T / 20, t=0.0, k_n=20, z_n=0.4, window=(1, 20)
-        )
-        raws.append(bjyz_test(sample).raw)
-    raw_ok = bjyz_test(identity).raw == 0.0 and all(r > 0.0 for r in raws)
+        sample = SpotEstimate(matrix=g @ g.T / 20, t=0.0, k_n=20, window=(1, 20))
+        raws.append(bjyz_raw(sample))
+    raw_ok = bjyz_raw(identity) == 0.0 and all(r > 0.0 for r in raws)
 
     q, _ = np.linalg.qr(rng.standard_normal((34, 34)))
     rotated = spot_vol(q @ incr, 0.0, _K_N).matrix

@@ -199,6 +199,29 @@ def test_test_nonfinite_or_nonpositive_scale_exits_2(tmp_path, capsys, scale):
     assert "matrix" not in err
 
 
+def test_test_zero_window_exits_2(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    write_matrix_csv(np.eye(2), str(matrix))
+    assert main(["test", "--matrix", str(matrix), "--k-n", "0"]) == 2
+    assert capsys.readouterr().err == "error: k_n must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["spot", "esd", "mc-size", "qq", "mc-power"])
+def test_overflowing_anchor_time_exits_2(tmp_path, capsys, command):
+    # t is finite, but t * n is not: no window start exists
+    if command == "spot":
+        path_csv = tmp_path / "path.csv"
+        main(["simulate", "--n", "64", "--p", "2", "--out", str(path_csv)])
+        rest = ["--path", str(path_csv)]
+    else:
+        rest = ["--seed", "0", "--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main([command, "--t", "1e308"] + rest) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: window start t * n is not finite: t = 1e+308, n = ")
+    assert err.count("\n") == 1
+
+
 def test_missing_input_csv_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert main(["spot", "--path", str(missing)]) == 2

@@ -20,6 +20,7 @@ from spotspectra import (
     spot_vol_from_window,
     write_matrix_csv,
 )
+from spotspectra.estimators import window_start
 
 
 def test_spot_hand_example():
@@ -70,6 +71,16 @@ def test_anchor_time_is_not_floored_below_its_cell():
     assert est.window == (30, 29 + k_n)
     block = incr[:, 29 : 29 + k_n]
     np.testing.assert_array_equal(est.matrix, spot_vol_from_window(block, 100, 0.29, k_n).matrix)
+
+
+@pytest.mark.parametrize("t", [math.nan, 1e308, -math.inf])
+def test_nonfinite_window_start_is_a_config_error(t):
+    # t * n is NaN or overflows: an error naming t and n, not a bare
+    # ValueError or OverflowError from the floor
+    with pytest.raises(ConfigError, match=r"t \* n is not finite: t = .*, n = 100$"):
+        window_start(t, 100)
+    with pytest.raises(ConfigError, match="t \\* n is not finite"):
+        spot_vol_from_window(np.ones((2, 10)), 100, t, 10)
 
 
 def test_output_is_exactly_symmetric():
@@ -136,19 +147,16 @@ def test_rescale():
 
 def test_spot_estimate_validation():
     good = np.eye(2)
-    SpotEstimate(matrix=good, t=0.0, k_n=4, z_n=0.5, window=(1, 4))
+    assert SpotEstimate(matrix=good, t=0.0, k_n=4, window=(1, 4)).z_n == 0.5
     with pytest.raises(ConfigError, match="square"):
-        SpotEstimate(matrix=np.zeros((2, 3)), t=0.0, k_n=4, z_n=0.5, window=(1, 4))
+        SpotEstimate(matrix=np.zeros((2, 3)), t=0.0, k_n=4, window=(1, 4))
     with pytest.raises(ConfigError, match="asymmetric"):
-        SpotEstimate(
-            matrix=np.array([[1.0, 0.5], [0.0, 1.0]]), t=0.0, k_n=4, z_n=0.5, window=(1, 4)
-        )
-    with pytest.raises(ConfigError, match="inconsistent"):
-        SpotEstimate(matrix=good, t=0.0, k_n=4, z_n=0.25, window=(1, 4))
+        SpotEstimate(matrix=np.array([[1.0, 0.5], [0.0, 1.0]]), t=0.0, k_n=4, window=(1, 4))
     with pytest.raises(ConfigError, match="non-finite"):
-        SpotEstimate(
-            matrix=np.array([[1.0, 0.0], [0.0, np.inf]]), t=0.0, k_n=4, z_n=0.5, window=(1, 4)
-        )
+        SpotEstimate(matrix=np.array([[1.0, 0.0], [0.0, np.inf]]), t=0.0, k_n=4, window=(1, 4))
+    for k_n in (0, 2.0):
+        with pytest.raises(ConfigError, match="k_n must be a positive integer"):
+            SpotEstimate(matrix=good, t=0.0, k_n=k_n, window=(1, 4))
 
 
 def test_matrix_csv_round_trip():

@@ -731,6 +731,19 @@ def test_esd_default_design_ks(tmp_path):
     assert artifact.ks_distance < 0.08
 
 
+def test_esd_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path, blas_threads):
+    # At p = 300 OpenBLAS would split the eigendecomposition across threads,
+    # and the split changes the last bits of the eigenvalues.
+    get, set_ = blas_threads
+    written = []
+    for threads in (1, 2):
+        set_(threads)
+        artifact = run_esd_figure(MCConfig(seed=8, p_list=(300,)), tmp_path / str(threads))[0]
+        assert get() == threads
+        written.append(artifact.path.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("field", ["p_list", "levels"])
 def test_mc_config_rejects_empty_list(field):
     with pytest.raises(ConfigError, match=f"{field} must name at least one"):

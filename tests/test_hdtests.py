@@ -14,11 +14,8 @@ from spotspectra import (
     SpotEstimate,
     TestKind,
     TestReport,
-    bjyz_test,
     eigenvalues_sym,
     evaluate_tests,
-    j_test,
-    lw_test,
     mp_lss_constants,
     rescale,
     spot_vol,
@@ -27,14 +24,7 @@ from spotspectra import (
 
 
 def _estimate(matrix, k_n):
-    matrix = np.asarray(matrix, dtype=float)
-    return SpotEstimate(
-        matrix=matrix,
-        t=0.0,
-        k_n=k_n,
-        z_n=matrix.shape[0] / k_n,
-        window=(1, k_n),
-    )
+    return SpotEstimate(matrix=np.asarray(matrix, dtype=float), t=0.0, k_n=k_n, window=(1, k_n))
 
 
 def _random_estimate(rng, p, k_n):
@@ -45,7 +35,7 @@ def _random_estimate(rng, p, k_n):
 def test_bjyz_identity_value():
     # identity input: every eigenvalue is 1, so the raw statistic is 0 and
     # the z-score reduces to -(p*center + mean_shift) / sqrt(variance)
-    report = bjyz_test(_estimate(np.eye(34), 68))
+    report = evaluate_tests(_estimate(np.eye(34), 68), [TestKind.BJYZ])[0]
     assert report.raw == 0.0
     c = mp_lss_constants(0.5)
     expected = -(34 * c.center + c.mean_shift) / math.sqrt(c.variance)
@@ -58,14 +48,14 @@ def test_bjyz_identity_value():
 
 def test_lw_identity_value():
     # identity input: raw = 0, z = (k*0 - p - 1)/2 = -17.5 for p=34
-    report = lw_test(_estimate(np.eye(34), 68))
+    report = evaluate_tests(_estimate(np.eye(34), 68), [TestKind.LW])[0]
     assert report.raw == 0.0
     assert report.zscore == -17.5
     assert report.kind is TestKind.LW
 
 
 def test_j_identity_value():
-    report = j_test(_estimate(np.eye(34), 68))
+    report = evaluate_tests(_estimate(np.eye(34), 68), [TestKind.J])[0]
     assert report.raw == 0.0
     assert report.zscore == -17.5
     assert report.kind is TestKind.J
@@ -76,10 +66,10 @@ def test_bjyz_raw_nonnegative_iff_ones():
     rng = np.random.default_rng(0)
     for _ in range(20):
         est = _random_estimate(rng, 8, 32)
-        assert bjyz_test(est).raw > 0.0
-    assert bjyz_test(_estimate(np.eye(5), 10)).raw == 0.0
+        assert evaluate_tests(est, [TestKind.BJYZ])[0].raw > 0.0
+    assert evaluate_tests(_estimate(np.eye(5), 10), [TestKind.BJYZ])[0].raw == 0.0
     nearly = _estimate(np.diag([1.0, 1.0, 1.0 + 1e-6]), 10)
-    assert bjyz_test(nearly).raw > 0.0
+    assert evaluate_tests(nearly, [TestKind.BJYZ])[0].raw > 0.0
 
 
 def test_bjyz_raw_matches_slogdet_route():
@@ -90,18 +80,18 @@ def test_bjyz_raw_matches_slogdet_route():
         sign, logdet = np.linalg.slogdet(est.matrix)
         assert sign == 1.0
         expected = float(np.trace(est.matrix)) - logdet - 6
-        assert bjyz_test(est).raw == pytest.approx(expected, rel=1e-10)
+        assert evaluate_tests(est, [TestKind.BJYZ])[0].raw == pytest.approx(expected, rel=1e-10)
 
 
 def test_lw_raw_matches_eigenvalue_route():
     # independent route: the eigenvalue form of the statistic on the
-    # validated spectrum, not the trace identities lw_test uses
+    # validated spectrum, not the trace identities the kernel uses
     rng = np.random.default_rng(2)
     for p, k_n in ((6, 24), (10, 8)):
         est = _random_estimate(rng, p, k_n)
         lam = eigenvalues_sym(est.matrix).eigenvalues
         expected = np.mean((lam - 1.0) ** 2) - (p / k_n) * np.mean(lam) ** 2 + p / k_n
-        report = lw_test(est)
+        report = evaluate_tests(est, [TestKind.LW])[0]
         assert report.raw == pytest.approx(expected, rel=1e-12)
         assert report.zscore == pytest.approx((k_n * expected - p - 1) / 2, rel=1e-12)
 
@@ -112,7 +102,7 @@ def test_j_raw_matches_eigenvalue_route():
         est = _random_estimate(rng, p, k_n)
         lam = eigenvalues_sym(est.matrix).eigenvalues
         expected = np.mean((p * lam / np.sum(lam) - 1.0) ** 2)
-        report = j_test(est)
+        report = evaluate_tests(est, [TestKind.J])[0]
         assert report.raw == pytest.approx(expected, rel=1e-12)
         assert report.zscore == pytest.approx((k_n * expected - p - 1) / 2, rel=1e-12)
 
@@ -120,29 +110,30 @@ def test_j_raw_matches_eigenvalue_route():
 def test_j_scale_invariance():
     rng = np.random.default_rng(4)
     est = _random_estimate(rng, 12, 30)
-    base = j_test(est)
+    base = evaluate_tests(est, [TestKind.J])[0]
     # power-of-two factors rescale the matrix without any rounding, so the
     # report must be bit-identical
     for factor in (0.25, 2.0, 1024.0):
-        scaled = j_test(rescale(est, factor))
+        scaled = evaluate_tests(rescale(est, factor), [TestKind.J])[0]
         assert scaled.zscore == base.zscore
         assert scaled.raw == base.raw
     # a general factor introduces one rounding step per entry, nothing more
-    general = j_test(rescale(est, 3.7))
+    general = evaluate_tests(rescale(est, 3.7), [TestKind.J])[0]
     assert general.zscore == pytest.approx(base.zscore, rel=1e-12)
 
 
 def test_identity_tests_are_scale_sensitive():
     rng = np.random.default_rng(5)
     est = _random_estimate(rng, 8, 32)
-    assert lw_test(rescale(est, 2.0)).zscore != lw_test(est).zscore
-    assert bjyz_test(rescale(est, 2.0)).zscore != bjyz_test(est).zscore
+    for kind in (TestKind.LW, TestKind.BJYZ):
+        scaled = evaluate_tests(rescale(est, 2.0), [kind])[0]
+        assert scaled.zscore != evaluate_tests(est, [kind])[0].zscore
 
 
 def test_pvalues():
     rng = np.random.default_rng(6)
     est = _random_estimate(rng, 8, 32)
-    report = lw_test(est)
+    report = evaluate_tests(est, [TestKind.LW])[0]
     assert report.pvalue == math.erfc(abs(report.zscore) / math.sqrt(2.0))
     # two-sided: z and -z give the same p-value; z = 1.96 is close to 5%
     z95 = 1.959963984540054
@@ -152,27 +143,27 @@ def test_pvalues():
 
 def test_bjyz_requires_narrow_aspect():
     with pytest.raises(DegenerateStatisticError, match="singular with probability one"):
-        bjyz_test(_estimate(np.eye(68), 68))
+        evaluate_tests(_estimate(np.eye(68), 68), [TestKind.BJYZ])[0]
 
 
 def test_bjyz_rejects_singular_input():
     with pytest.raises(SingularEstimateError, match="Cholesky factorization failed"):
-        bjyz_test(_estimate(np.diag([1.0, 1.0, 0.0]), 8))
+        evaluate_tests(_estimate(np.diag([1.0, 1.0, 0.0]), 8), [TestKind.BJYZ])[0]
     # the factorization succeeds, but its last pivot is below the 1e-12 floor
     with pytest.raises(SingularEstimateError, match="pivot 1.000000e-13"):
-        bjyz_test(_estimate(np.diag([1.0, 1.0, 1e-13]), 8))
+        evaluate_tests(_estimate(np.diag([1.0, 1.0, 1e-13]), 8), [TestKind.BJYZ])[0]
 
 
 def test_j_rejects_zero_trace():
     with pytest.raises(SingularEstimateError):
-        j_test(_estimate(np.zeros((3, 3)), 8))
+        evaluate_tests(_estimate(np.zeros((3, 3)), 8), [TestKind.J])[0]
 
 
 def test_overflowing_distance_to_identity_is_a_numerical_error():
     # finite entries, but ||A - I||_F**2 overflows to inf
-    for test in (bjyz_test, lw_test, j_test):
+    for kind in TestKind:
         with pytest.raises(NumericalError, match="estimate is not finite"):
-            test(_estimate(np.eye(3) * 1e200, 8))
+            evaluate_tests(_estimate(np.eye(3) * 1e200, 8), [kind])
 
 
 def test_evaluate_tests_default_selection():
@@ -195,18 +186,23 @@ def test_evaluate_tests_rejects_an_unknown_kind():
             evaluate_tests(est, kinds=[TestKind.LW, kind])
 
 
-def test_evaluate_tests_matches_standalone_calls():
+def test_evaluate_tests_single_kind_matches_all_kinds():
     rng = np.random.default_rng(8)
     est = _random_estimate(rng, 6, 24)
-    by_kind = {r.kind: r for r in evaluate_tests(est)}
-    for kind, standalone in (
-        (TestKind.BJYZ, bjyz_test(est)),
-        (TestKind.LW, lw_test(est)),
-        (TestKind.J, j_test(est)),
-    ):
-        assert by_kind[kind].raw == standalone.raw
-        assert by_kind[kind].zscore == standalone.zscore
-        assert by_kind[kind].pvalue == standalone.pvalue
+    every = evaluate_tests(est)
+    assert [r.kind for r in every] == list(TestKind)
+    for report in every:
+        assert evaluate_tests(est, [report.kind]) == [report]
+
+
+def test_evaluate_tests_does_not_depend_on_the_matrix_layout():
+    # The kernel forms A - I and B - I on the diagonal of a flat view, which
+    # needs C order; a Fortran-ordered estimate must give the same reports.
+    rng = np.random.default_rng(9)
+    est = _random_estimate(rng, 6, 24)
+    fortran = _estimate(np.asfortranarray(est.matrix), 24)
+    assert fortran.matrix.flags.f_contiguous and not fortran.matrix.flags.c_contiguous
+    assert evaluate_tests(fortran) == evaluate_tests(est)
 
 
 def test_report_csv():
@@ -232,6 +228,6 @@ def test_bjyz_factors_on_one_blas_thread(monkeypatch, blas_threads):
     real = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: counts.append(get()) or real(a))
     set_(2)
-    bjyz_test(_estimate(np.eye(3), 10))
+    evaluate_tests(_estimate(np.eye(3), 10), [TestKind.BJYZ])[0]
     assert counts == [1]
     assert get() == 2
