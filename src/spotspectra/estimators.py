@@ -18,6 +18,11 @@ module forms
   first snaps a product :math:`tn` lying within a relative ``1e-9`` of an
   integer to that integer, and rejects a product that is not finite.
 
+Both sums are one Gram product ``w @ w.T`` of a unit-stride copy ``w`` of the
+increments, on one BLAS thread, and so is every Monte Carlo estimate.  numpy
+forms it with BLAS ``syrk`` and mirrors one triangle, so it is exactly
+symmetric, whatever the input's layout, and no symmetrization pass follows.
+
 The spot estimate is the input to the spectral tests: its aspect ratio
 ``z_n = p / k_n`` plays the role of the concentration index in the
 Marchenko--Pastur approximation of its eigenvalue distribution.
@@ -90,12 +95,12 @@ class SpotEstimate:
         return self.p / self.k_n
 
 
-def _symmetrized_outer(block: np.ndarray) -> np.ndarray:
-    # (M + M^T)/2 with a power-of-two factor: exactly symmetric output.  One
-    # BLAS thread, so the bits do not depend on the host's core count.
+def _gram(window: np.ndarray) -> np.ndarray:
+    # A column-strided window can take a general product, which is not always
+    # symmetric; the copy (a no-op for a C-contiguous window) avoids it.
+    w = np.ascontiguousarray(window)
     with one_thread():
-        m = block @ block.T
-    return 0.5 * (m + m.T)
+        return w @ w.T
 
 
 def window_start(t: float, n: int) -> int:
@@ -123,7 +128,7 @@ def realized_integrated_vol(incr: np.ndarray) -> np.ndarray:
         :math:`\\sum_i (\\Delta_i X)(\\Delta_i X)^\\top`.
     """
     incr = _validated_increments(incr)
-    return _symmetrized_outer(incr)
+    return _gram(incr)
 
 
 def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
@@ -143,8 +148,8 @@ def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
     Returns
     -------
     SpotEstimate
-        ``(n / k_n)`` times the symmetrized sum of outer products over the
-        window, with the window metadata attached.
+        ``(n / k_n)`` times the sum of outer products over the window (an
+        exactly symmetric Gram matrix), with the window metadata attached.
 
     Raises
     ------
@@ -181,7 +186,7 @@ def spot_vol_from_window(
         )
     start = window_start(t, n)
     return SpotEstimate(
-        matrix=(n / k_n) * _symmetrized_outer(window),
+        matrix=(n / k_n) * _gram(window),
         t=t,
         k_n=k_n,
         window=(start + 1, start + k_n),

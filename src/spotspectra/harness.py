@@ -4,9 +4,9 @@ One experiment sweeps a list of cross-section dimensions ``p`` at a fixed
 window length ``k_n``; each replication simulates only the increment window
 the spot estimator consumes, normalizes the estimate by the null variance
 level so the null population is the identity, and records the z-scores of
-every applicable test.  The estimate takes the products of the public
-``rescale(spot_vol_from_window(...), 1 / base)`` in the same order, so it is
-bit-identical, but is symmetric by construction and is not validated again:
+every applicable test.  The estimate is the public estimator's Gram scaled
+as ``rescale(spot_vol_from_window(...), 1 / base)`` scales it, so it is
+bit-identical; it is exactly symmetric and is not validated again:
 the :mod:`~spotspectra.hdtests` kernel it goes to checks that
 ``||A - I||_F**2`` is finite, so an overflow is a keyed numerical error.
 Replications are keyed to counter-based substreams, so results are
@@ -45,7 +45,7 @@ import numpy as np
 from ._blas import one_thread
 from ._csvio import make_dir, write_csv
 from .errors import ConfigError, NumericalError, WorkerError
-from .estimators import _symmetrized_outer, window_start
+from .estimators import _gram, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
 from .simkit import VolKind, VolModel, _window_source
@@ -153,6 +153,8 @@ class MCConfig:
             raise ConfigError("levels must name at least one test level")
         if any(not 0.0 < lv < 1.0 for lv in self.levels):
             raise ConfigError(f"levels must lie in (0, 1), got {self.levels!r}")
+        if len(set(self.levels)) != len(self.levels):
+            raise ConfigError(f"levels must be distinct, got {self.levels!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
 
@@ -181,8 +183,9 @@ class MCSummary:
 
 def _null_unit(window: np.ndarray, n: int, k_n: int, inv_scale: float) -> np.ndarray:
     """The matrix of ``rescale(spot_vol_from_window(window, n, ...), inv_scale)``."""
+    matrix = _gram(window)
     with np.errstate(over="ignore"):  # its consumer reports an inf
-        matrix = (n / k_n) * _symmetrized_outer(window)
+        matrix *= n / k_n
         matrix *= inv_scale
     return matrix
 
@@ -260,8 +263,10 @@ def _run_experiments(cfgs: Sequence[MCConfig]) -> list[MCSummary]:
     replication draws its noise rows once for every cell, and one fan-out
     serves them all, one chunk per process, this one running chunk 0.  The
     configs may differ only in the model's kind and amplitude and in the
-    alternative."""
+    alternative, and no two may be equal."""
     cfg = cfgs[0]
+    if len(set(cfgs)) != len(cfgs):
+        raise ConfigError("experiments run together must be distinct; a table would repeat rows")
     cells = tuple(cell for c in cfgs for cell in _cells(c))
     for c in cfgs:
         same = replace(c, model=cfg.model, alternative=cfg.alternative) == cfg

@@ -22,10 +22,11 @@ Randomness is organised as counter-based Philox substreams keyed by
 ``(replication, coordinate)`` under a single master seed, so Monte Carlo
 results are reproducible bit-for-bit regardless of scheduling or worker
 count.  Coordinate index ``p`` (one past the last price coordinate) is
-reserved for the volatility driver of ``STOCHASTIC_BM``.  One ``Philox``
-generator serves each public call and each window source (the harness's
-route to windows), re-keyed with a zero counter to each key in turn; it
-draws what ``Philox(key=(seed, replication << 20 | coordinate))`` would.
+reserved for the volatility driver of ``STOCHASTIC_BM``.  Every draw, public
+or Monte Carlo, goes through one window source: one ``Philox`` generator,
+re-keyed with a zero counter to each key in turn, so it draws what
+``Philox(key=(seed, replication << 20 | coordinate))`` would.  The public
+:func:`simulate_window_increments` is a validated one-cell source.
 """
 
 from __future__ import annotations
@@ -291,7 +292,8 @@ def simulate_window_increments(
     window draw consumes the first ``count`` variates of each stream, so it
     coincides bit-for-bit with the leading columns of a full path only when
     ``start == 0``.  The distribution is correct for any ``start`` because
-    the cell variances are evaluated at their true positions.
+    the cell variances are evaluated at their true positions.  It checks its
+    arguments and draws from a one-cell :func:`_window_source`.
     """
     if not isinstance(start, int) or start < 0:
         raise ConfigError(f"start must be a nonnegative integer, got {start!r}")
@@ -308,22 +310,7 @@ def simulate_window_increments(
         raise ConfigError(f"replication index must be an integer, got {replication!r}") from None
     if not 0 <= replication <= _MAX_REPLICATION:
         raise ConfigError(f"replication index {replication} outside [0, 2**44)")
-    p = config.p
-    stream = _substreams(config.seed, p)
-    variances = _variance_profile(model, config.n, start, count, p, lambda: stream(replication, p))
-    noise = np.empty((p, count))
-    _draw_noise(stream, noise, replication)
-    noise *= np.sqrt(variances)
-    return noise
-
-
-def _draw_noise(
-    stream: Callable[[int, int], Generator], rows: Sequence[np.ndarray], replication: int,
-) -> None:
-    """Fill row ``j`` of ``rows`` (an array or a list of row views) with the
-    first variates of substream ``(replication, j)``."""
-    for j, row in enumerate(rows):
-        stream(replication, j).standard_normal(out=row)  # no size: it costs a shape check
+    return _window_source(config.seed, config.n, start, count, [(config.p, model)])(replication)[0]
 
 
 def _window_source(
@@ -331,7 +318,7 @@ def _window_source(
 ) -> Callable[[int], list[np.ndarray]]:
     """Return ``draw(replication)``: the ``p x count`` windows of cells
     ``start+1 .. start+count``, one per ``(p, model)`` of ``cells`` and each
-    what :func:`simulate_window_increments` draws for that cell alone.
+    what a source of that cell alone draws.  Callers check the arguments.
 
     A draw fills the largest ``p``'s noise rows once, in a reused buffer, and
     each cell scales its leading ``p`` rows (a row's substream does not depend
@@ -349,7 +336,8 @@ def _window_source(
     ]
 
     def draw(replication: int) -> list[np.ndarray]:
-        _draw_noise(stream, rows, replication)
+        for j, row in enumerate(rows):
+            stream(replication, j).standard_normal(out=row)  # no size: it costs a shape check
         windows = []
         for (p, model), sd in zip(cells, sds):
             if sd is None:

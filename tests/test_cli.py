@@ -34,7 +34,7 @@ from spotspectra import (
     write_size_table,
 )
 import spotspectra
-from spotspectra import _blas, cli, harness, simkit
+from spotspectra import _blas, cli, harness
 from spotspectra.cli import main
 
 
@@ -410,6 +410,24 @@ def test_empty_list_value_exits_2(tmp_path, capsys, argv):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mc-size", "--levels", "0.05,0.05"], "levels must be distinct"),
+        (["mc-size", "--r1", "0,0"], "experiments run together must be distinct"),
+        (["mc-power", "--s", "0.45,0.45"], "experiments run together must be distinct"),
+    ],
+    ids=["mc-size --levels", "mc-size --r1", "mc-power --s"],
+)
+def test_repeated_sweep_value_exits_2(tmp_path, capsys, argv, message):
+    # a repeated value would write each of its table rows twice
+    out_dir = tmp_path / "out"
+    argv = argv + ["--seed", "0", "--reps", "2", "--n", "400", "--p-list", "8"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not list(out_dir.glob("*.csv"))
+
+
 _SAME_OPTIONS = {
     "simulate": {"n": "64", "p": "3", "seed": "5", "r1": "0.0004", "out": "{out}/a.csv"},
     "spot": {"path": "{path}", "t": "0.25", "k-n": "8", "out": "{out}/a.csv"},
@@ -485,14 +503,19 @@ def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, no_child_
     # At --workers 2 a forked child process runs replications 5..9, so the
     # key must survive the trip back to this process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real = simkit._draw_noise
+    real = harness._window_source
 
-    def fail_at_5(stream, rows, rep):
-        if rep == 5:
-            raise SingularEstimateError("injected pivot failure")
-        return real(stream, rows, rep)
+    def source_failing_at_5(*args):
+        draw = real(*args)
 
-    monkeypatch.setattr(simkit, "_draw_noise", fail_at_5)
+        def fail_at_5(rep):
+            if rep == 5:
+                raise SingularEstimateError("injected pivot failure")
+            return draw(rep)
+
+        return fail_at_5
+
+    monkeypatch.setattr(harness, "_window_source", source_failing_at_5)
     rc = main(
         ["mc-size", "--seed", "3", "--reps", "10", "--n", "400", "--p-list", "8",
          "--workers", workers, "--out-dir", str(tmp_path)]
@@ -637,6 +660,19 @@ def test_esd_overflow_is_a_keyed_numerical_failure(tmp_path, capsys):
         "numerical failure: seed 8, p 8, replication 0: estimate is not finite\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["esd", "mc-size"])
+def test_gram_near_the_largest_float_is_no_overflow(tmp_path, capsys, command):
+    # With n / k_n < 2 the Gram's entries (about 9e307 here) lie above half the
+    # largest float while the estimate in null units is about 1, so adding the
+    # Gram to its transpose would overflow: the Gram must be used as it is.
+    rc = main(
+        [command, "--seed", "8", "--n", "400", "--k-n", "300", "--p-list", "8",
+         "--base", "1.2e308", "--out-dir", str(tmp_path)]
+    )
+    assert rc == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_esd_prints_distance_per_dimension(tmp_path, capsys):

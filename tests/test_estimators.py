@@ -20,6 +20,7 @@ from spotspectra import (
     spot_vol_from_window,
     write_matrix_csv,
 )
+from spotspectra import estimators
 from spotspectra.estimators import window_start
 
 
@@ -90,6 +91,43 @@ def test_output_is_exactly_symmetric():
     np.testing.assert_array_equal(est.matrix, est.matrix.T)
     integrated = realized_integrated_vol(incr)
     np.testing.assert_array_equal(integrated, integrated.T)
+
+
+def _layouts(p, k_n, seed):
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((p, 3 * k_n))
+    window = np.ascontiguousarray(wide[:, k_n : 2 * k_n])
+    return {
+        "C": window,
+        "F": np.asfortranarray(window),
+        "column slice": wide[:, k_n : 2 * k_n],
+        "column stride": np.repeat(window, 2, axis=1)[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("p", [1, 8, 34, 102, 300])
+def test_gram_is_exactly_symmetric_for_every_layout(p):
+    # No symmetrization pass follows the Gram: its symmetry rests on numpy
+    # forming ``w @ w.T`` of a unit-stride ``w`` with BLAS syrk.  This fails if
+    # a numpy or BLAS release stops doing so.
+    for k_n in (20, 68):
+        layouts = _layouts(p, k_n, seed=p)
+        reference = estimators._gram(layouts["C"])
+        for name, window in layouts.items():
+            assert np.array_equal(window, layouts["C"])
+            gram = estimators._gram(window)
+            assert np.array_equal(gram, gram.T), f"{name} Gram is not symmetric at p = {p}"
+            assert np.array_equal(gram, reference), f"{name} Gram differs from C order at p = {p}"
+
+
+def test_spot_bits_do_not_depend_on_the_memory_order():
+    incr = np.random.default_rng(5).standard_normal((34, 400))
+    c_order = spot_vol(np.ascontiguousarray(incr), 0.3, 20).matrix
+    f_order = spot_vol(np.asfortranarray(incr), 0.3, 20).matrix
+    assert np.array_equal(c_order, f_order)
+    np.testing.assert_array_equal(
+        realized_integrated_vol(np.asfortranarray(incr)), realized_integrated_vol(incr)
+    )
 
 
 def test_tiling_windows_reassemble_integrated_vol():

@@ -59,6 +59,8 @@ def test_mc_config_defaults_and_validation():
         MCConfig(seed=0, p_list=(0,))
     with pytest.raises(ConfigError, match="p_list entries must be distinct"):
         MCConfig(seed=0, p_list=(34, 68, 34))
+    with pytest.raises(ConfigError, match="levels must be distinct"):
+        MCConfig(seed=0, levels=(0.05, 0.1, 0.05))
     # entries are taken as integers, never truncated or parsed
     assert MCConfig(seed=0, p_list=(np.int64(34), 68)).p_list == (34, 68)
     for p_list in ((34.7, 68.2), ("34",), (34.0,)):
@@ -505,6 +507,17 @@ def test_run_of_many_models_rejects_other_differences():
     ):
         with pytest.raises(ConfigError, match="may differ only in"):
             harness._run_experiments([first, other])
+
+
+def test_run_of_many_models_rejects_equal_configs():
+    # two equal configs would write each of their table rows twice
+    design = dict(seed=0, reps=2, n=400, p_list=(8,))
+    for model in (VolModel.deterministic_sin(0.0009, 0.0004), VolModel.stochastic_bm(0.0009, 0.02)):
+        with pytest.raises(ConfigError, match="must be distinct"):
+            harness._run_experiments([MCConfig(**design, model=model)] * 2)
+    power = [MCConfig(**design, alternative=Alternative(s=s)) for s in (0.45, 0.6, 0.45)]
+    with pytest.raises(ConfigError, match="must be distinct"):
+        harness._run_experiments(power)
 
 
 _CHUNK_MODELS = {
