@@ -29,6 +29,7 @@ from .estimators import SpotEstimate, _check_factor, read_matrix_csv, spot_vol, 
 from .harness import (
     Alternative,
     MCConfig,
+    _plan,
     _run_experiments,
     run_esd_figure,
     run_qq_figure,
@@ -243,21 +244,23 @@ def _cmd_mc_size(cfg: dict) -> None:
     if cfg["r2"] is not None:
         if any(cfg["r1"]):
             raise ConfigError("give either r1 or r2, not both")
-        models = [VolModel.stochastic_bm(cfg["base"], v) for v in cfg["r2"]]
+        cfgs = [_mc_config(cfg, VolModel.stochastic_bm(cfg["base"], v)) for v in cfg["r2"]]
     else:
-        models = [VolModel.deterministic_sin(cfg["base"], v) for v in cfg["r1"]]
+        cfgs = [_mc_config(cfg, VolModel.deterministic_sin(cfg["base"], v)) for v in cfg["r1"]]
+    _plan(cfgs, 1)  # a config error leaves no directory behind
     out = make_dir(cfg["out_dir"]) / "size_table.csv"
-    write_size_table(_run_experiments([_mc_config(cfg, model) for model in models]), str(out))
+    write_size_table(_run_experiments(cfgs), str(out))
     print(out)
 
 
 def _cmd_mc_power(cfg: dict) -> None:
-    out = make_dir(cfg["out_dir"]) / "power_table.csv"
     cfgs = [
         _mc_config(cfg, VolModel.deterministic_sin(cfg["base"], r1), Alternative(s=s, low=cfg["low"]))
         for s in cfg["s"]
         for r1 in cfg["r1"]
     ]
+    _plan(cfgs, 1)
+    out = make_dir(cfg["out_dir"]) / "power_table.csv"
     write_power_table(_run_experiments(cfgs), str(out))
     print(out)
 

@@ -16,12 +16,12 @@ replication's noise rows once for all ``(model, p)`` cells of a run or for
 all ``p`` of an ESD figure; the figure's estimates take the same products and
 are validated once.  An experiment call runs its model's cells, and the
 ``mc-size`` and ``mc-power`` commands run every model of their table as one.
-``workers`` counts worker processes, the calling process included: a run
-cuts its replications into one chunk per process, runs chunk 0 itself and
-each other chunk, over all of its cells, in one child process.  It starts at
-most ``workers`` processes, no more than the replications or the usable
-CPUs, and none whose chunk is too small to pay for the fork (see
-``_CHILD_MIN_ROWS``).  A run keeps its kernels on one OpenBLAS thread in
+``workers`` counts worker processes, the calling process included.  One
+function decides a run's cells, process count and chunks from its configs
+and usable CPUs before anything runs: at most ``workers`` processes, no more
+than the replications or CPUs, and no child whose chunk is too small to pay
+for its fork (``_CHILD_MIN_ROWS``).  The run takes chunk 0 itself and each
+other chunk in one child process, keeps its kernels on one OpenBLAS thread in
 every process and restores the caller's thread count when it ends.
 
 The log-spectral test is skipped (left out of the result dictionaries, the
@@ -257,13 +257,13 @@ def _cells(cfg: MCConfig) -> tuple[_Cell, ...]:
     )
 
 
-def _run_experiments(cfgs: Sequence[MCConfig]) -> list[MCSummary]:
-    """One summary per config, each what its own size or power experiment
-    returns, from one run over all of their ``(model, p)`` cells: each
-    replication draws its noise rows once for every cell, and one fan-out
-    serves them all, one chunk per process, this one running chunk 0.  The
-    configs may differ only in the model's kind and amplitude and in the
-    alternative, and no two may be equal."""
+def _plan(cfgs: Sequence[MCConfig], cpus: int) -> tuple[tuple[_Cell, ...], list[tuple[int, int]]]:
+    """The cells of one run over ``cfgs`` and its replication chunks, chunk 0
+    the calling process's; it starts, draws and writes nothing.  The configs
+    may differ only in the model's kind and amplitude and in the alternative,
+    and no two may be equal.  ``workers`` comes from the user: the run uses no
+    more processes than replications or ``cpus`` usable CPUs, and no child
+    whose chunk costs less than its fork."""
     cfg = cfgs[0]
     if len(set(cfgs)) != len(cfgs):
         raise ConfigError("experiments run together must be distinct; a table would repeat rows")
@@ -275,16 +275,20 @@ def _run_experiments(cfgs: Sequence[MCConfig]) -> list[MCSummary]:
                 "experiments run together may differ only in the model's kind and "
                 "amplitude and in the alternative"
             )
-    args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, cells, cfg.model.base)
-    # workers comes from the user: never run more processes, this one included,
-    # than there are replications or CPUs this process may run on (a taskset or
-    # cgroup cpuset can leave fewer than the machine has), nor a child whose
-    # chunk costs less than the fork.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     rows = cfg.reps * sum(p for p, _, _ in cells)
     processes = max(1, min(cfg.workers, cpus, cfg.reps, rows // _CHILD_MIN_ROWS))
     size = math.ceil(cfg.reps / processes)
-    bounds = [(lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)]
+    return cells, [(lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)]
+
+
+def _run_experiments(cfgs: Sequence[MCConfig]) -> list[MCSummary]:
+    """One summary per config, as its own size or power experiment returns it,
+    from one run of :func:`_plan`'s cells and chunks, chunk 0 in this process."""
+    # A taskset or cgroup cpuset can leave fewer usable CPUs than the machine has.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cells, bounds = _plan(cfgs, cpus)
+    cfg = cfgs[0]
+    args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, cells, cfg.model.base)
     children = []
     try:
         with one_thread():
@@ -368,10 +372,10 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     the MP distribution with index ``p / k_n``.  An estimate that overflows
     is a :class:`NumericalError` keyed ``seed S, p P, replication 0``.
     """
-    out_dir = make_dir(out_dir)
     inv_scale = 1.0 / _null_scale(cfg.model)
     cells = tuple((p, cfg.model) for p in cfg.p_list)
     windows = _window_source(cfg.seed, cfg.n, window_start(cfg.t, cfg.n), cfg.k_n, cells)(0)
+    out_dir = make_dir(out_dir)
     artifacts = []
     for p, window in zip(cfg.p_list, windows):
         matrix = _null_unit(window, cfg.n, cfg.k_n, inv_scale)
@@ -408,6 +412,7 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
     ``theoretical, empirical``: the ``(i - 1/2) / reps`` normal quantiles
     against the sorted z-scores.
     """
+    _plan([cfg], 1)  # a config error leaves no directory behind
     out_dir = make_dir(out_dir)
     summary = run_size_experiment(cfg)
     dist = NormalDist()

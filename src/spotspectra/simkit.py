@@ -322,7 +322,8 @@ def _window_source(
 
     A draw fills the largest ``p``'s noise rows once, in a reused buffer, and
     each cell scales its leading ``p`` rows (a row's substream does not depend
-    on ``p``).  Only a ``STOCHASTIC_BM`` profile with ``r2 > 0`` is random: it
+    on ``p``), the last cell in place, so a draw's windows are valid until the
+    next draw.  Only a ``STOCHASTIC_BM`` profile with ``r2 > 0`` is random: it
     is drawn per replication from coordinate ``p``; the others are hoisted.
     """
     top = max(p for p, _ in cells)
@@ -343,7 +344,8 @@ def _window_source(
             if sd is None:
                 var = _variance_profile(model, n, start, count, p, lambda: stream(replication, p))
                 sd = np.sqrt(var)
-            windows.append(noise[:p] * sd)
+            last = len(windows) == len(cells) - 1
+            windows.append(np.multiply(noise[:p], sd, out=noise[:p] if last else None))
         return windows
 
     return draw

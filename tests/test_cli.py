@@ -425,7 +425,23 @@ def test_repeated_sweep_value_exits_2(tmp_path, capsys, argv, message):
     argv = argv + ["--seed", "0", "--reps", "2", "--n", "400", "--p-list", "8"]
     assert main(argv + ["--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
-    assert not list(out_dir.glob("*.csv"))
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-size", "--reps", "0"],
+        ["mc-power", "--reps", "2", "--s", "0.45,0.45"],
+        ["esd", "--base", "0"],
+        ["qq", "--base", "0", "--reps", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_config_error_leaves_no_directory(tmp_path, argv):
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--seed", "0", "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
 
 
 _SAME_OPTIONS = {

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import signal
 import time
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -128,132 +129,130 @@ def test_worker_count_does_not_change_output(monkeypatch, no_child_floor):
             np.testing.assert_array_equal(serial.zscores[key], parallel.zscores[key])
 
 
-class _InlineProcess:
-    # A stand-in for multiprocessing.Process whose start runs the child entry
-    # in this process and records its replication range, so no process is
-    # started whatever the worker count.
-    chunks = []
-
-    def __init__(self, target, args):
-        assert target is harness._run_child
-        self.args = args
-
-    def start(self):
-        self.chunks.append(tuple(self.args[-2:]))
-        harness._run_child(*self.args)
-
-    def kill(self):
-        pass
-
-    def join(self):
-        pass
+# p = 4,096 gives each replication a child's worth of rows, so only the
+# workers, the CPUs and the replications bound these plans.
+_WIDE = dict(n=400, p_list=(4096,))
 
 
-@pytest.fixture
-def inline_processes(monkeypatch):
-    monkeypatch.setattr(harness, "Process", _InlineProcess)
-    monkeypatch.setattr(_InlineProcess, "chunks", [])
-    return _InlineProcess.chunks
-
-
-def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch, inline_processes, no_child_floor):
-    # Without an affinity call the bound is os.cpu_count().  The calling
-    # process runs chunk 0, so one child fewer than the bound starts, once
-    # per experiment call whatever the number of dimensions.
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    serial = run_size_experiment(MCConfig(seed=7, **_SMALL))
-    for workers, cores, expected in (
-        (8, 3, [(10, 20), (20, 30)]),
-        (50, 64, [(lo, lo + 1) for lo in range(1, 30)]),
-        (4, None, []),
+def test_worker_pool_is_bounded_by_chunks_and_cores():
+    # One chunk per process, the calling process's first: 30 replications
+    # make 3 chunks on 3 CPUs, and 30 for 50 workers on 64.
+    for workers, cpus, expected in (
+        (8, 3, [(0, 10), (10, 20), (20, 30)]),
+        (50, 64, [(lo, lo + 1) for lo in range(30)]),
+        (4, 1, [(0, 30)]),
     ):
-        # 30 reps: 3 processes make 3 chunks, 50 workers make 30 chunks
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        inline_processes.clear()
-        bounded = run_size_experiment(MCConfig(seed=7, **_SMALL, workers=workers))
-        assert inline_processes == expected
-        for key in serial.zscores:
-            np.testing.assert_array_equal(serial.zscores[key], bounded.zscores[key])
+        cfg = MCConfig(seed=7, reps=30, **_WIDE, workers=workers)
+        assert harness._plan([cfg], cpus)[1] == expected
 
 
-def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch, inline_processes, no_child_floor):
+def test_worker_pool_is_bounded_by_usable_cpus():
+    cfg = MCConfig(seed=7, reps=30, **_WIDE, workers=8)
+    assert harness._plan([cfg], 1)[1] == [(0, 30)]
+    assert harness._plan([cfg], 3)[1] == [(0, 10), (10, 20), (20, 30)]
+
+
+def test_run_plans_for_the_cpus_it_may_use(monkeypatch):
     # A process pinned to fewer CPUs than the machine has (taskset, cpuset)
-    # counts only the CPUs it may run on.
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    for affinity, expected in (({0}, []), ({0, 1, 2}, [(10, 20), (20, 30)])):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-        inline_processes.clear()
-        run_size_experiment(MCConfig(seed=7, **dict(_SMALL, p_list=(8,)), workers=8))
-        assert inline_processes == expected
+    # counts only those; without an affinity call, os.cpu_count(), or 1.
+    real, planned = harness._plan, []
+    monkeypatch.setattr(harness, "_plan", lambda cfgs, cpus: planned.append(cpus) or real(cfgs, cpus))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    for cores in (64, 3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        run_size_experiment(MCConfig(seed=7, reps=1, n=400, p_list=(8,)))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert planned == [3, 3, 1]
 
 
-def test_chunks_are_cut_per_process(monkeypatch, inline_processes, no_child_floor):
+def test_chunks_are_cut_per_process():
     # 4 workers on 2 usable CPUs: one child, and this process runs half of
     # the replications (rounded up), not a quarter.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real = harness._run_rep_range
-    ranges = []
-    monkeypatch.setattr(harness, "_run_rep_range", lambda *a: ranges.append(a[-2:]) or real(*a))
-    cfg = dict(_SMALL, reps=7)
-    split = run_size_experiment(MCConfig(seed=7, **cfg, workers=4))
-    assert inline_processes == [(4, 7)]
-    assert ranges == [(4, 7), (0, 4)]  # the stand-in child runs at start
-    serial = run_size_experiment(MCConfig(seed=7, **cfg))
+    cfg = MCConfig(seed=7, reps=7, **_WIDE, workers=4)
+    assert harness._plan([cfg], 2)[1] == [(0, 4), (4, 7)]
+
+
+def test_run_executes_the_plans_chunks(monkeypatch, no_child_floor):
+    # This process runs chunk 0 and one child each other chunk, exactly as
+    # planned, and the uneven pieces join to the serial run.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cfg = MCConfig(seed=7, **dict(_SMALL, reps=7), workers=4)
+    serial = run_size_experiment(replace(cfg, workers=1))
+    rep_range, process, ranges, started = harness._run_rep_range, harness.Process, [], []
+    monkeypatch.setattr(harness, "_run_rep_range", lambda *a: ranges.append(a[-2:]) or rep_range(*a))
+    monkeypatch.setattr(harness, "Process", lambda **kw: started.append(kw["args"][-2:]) or process(**kw))
+    split = run_size_experiment(cfg)
+    bounds = harness._plan([cfg], 3)[1]
+    assert bounds == [(0, 3), (3, 6), (6, 7)]
+    assert (ranges, started) == (bounds[:1], bounds[1:])
     assert set(split.zscores) == set(serial.zscores)
     for key in serial.zscores:
         np.testing.assert_array_equal(serial.zscores[key], split.zscores[key])
 
 
+@pytest.mark.parametrize(
+    "cfgs, bounds",
+    [
+        # mc-size --r1 0,0.0004 --reps 20: 20 x 2 x 204 = 8,160 rows < 2 x 4,096
+        ([MCConfig(seed=0, reps=20, model=VolModel.deterministic_sin(0.0009, r1), workers=2)
+          for r1 in (0.0, 0.0004)], [(0, 20)]),
+        # a benchmark table cell: 20 x 102 = 2,040 rows
+        ([MCConfig(seed=0, reps=20, p_list=(102,), alternative=Alternative(s=0.45), workers=2)],
+         [(0, 20)]),
+        ([MCConfig(seed=0, workers=2)], [(0, 500), (500, 1000)]),  # the default design
+    ],
+    ids=["roadmap-example", "table-cell", "default-design"],
+)
+def test_plan_decides_on_two_cpus_without_running(monkeypatch, cfgs, bounds):
+    for name in ("Process", "Pipe", "one_thread", "_run_rep_range", "_window_source", "make_dir"):
+        monkeypatch.setattr(harness, name, None)  # the plan starts, draws and writes nothing
+    assert harness._plan(cfgs, 2)[1] == bounds
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_restores_blas_threads_when_a_replication_raises(
-    monkeypatch, inline_processes, no_child_floor, blas_threads, workers
+    monkeypatch, no_child_floor, blas_threads, workers
 ):
+    # A child's own thread count is checked by
+    # test_a_forked_child_runs_on_one_blas_thread.
     get, set_ = blas_threads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real = harness._run_rep_range
-    seen = []
+    rep_range, process, seen, started = harness._run_rep_range, harness.Process, [], []
 
     def chunk_0_fails(*args):
         seen.append((args[-2], get()))
         if args[-2] == 0:
             raise SingularEstimateError("replication 0 failed")
-        return real(*args)
+        return rep_range(*args)
 
     monkeypatch.setattr(harness, "_run_rep_range", chunk_0_fails)
+    monkeypatch.setattr(harness, "Process", lambda **kw: started.append(kw["args"][-2:]) or process(**kw))
     set_(2)
     with pytest.raises(SingularEstimateError, match="replication 0 failed"):
         run_size_experiment(MCConfig(seed=7, reps=4, n=400, p_list=(8,), workers=workers))
-    # The child takes chunk 1 (replications 2, 3) before this process runs chunk 0.
-    assert seen == [(2, 1), (0, 1)][2 - workers :]
-    assert inline_processes == [(2, 4)] * (workers - 1)
+    # A child is started for chunk 1 (replications 2, 3) before this process runs chunk 0.
+    assert seen == [(0, 1)]
+    assert started == [(2, 4)] * (workers - 1)
     assert get() == 2
+    assert multiprocessing.active_children() == []
 
 
-def test_no_child_below_the_floor(monkeypatch):
+def test_no_child_below_the_floor():
     # A child must get at least _CHILD_MIN_ROWS replication rows (replications
     # x the sum of the cells' p) to pay for its fork; below that the calling
     # process runs every replication, whatever the worker count.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-    def no_process(**kwargs):
-        raise AssertionError("a child process was started")
-
-    monkeypatch.setattr(harness, "Process", no_process)
-    serial = run_size_experiment(MCConfig(seed=7, **_SMALL))
-    below = run_size_experiment(MCConfig(seed=7, **_SMALL, workers=2))
-    for key in serial.zscores:
-        np.testing.assert_array_equal(serial.zscores[key], below.zscores[key])
+    assert harness._plan([MCConfig(seed=7, **_SMALL, workers=2)], 2)[1] == [(0, 30)]
     # one row short of two chunks' worth at p = 8
     reps = 2 * harness._CHILD_MIN_ROWS // 8 - 1
-    run_size_experiment(MCConfig(seed=7, reps=reps, n=400, p_list=(8,), workers=2))
+    cfg = MCConfig(seed=7, reps=reps, n=400, p_list=(8,), workers=2)
+    assert harness._plan([cfg], 2)[1] == [(0, reps)]
 
 
-def test_chunks_clear_the_floor(monkeypatch, inline_processes):
+def test_chunks_clear_the_floor():
     # Exactly two chunks' worth of rows: 8 workers on 4 CPUs run 2 processes.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     reps = 2 * harness._CHILD_MIN_ROWS // 8
-    run_size_experiment(MCConfig(seed=7, reps=reps, n=400, p_list=(8,), workers=8))
-    assert inline_processes == [(reps // 2, reps)]
+    cfg = MCConfig(seed=7, reps=reps, n=400, p_list=(8,), workers=8)
+    assert harness._plan([cfg], 4)[1] == [(0, reps // 2), (reps // 2, reps)]
 
 
 def test_children_above_the_floor_match_serial(monkeypatch):

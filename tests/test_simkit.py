@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,20 @@ def test_window_draw_builds_one_philox(monkeypatch, kind, p):
     for rep in range(3):
         simulate_window_increments(grid, model, 2, 20, replication=rep)
         assert len(built) == rep + 1
+
+
+
+def test_window_draw_holds_one_window():
+    # The last cell scales the noise buffer in place: the public draw
+    # allocates one p x count window, not a second one to scale into.
+    config = GridConfig(n=4680, p=102, seed=0)
+    tracemalloc.start()
+    try:
+        window = simulate_window_increments(config, VolModel.deterministic_sin(0.0009), 0, 4680)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * window.nbytes
 
 
 def test_window_moments():
