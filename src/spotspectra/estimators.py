@@ -80,8 +80,7 @@ class SpotEstimate:
 
     def __post_init__(self) -> None:
         m = checked_symmetric(self.matrix, "estimate matrix")
-        if not isinstance(self.k_n, int) or self.k_n < 1:
-            raise ConfigError(f"k_n must be a positive integer, got {self.k_n!r}")
+        _check_k_n(self.k_n)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -95,6 +94,11 @@ class SpotEstimate:
         return self.p / self.k_n
 
 
+def _check_k_n(k_n: object) -> None:
+    if not isinstance(k_n, int) or k_n < 1:
+        raise ConfigError(f"k_n must be a positive integer, got {k_n!r}")
+
+
 def _gram(window: np.ndarray) -> np.ndarray:
     # A column-strided window can take a general product, which is not always
     # symmetric; the copy (a no-op for a C-contiguous window) avoids it.
@@ -106,10 +110,12 @@ def _gram(window: np.ndarray) -> np.ndarray:
 def window_start(t: float, n: int) -> int:
     """Cells before a window anchored at time ``t`` on an ``n``-cell grid:
     ``floor(t*n)``, where a product within a relative ``1e-9`` of an integer
-    counts as that integer, so ``t = 0.29, n = 100`` starts after cell 29.
-    A product that is not finite (NaN, or overflowed) is a ``ConfigError``."""
+    counts as that integer, so ``t = 0.29, n = 100`` starts after cell 29.  A
+    product that is not finite (NaN, or overflowed) or a ``t < 0`` is a ``ConfigError``."""
     if not math.isfinite(t * n):
         raise ConfigError(f"window start t * n is not finite: t = {t!r}, n = {n!r}")
+    if t < 0.0:
+        raise ConfigError(f"t must be finite and nonnegative, got {t!r}")
     return _snapped_floor(t * n)
 
 
@@ -158,10 +164,7 @@ def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
     """
     incr = _validated_increments(incr)
     n = incr.shape[1]
-    if not isinstance(k_n, int) or k_n < 1:
-        raise ConfigError(f"k_n must be a positive integer, got {k_n!r}")
-    if not math.isfinite(t) or t < 0.0:
-        raise ConfigError(f"t must be finite and nonnegative, got {t!r}")
+    _check_k_n(k_n)
     start = window_start(t, n)
     if start + k_n > n:
         raise ConfigError(
@@ -179,6 +182,7 @@ def spot_vol_from_window(
     ``n`` is the full-sample size the ``n / k_n`` rescaling refers to; the
     window is assumed to start at increment ``window_start(t, n) + 1``.
     """
+    _check_k_n(k_n)
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[1] != k_n:
         raise ConfigError(

@@ -16,6 +16,8 @@ replication's noise rows once for all ``(model, p)`` cells of a run or for
 all ``p`` of an ESD figure; the figure's estimates take the same products and
 are validated once.  An experiment call runs its model's cells, and the
 ``mc-size`` and ``mc-power`` commands run every model of their table as one.
+A config is checked once, when it is built; a run adds only the checks across
+its configs, so a config error comes before any directory, draw or file.
 ``workers`` counts worker processes, the calling process included.  One
 function decides a run's cells, process count and chunks from its configs
 and usable CPUs before anything runs: at most ``workers`` processes, no more
@@ -45,10 +47,10 @@ import numpy as np
 from ._blas import one_thread
 from ._csvio import make_dir, write_csv
 from .errors import ConfigError, NumericalError, WorkerError
-from .estimators import _gram, window_start
+from .estimators import _check_k_n, _gram, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
-from .simkit import VolKind, VolModel, _window_source
+from .simkit import GridConfig, VolKind, VolModel, _window_source
 from .spectra import eigenvalues_sym, esd_eval, kolmogorov_distance
 
 __all__ = [
@@ -102,9 +104,12 @@ class MCConfig:
     """Settings of one Monte Carlo sweep.
 
     ``k_n`` defaults to ``floor(sqrt(n))`` when omitted.  ``model`` is the
-    null data-generating process (a scalar-volatility kind whose ``base`` is
-    the null variance level); power experiments derive the two-block
-    alternative from it and ``alternative``.  ``workers`` is the most worker
+    null data-generating process, ``deterministic_sin`` or ``stochastic_bm``,
+    whose null variance level ``base`` has a finite reciprocal; power
+    experiments derive the two-block alternative from it and ``alternative``,
+    which needs ``deterministic_sin``.  Every ``p`` must fit the substream
+    layout (``p < 2**20``).  These checks run here; a run checks only that
+    configs run together agree and that ``low >= r1``.  ``workers`` is the most worker
     processes a run may use, the calling process included; ``1`` runs the
     sweep in the calling process alone.  A run uses fewer when it has fewer
     replications or usable CPUs, or too little work to pay for a child.
@@ -122,16 +127,8 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not isinstance(self.reps, int) or self.reps < 1:
             raise ConfigError(f"reps must be a positive integer, got {self.reps!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        k_n = self.k_n if self.k_n is not None else math.isqrt(self.n)
-        if not isinstance(k_n, int) or k_n < 1:
-            raise ConfigError(f"k_n must be a positive integer, got {self.k_n!r}")
-        object.__setattr__(self, "k_n", k_n)
         try:
             object.__setattr__(self, "p_list", tuple(operator.index(p) for p in self.p_list))
         except TypeError:
@@ -142,8 +139,10 @@ class MCConfig:
             raise ConfigError(f"p_list entries must be positive, got {self.p_list!r}")
         if len(set(self.p_list)) != len(self.p_list):
             raise ConfigError(f"p_list entries must be distinct, got {self.p_list!r}")
-        if not math.isfinite(self.t) or self.t < 0.0:
-            raise ConfigError(f"t must be finite and nonnegative, got {self.t!r}")
+        GridConfig(n=self.n, p=max(self.p_list), seed=self.seed)  # checks the run's largest grid
+        k_n = self.k_n if self.k_n is not None else math.isqrt(self.n)
+        _check_k_n(k_n)
+        object.__setattr__(self, "k_n", k_n)
         if window_start(self.t, self.n) + k_n > self.n:
             raise ConfigError(
                 f"window of length {k_n} at t = {self.t} overruns n = {self.n}"
@@ -157,6 +156,18 @@ class MCConfig:
             raise ConfigError(f"levels must be distinct, got {self.levels!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
+        kind, base = self.model.kind, self.model.base
+        if kind not in (VolKind.DETERMINISTIC_SIN, VolKind.STOCHASTIC_BM):
+            raise ConfigError(
+                "experiments need a scalar-volatility null model "
+                f"(deterministic_sin or stochastic_bm), got {kind.value}"
+            )
+        if not base > 0.0 or not math.isfinite(1.0 / base):
+            raise ConfigError(f"null variance level needs a finite reciprocal, got {base!r}")
+        if self.alternative is not None and kind is not VolKind.DETERMINISTIC_SIN:
+            raise ConfigError(
+                f"power experiment modulates a deterministic_sin null model, got {kind.value}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,31 +237,14 @@ def _run_child(sender, *args: object) -> None:
     sender.send(result)
 
 
-def _null_scale(model: VolModel) -> float:
-    if model.kind not in (VolKind.DETERMINISTIC_SIN, VolKind.STOCHASTIC_BM):
-        raise ConfigError(
-            "experiments need a scalar-volatility null model "
-            f"(deterministic_sin or stochastic_bm), got {model.kind.value}"
-        )
-    if not model.base > 0.0 or not math.isfinite(1.0 / model.base):
-        raise ConfigError(f"null variance level needs a finite reciprocal, got {model.base!r}")
-    return model.base
-
-
 def _cells(cfg: MCConfig) -> tuple[_Cell, ...]:
     """The cells of a size experiment, or of a power experiment when
-    ``cfg.alternative`` is set."""
-    base = _null_scale(cfg.model)
+    ``cfg.alternative`` is set; a two-block model with ``low < r1`` raises."""
     if cfg.alternative is None:
         amplitude = "r2" if cfg.model.kind is VolKind.STOCHASTIC_BM else "r1"
         label = f"{amplitude} {getattr(cfg.model, amplitude)!r}"
         return tuple((p, cfg.model, label) for p in cfg.p_list)
-    if cfg.model.kind is not VolKind.DETERMINISTIC_SIN:
-        raise ConfigError(
-            "power experiment modulates a deterministic_sin null model, "
-            f"got {cfg.model.kind.value}"
-        )
-    alt, r1 = cfg.alternative, cfg.model.r1
+    alt, base, r1 = cfg.alternative, cfg.model.base, cfg.model.r1
     return tuple(
         (p, VolModel.two_block(p, alt.s, high=base, low=alt.low, r1=r1), f"s {alt.s!r}, r1 {r1!r}")
         for p in cfg.p_list
@@ -261,7 +255,8 @@ def _plan(cfgs: Sequence[MCConfig], cpus: int) -> tuple[tuple[_Cell, ...], list[
     """The cells of one run over ``cfgs`` and its replication chunks, chunk 0
     the calling process's; it starts, draws and writes nothing.  The configs
     may differ only in the model's kind and amplitude and in the alternative,
-    and no two may be equal.  ``workers`` comes from the user: the run uses no
+    and no two may be equal: with the two-block models of :func:`_cells`, the
+    only checks a run makes.  ``workers`` comes from the user: the run uses no
     more processes than replications or ``cpus`` usable CPUs, and no child
     whose chunk costs less than its fork."""
     cfg = cfgs[0]
@@ -370,23 +365,26 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     contains every eigenvalue jump plus an even overlay up to just past the
     MP upper edge, and reports the Kolmogorov distance between the ESD and
     the MP distribution with index ``p / k_n``.  An estimate that overflows
-    is a :class:`NumericalError` keyed ``seed S, p P, replication 0``.
+    is a :class:`NumericalError` keyed ``seed S, p P, replication 0``.  Every
+    figure is computed before ``out_dir`` is made, so a failure writes nothing.
     """
-    inv_scale = 1.0 / _null_scale(cfg.model)
     cells = tuple((p, cfg.model) for p in cfg.p_list)
     windows = _window_source(cfg.seed, cfg.n, window_start(cfg.t, cfg.n), cfg.k_n, cells)(0)
-    out_dir = make_dir(out_dir)
-    artifacts = []
+    figures = []
     for p, window in zip(cfg.p_list, windows):
-        matrix = _null_unit(window, cfg.n, cfg.k_n, inv_scale)
+        matrix = _null_unit(window, cfg.n, cfg.k_n, 1.0 / cfg.model.base)
         if not np.isfinite(matrix).all():
             raise NumericalError(f"seed {cfg.seed}, p {p}, replication 0: estimate is not finite")
         sample = eigenvalues_sym(matrix)
         law = MPLaw(y=p / cfg.k_n)
         ks = kolmogorov_distance(sample, lambda x: mp_cdf(x, law))
         xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))
-        path = out_dir / f"esd_p{p}.csv"
         rows = zip(xs.tolist(), esd_eval(sample, xs).tolist(), mp_cdf(xs, law).tolist())
+        figures.append((p, ks, rows))
+    out_dir = make_dir(out_dir)
+    artifacts = []
+    for p, ks, rows in figures:
+        path = out_dir / f"esd_p{p}.csv"
         write_csv(path, ["x", "esd", "mp_cdf"], rows)
         artifacts.append(EsdArtifact(p=p, path=path, ks_distance=ks))
     return artifacts
@@ -412,7 +410,6 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
     ``theoretical, empirical``: the ``(i - 1/2) / reps`` normal quantiles
     against the sorted z-scores.
     """
-    _plan([cfg], 1)  # a config error leaves no directory behind
     out_dir = make_dir(out_dir)
     summary = run_size_experiment(cfg)
     dist = NormalDist()

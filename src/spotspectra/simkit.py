@@ -82,10 +82,8 @@ def _substreams(seed: int, top_coord: int) -> Callable[[int, int], Generator]:
     replication << 20 | coord)`` with a zero counter and an empty output
     buffer, which draws exactly what a freshly keyed ``Philox`` would.  Every
     call returns that same generator, so draw from one substream before
-    asking for the next.  Callers check ``replication``.
+    asking for the next.  Callers check ``replication``; ``GridConfig`` checks ``top_coord``.
     """
-    if not 0 <= top_coord <= _MAX_COORD:
-        raise ConfigError(f"coordinate index {top_coord} outside [0, 2**20)")
     bit_generator = Philox(key=0)  # re-keyed before every draw
     generator = Generator(bit_generator)
     # Plain ints: the state setter reads them faster than numpy scalars.
@@ -131,8 +129,8 @@ class GridConfig:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         if not isinstance(self.p, int) or self.p < 1:
             raise ConfigError(f"p must be a positive integer, got {self.p!r}")
-        if self.p >= _MAX_COORD:
-            raise ConfigError(f"p must be < {_MAX_COORD} to fit the substream layout")
+        if self.p > _MAX_COORD:  # the driver of STOCHASTIC_BM takes coordinate p
+            raise ConfigError(f"p must be < 2**20 to fit the substream layout, got {self.p}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 

@@ -435,12 +435,30 @@ def test_repeated_sweep_value_exits_2(tmp_path, capsys, argv, message):
         ["mc-power", "--reps", "2", "--s", "0.45,0.45"],
         ["esd", "--base", "0"],
         ["qq", "--base", "0", "--reps", "2"],
+        # a p beyond the substream layout, once caught only by the draw
+        pytest.param(
+            ["mc-size", "--p-list", "1048576", "--reps", "1", "--n", "400", "--k-n", "20"],
+            id="mc-size --p-list 1048576",
+        ),
     ],
     ids=lambda argv: argv[0],
 )
 def test_config_error_leaves_no_directory(tmp_path, argv):
     out_dir = tmp_path / "out"
     assert main(argv + ["--seed", "0", "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("base, p_list", [("1.14e308", "8,30"), ("1.7e308", "8")])
+def test_esd_numerical_failure_writes_nothing(tmp_path, capsys, base, p_list):
+    # at base 1.14e308 only p = 30 overflows: p = 8's figure must not be written either
+    out_dir = tmp_path / "fig"
+    argv = ["esd", "--seed", "0", "--n", "400", "--k-n", "20", "--base", base, "--p-list", p_list]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 3
+    p = p_list.split(",")[-1]
+    assert capsys.readouterr().err == (
+        f"numerical failure: seed 0, p {p}, replication 0: estimate is not finite\n"
+    )
     assert not out_dir.exists()
 
 

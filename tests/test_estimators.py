@@ -84,6 +84,21 @@ def test_nonfinite_window_start_is_a_config_error(t):
         spot_vol_from_window(np.ones((2, 10)), 100, t, 10)
 
 
+def test_negative_anchor_time_is_a_config_error():
+    # the window would start before the sample: (-49, -46) at t = -0.5, n = 100
+    with pytest.raises(ConfigError, match=r"^t must be finite and nonnegative, got -0\.5$"):
+        window_start(-0.5, 100)
+    with pytest.raises(ConfigError, match="t must be finite and nonnegative"):
+        spot_vol_from_window(np.ones((2, 4)), 100, -0.5, 4)
+    with pytest.raises(ConfigError, match="t must be finite and nonnegative"):
+        spot_vol(np.ones((2, 100)), -0.5, 4)
+
+
+def test_empty_window_is_a_config_error_not_a_division():
+    with pytest.raises(ConfigError, match=r"^k_n must be a positive integer, got 0$"):
+        spot_vol_from_window(np.ones((2, 0)), 100, 0.0, 0)
+
+
 def test_output_is_exactly_symmetric():
     rng = np.random.default_rng(2)
     incr = rng.standard_normal((6, 50))

@@ -606,9 +606,34 @@ def test_sweep_zscores_equal_public_route(model, p, seed):
 
 
 def test_sweep_rejects_a_null_level_without_a_finite_reciprocal():
-    cfg = MCConfig(seed=0, **dict(_SMALL, reps=2), model=VolModel.deterministic_sin(1e-320))
     with pytest.raises(ConfigError, match="needs a finite reciprocal"):
+        cfg = MCConfig(seed=0, **dict(_SMALL, reps=2), model=VolModel.deterministic_sin(1e-320))
         run_size_experiment(cfg)
+
+
+def test_grid_and_sweep_share_one_bound_on_p():
+    # coordinate 2**20 - 1 is the last the substream layout keys
+    GridConfig(n=10, p=2**20 - 1, seed=0)
+    MCConfig(seed=0, n=400, p_list=(8, 2**20 - 1))
+    message = r"^p must be < 2\*\*20 to fit the substream layout, got 1048576$"
+    with pytest.raises(ConfigError, match=message):
+        GridConfig(n=10, p=2**20, seed=0)
+    with pytest.raises(ConfigError, match=message):
+        MCConfig(seed=0, p_list=(2**20,))
+
+
+@pytest.mark.parametrize(
+    "model, alternative, message",
+    [
+        (VolModel.piecewise_diag((1.0, 1.0, 1.0)), None, "scalar-volatility"),
+        (VolModel.deterministic_sin(0.0), None, "needs a finite reciprocal"),
+        (VolModel.stochastic_bm(0.0009, 0.01), Alternative(s=0.5), "deterministic_sin"),
+    ],
+    ids=["piecewise-diag", "zero-base", "stochastic-alternative"],
+)
+def test_sweep_config_rejects_a_bad_model_when_built(model, alternative, message):
+    with pytest.raises(ConfigError, match=message):
+        MCConfig(seed=0, **_SMALL, model=model, alternative=alternative)
 
 
 def test_esd_figure_eigenvalues_equal_public_route(tmp_path, monkeypatch):
