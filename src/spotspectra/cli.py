@@ -241,12 +241,11 @@ def _mc_config(cfg: dict, model: VolModel,
 
 
 def _cmd_mc_size(cfg: dict) -> None:
-    if cfg["r2"] is not None:
-        if any(cfg["r1"]):
-            raise ConfigError("give either r1 or r2, not both")
-        cfgs = [_mc_config(cfg, VolModel.stochastic_bm(cfg["base"], v)) for v in cfg["r2"]]
-    else:
-        cfgs = [_mc_config(cfg, VolModel.deterministic_sin(cfg["base"], v)) for v in cfg["r1"]]
+    cfgs = [
+        _mc_config(cfg, _scalar_model(cfg["base"], r1, r2))
+        for r1 in cfg["r1"]
+        for r2 in cfg["r2"] or (None,)
+    ]
     _plan(cfgs, 1)  # a config error leaves no directory behind
     out = make_dir(cfg["out_dir"]) / "size_table.csv"
     write_size_table(_run_experiments(cfgs), str(out))

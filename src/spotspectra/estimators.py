@@ -2,23 +2,22 @@ r"""Realized covariance estimators built from high-frequency increments.
 
 Given increments :math:`\Delta_i X = X_{i/n} - X_{(i-1)/n}` of a
 :math:`p`-dimensional semimartingale observed on an equidistant grid, this
-module forms
+module forms the local spot covariance estimate at time :math:`t`,
 
-* the realized integrated covariance
-  :math:`\sum_{i=1}^{n} (\Delta_i X)(\Delta_i X)^\top`, and
-* the local spot covariance estimate at time :math:`t`,
+.. math::
 
-  .. math::
+   \widehat{c}_t \;=\; \frac{n}{k_n} \sum_{i=\lfloor tn\rfloor + 1}^{\lfloor tn\rfloor + k_n}
+   (\Delta_i X)(\Delta_i X)^\top ,
 
-     \widehat{c}_t \;=\; \frac{n}{k_n} \sum_{i=\lfloor tn\rfloor + 1}^{\lfloor tn\rfloor + k_n}
-     (\Delta_i X)(\Delta_i X)^\top ,
+which averages :math:`k_n` rescaled outer products over a shrinking window
+right of :math:`t`.  The floor is taken by :func:`window_start`, which first
+snaps a product :math:`tn` lying within a relative ``1e-9`` of an integer to
+that integer, and rejects a product that is not finite.  The realized
+integrated covariance :math:`\sum_{i=1}^{n} (\Delta_i X)(\Delta_i X)^\top`
+is ``spot_vol(incr, 0.0, n).matrix``, the estimate whose window is the whole
+sample.
 
-  which averages :math:`k_n` rescaled outer products over a shrinking window
-  right of :math:`t`.  The floor is taken by :func:`window_start`, which
-  first snaps a product :math:`tn` lying within a relative ``1e-9`` of an
-  integer to that integer, and rejects a product that is not finite.
-
-Both sums are one Gram product ``w @ w.T`` of a unit-stride copy ``w`` of the
+The sum is one Gram product ``w @ w.T`` of a unit-stride copy ``w`` of the
 increments, on one BLAS thread, and so is every Monte Carlo estimate.  numpy
 forms it with BLAS ``syrk`` and mirrors one triangle, so it is exactly
 symmetric, whatever the input's layout, and no symmetrization pass follows.
@@ -44,7 +43,6 @@ from .spectra import checked_symmetric
 
 __all__ = [
     "SpotEstimate",
-    "realized_integrated_vol",
     "spot_vol",
     "spot_vol_from_window",
     "rescale",
@@ -111,30 +109,14 @@ def window_start(t: float, n: int) -> int:
     """Cells before a window anchored at time ``t`` on an ``n``-cell grid:
     ``floor(t*n)``, where a product within a relative ``1e-9`` of an integer
     counts as that integer, so ``t = 0.29, n = 100`` starts after cell 29.  A
-    product that is not finite (NaN, or overflowed) or a ``t < 0`` is a ``ConfigError``."""
+    product that is not finite (NaN or overflow), ``t < 0`` or ``n < 1`` is a ``ConfigError``."""
     if not math.isfinite(t * n):
         raise ConfigError(f"window start t * n is not finite: t = {t!r}, n = {n!r}")
     if t < 0.0:
         raise ConfigError(f"t must be finite and nonnegative, got {t!r}")
+    if n < 1:
+        raise ConfigError(f"n must be a positive integer, got {n!r}")
     return _snapped_floor(t * n)
-
-
-def realized_integrated_vol(incr: np.ndarray) -> np.ndarray:
-    """Sum of increment outer products over the whole sample.
-
-    Parameters
-    ----------
-    incr
-        ``p x n`` increment matrix.
-
-    Returns
-    -------
-    numpy.ndarray
-        The ``p x p`` symmetric realized covariance
-        :math:`\\sum_i (\\Delta_i X)(\\Delta_i X)^\\top`.
-    """
-    incr = _validated_increments(incr)
-    return _gram(incr)
 
 
 def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:

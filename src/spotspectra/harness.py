@@ -172,7 +172,7 @@ class MCConfig:
 
 @dataclass(frozen=True, eq=False)
 class MCSummary:
-    """Z-score samples per (test, dimension) plus derived rejection rates."""
+    """Z-score samples per (test, dimension) and their rejection rates."""
 
     config: MCConfig
     zscores: dict[tuple[TestKind, int], np.ndarray]
@@ -182,14 +182,6 @@ class MCSummary:
         z = self.zscores[(kind, p)]
         threshold = NormalDist().inv_cdf(1.0 - level / 2.0)
         return float(np.mean(np.abs(z) > threshold))
-
-    def rates(self) -> dict[tuple[TestKind, float, int], float]:
-        """All rejection rates keyed by (test, level, p)."""
-        return {
-            (kind, level, p): self.rejection_rate(kind, level, p)
-            for (kind, p) in self.zscores
-            for level in self.config.levels
-        }
 
 
 def _null_unit(window: np.ndarray, n: int, k_n: int, inv_scale: float) -> np.ndarray:
@@ -331,9 +323,13 @@ def run_size_experiment(cfg: MCConfig) -> MCSummary:
     the estimate by the null level ``cfg.model.base``, and evaluates the
     tests; the summary holds the full z-score samples.
     """
+    _check_null(cfg)
+    return _run_experiments([cfg])[0]
+
+
+def _check_null(cfg: MCConfig) -> None:
     if cfg.alternative is not None:
         raise ConfigError("size experiment takes no alternative; use run_power_experiment")
-    return _run_experiments([cfg])[0]
 
 
 def run_power_experiment(cfg: MCConfig) -> MCSummary:
@@ -408,8 +404,10 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
     Runs a size experiment under ``cfg`` and writes
     ``qq_<test>_<pbar>.csv`` (``pbar = p / k_n``) with columns
     ``theoretical, empirical``: the ``(i - 1/2) / reps`` normal quantiles
-    against the sorted z-scores.
+    against the sorted z-scores.  A config with an ``alternative`` is
+    rejected before ``out_dir`` is made.
     """
+    _check_null(cfg)
     out_dir = make_dir(out_dir)
     summary = run_size_experiment(cfg)
     dist = NormalDist()

@@ -3,8 +3,8 @@ r"""Marchenko--Pastur laws, Stieltjes transforms, and CLT constants.
 Three groups of tools live here:
 
 * the closed-form Marchenko--Pastur (MP) family with concentration index
-  ``y`` and scale ``sigma2``: density, distribution function (atom at the
-  origin included when ``y > 1``), and support edges;
+  ``y`` at unit scale: density, distribution function (atom at the origin
+  included when ``y > 1``), and support edges;
 * a damped fixed-point solver for the Stieltjes transform of the limiting
   spectral distribution when the population spectrum is a general discrete
   distribution ``H`` (Silverstein's equation), together with the companion
@@ -13,9 +13,9 @@ Three groups of tools live here:
   :math:`x - \log x - 1` under the MP law, which standardize the
   log-likelihood-ratio identity test.
 
-All distribution-function evaluations reduce internally to the unit-scale
-law, so ``mp_cdf(x, MPLaw(y, s)) == mp_cdf(x / s, MPLaw(y, 1))`` holds
-exactly, not just approximately.
+The laws are at unit scale, the scale of an estimate divided by its null
+level.  The law at scale ``s`` is a change of variable: its cdf at ``x`` is
+``mp_cdf(x / s, MPLaw(y))`` and its density ``mp_pdf(x / s, MPLaw(y)) / s``.
 """
 
 from __future__ import annotations
@@ -48,15 +48,14 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MPLaw:
-    """Marchenko--Pastur law with concentration ``y > 0`` and scale ``sigma2 > 0``.
+    """Unit-scale Marchenko--Pastur law with concentration ``y > 0``.
 
-    Derived fields: support edges ``a = sigma2*(1 - sqrt(y))**2`` and
-    ``b = sigma2*(1 + sqrt(y))**2`` and the point mass ``atom = 1 - 1/y`` at
-    the origin (zero when ``y <= 1``).
+    Derived fields: support edges ``a = (1 - sqrt(y))**2`` and
+    ``b = (1 + sqrt(y))**2`` and the point mass ``atom = 1 - 1/y`` at the
+    origin (zero when ``y <= 1``).
     """
 
     y: float
-    sigma2: float = 1.0
     a: float = field(init=False)
     b: float = field(init=False)
     atom: float = field(init=False)
@@ -64,17 +63,10 @@ class MPLaw:
     def __post_init__(self) -> None:
         if not math.isfinite(self.y) or self.y <= 0.0:
             raise ConfigError(f"y must be finite and positive, got {self.y!r}")
-        if not math.isfinite(self.sigma2) or self.sigma2 <= 0.0:
-            raise ConfigError(f"sigma2 must be finite and positive, got {self.sigma2!r}")
         root = math.sqrt(self.y)
-        object.__setattr__(self, "a", self.sigma2 * (1.0 - root) ** 2)
-        object.__setattr__(self, "b", self.sigma2 * (1.0 + root) ** 2)
+        object.__setattr__(self, "a", (1.0 - root) ** 2)
+        object.__setattr__(self, "b", (1.0 + root) ** 2)
         object.__setattr__(self, "atom", max(1.0 - 1.0 / self.y, 0.0))
-
-
-def _unit_edges(y: float) -> tuple[float, float]:
-    root = math.sqrt(y)
-    return (1.0 - root) ** 2, (1.0 + root) ** 2
 
 
 def _atan2(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -89,14 +81,13 @@ def mp_pdf(x: Union[float, np.ndarray], law: MPLaw) -> Union[float, np.ndarray]:
     ``y > 1`` point mass at zero is reported by ``law.atom``, not here.
     Accepts scalars or arrays.
     """
-    u = np.asarray(x, dtype=float) / law.sigma2
-    ua, ub = _unit_edges(law.y)
-    inside = (u > ua) & (u < ub) & (u > 0.0)
+    u = np.asarray(x, dtype=float)
+    inside = (u > law.a) & (u < law.b) & (u > 0.0)
     safe = np.where(inside, u, 1.0)
-    dens = np.sqrt(np.maximum((ub - safe) * (safe - ua), 0.0)) / (
+    dens = np.sqrt(np.maximum((law.b - safe) * (safe - law.a), 0.0)) / (
         2.0 * np.pi * law.y * safe
     )
-    out = np.where(inside, dens, 0.0) / law.sigma2
+    out = np.where(inside, dens, 0.0)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -106,7 +97,7 @@ def mp_cdf(x: Union[float, np.ndarray], law: MPLaw) -> Union[float, np.ndarray]:
     Accepts scalars or arrays and returns a ``float`` for a scalar.  Exactly 0
     below the support, exactly 1 at and above the upper edge; in between the
     bulk mass is the closed form of Bai & Silverstein (2010, ch. 3).  With
-    ``lo = u - a`` and ``hi = b - u`` at unit scale it reads
+    ``lo = x - a`` and ``hi = b - x`` it reads
 
     .. math:: \\frac{\\sqrt{lo \\cdot hi} + 2(1 + y)\\operatorname{atan2}(\\sqrt{lo}, \\sqrt{hi})
               - 2|1 - y|\\operatorname{atan2}(\\sqrt{b \\cdot lo}, \\sqrt{a \\cdot hi})}{2 \\pi y},
@@ -115,17 +106,16 @@ def mp_cdf(x: Union[float, np.ndarray], law: MPLaw) -> Union[float, np.ndarray]:
     keeps full precision next to both edges, where ``arcsin`` of a rounded
     ratio loses about ``1e-8``.
     """
-    u = np.asarray(x, dtype=float) / law.sigma2
-    y = law.y
-    ua, ub = _unit_edges(y)
-    flat, top = u <= ua, u >= ub
+    u = np.asarray(x, dtype=float)
+    y, a, b = law.y, law.a, law.b
+    flat, top = u <= a, u >= b
     out = np.where(top, 1.0, np.where(u < 0.0, 0.0, law.atom))
     inside = ~(flat | top)  # a NaN lands here and stays NaN
-    lo, hi = u[inside] - ua, ub - u[inside]
+    lo, hi = u[inside] - a, b - u[inside]
     bulk = (
         np.sqrt(lo * hi)
         + 2.0 * (1.0 + y) * _atan2(np.sqrt(lo), np.sqrt(hi))
-        - 2.0 * abs(1.0 - y) * _atan2(np.sqrt(ub * lo), np.sqrt(ua * hi))
+        - 2.0 * abs(1.0 - y) * _atan2(np.sqrt(b * lo), np.sqrt(a * hi))
     )
     out[inside] = np.minimum(law.atom + bulk / (2.0 * math.pi * y), 1.0)
     return out if out.ndim else float(out)

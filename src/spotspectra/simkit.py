@@ -74,15 +74,15 @@ def _snapped_floor(x: float) -> int:
     return math.floor(x)
 
 
-def _substreams(seed: int, top_coord: int) -> Callable[[int, int], Generator]:
-    """Return ``stream(replication, coord)`` for substreams with ``coord <= top_coord``.
+def _substreams(seed: int) -> Callable[[int, int], Generator]:
+    """Return ``stream(replication, coord)``, the substreams of ``seed``.
 
     One ``Philox`` generator serves them all (a window source or one public
     call): ``stream`` re-keys it to ``(seed,
     replication << 20 | coord)`` with a zero counter and an empty output
     buffer, which draws exactly what a freshly keyed ``Philox`` would.  Every
     call returns that same generator, so draw from one substream before
-    asking for the next.  Callers check ``replication``; ``GridConfig`` checks ``top_coord``.
+    asking for the next.  Callers check ``replication``; ``GridConfig`` checks ``coord``.
     """
     bit_generator = Philox(key=0)  # re-keyed before every draw
     generator = Generator(bit_generator)
@@ -325,7 +325,7 @@ def _window_source(
     is drawn per replication from coordinate ``p``; the others are hoisted.
     """
     top = max(p for p, _ in cells)
-    stream = _substreams(seed, top)
+    stream = _substreams(seed)
     noise = np.empty((top, count))
     rows = list(noise)
     sds = [

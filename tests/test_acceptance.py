@@ -28,7 +28,6 @@ from spotspectra import (
     evaluate_tests,
     increments,
     mp_lss_constants,
-    realized_integrated_vol,
     rescale,
     run_esd_figure,
     run_power_experiment,
@@ -320,7 +319,8 @@ def test_acceptance_oracle_equivalence(capsys):
     total = np.zeros((p, p))
     for j in range(n // k_n):
         total += (k_n / n) * spot_vol(incr, j * k_n / n, k_n).matrix
-    tiling_ok = np.allclose(total, realized_integrated_vol(incr), rtol=1e-12, atol=0.0)
+    integrated = spot_vol(incr, 0.0, n).matrix  # the whole sample's window
+    tiling_ok = np.allclose(total, integrated, rtol=1e-12, atol=0.0)
 
     ok = (
         solver_err <= 1e-8

@@ -101,6 +101,12 @@ def test_simulate_diag_kinds_write_pinned_bytes(tmp_path, kind):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _DIAG_PATH_SHA256
 
 
+def test_simulate_diag_length_must_match_p(capsys):
+    rc = main(["simulate", "--n", "16", "--p", "3", "--kind", "piecewise-diag", "--diag", "1,2"])
+    assert rc == 2
+    assert "error: diag has length 2, expected p = 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("amplitude", ["--r1", "--r2"])
 def test_simulate_constant_diag_rejects_amplitudes(capsys, amplitude):
     rc = main(
@@ -365,6 +371,12 @@ def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     assert f"error: config file {cfg} is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_config_file_missing_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert main(["simulate", "--config", str(cfg), "--n", "16", "--p", "2"]) == 2
+    assert f"error: cannot read config file {cfg}:" in capsys.readouterr().err
+
+
 def test_config_file_naming_a_config_exits_2(tmp_path, capsys):
     other = tmp_path / "other.cfg"
     other.write_text("n = 16\np = 2\n")
@@ -416,8 +428,9 @@ def test_empty_list_value_exits_2(tmp_path, capsys, argv):
         (["mc-size", "--levels", "0.05,0.05"], "levels must be distinct"),
         (["mc-size", "--r1", "0,0"], "experiments run together must be distinct"),
         (["mc-power", "--s", "0.45,0.45"], "experiments run together must be distinct"),
+        (["mc-size", "--r1", "0,0", "--r2", "0.01"], "experiments run together must be distinct"),
     ],
-    ids=["mc-size --levels", "mc-size --r1", "mc-power --s"],
+    ids=["mc-size --levels", "mc-size --r1", "mc-power --s", "mc-size --r1 0,0 --r2"],
 )
 def test_repeated_sweep_value_exits_2(tmp_path, capsys, argv, message):
     # a repeated value would write each of its table rows twice
@@ -738,6 +751,23 @@ def test_qq_prints_correlation_per_series(tmp_path, capsys):
         name, stat = line.rsplit(" ", 1)
         assert name.split("/")[-1] in written
         assert stat.startswith("corr=")
+
+
+@pytest.mark.parametrize("command", ["esd", "qq"])
+def test_figure_r2_writes_the_stochastic_models_bytes(tmp_path, capsys, command):
+    # --r2 selects VolModel.stochastic_bm(base, r2): the command must write
+    # what the library writes under that model (an ESD figure has no --reps
+    # and draws replication 0 alone)
+    argv = [command, "--seed", "8", "--n", "400", "--k-n", "20", "--p-list", "8,30",
+            "--r2", "0.02", "--out-dir", str(tmp_path / "cli")]
+    assert main(argv + (["--reps", "4"] if command == "qq" else [])) == 0
+    cfg = MCConfig(seed=8, reps=4, n=400, k_n=20, p_list=(8, 30),
+                   model=VolModel.stochastic_bm(0.0009, 0.02))
+    {"esd": harness.run_esd_figure, "qq": harness.run_qq_figure}[command](cfg, tmp_path / "api")
+    names = sorted(f.name for f in (tmp_path / "api").iterdir())
+    assert names and names == sorted(f.name for f in (tmp_path / "cli").iterdir())
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
 
 
 def test_scalar_model_rejects_both_amplitudes(tmp_path, capsys):

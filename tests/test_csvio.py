@@ -147,6 +147,16 @@ def test_reader_defects_are_config_errors(text, message):
             read_float_csv(io.StringIO(text, newline=""), "path CSV", ("t", "x1"))
 
 
+def test_path_csv_with_one_row_is_a_config_error():
+    with pytest.raises(ConfigError, match="path CSV must contain at least two complete rows"):
+        read_path_csv(io.StringIO("t,x1\r\n0.0,1.0\r\n", newline=""))
+
+
+def test_writing_a_non_square_matrix_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        write_matrix_csv(np.ones((2, 3)), io.StringIO())
+
+
 def test_blank_lines_between_rows_are_skipped():
     text = "t,x1\r\n\r\n0.0,1.5\r\n\r\n\r\n0.5,-2.5\n\n1.0,3.0"
     header, rows = read_float_csv(io.StringIO(text, newline=""), "path CSV", ("t", "x1"))

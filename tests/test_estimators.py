@@ -13,7 +13,6 @@ from spotspectra import (
     VolModel,
     increments,
     read_matrix_csv,
-    realized_integrated_vol,
     rescale,
     simulate_path,
     spot_vol,
@@ -38,16 +37,23 @@ def test_spot_hand_example():
     assert est5.window == (3, 4)
 
 
+def _integrated(incr):
+    # the realized integrated covariance: the spot estimate whose window is the
+    # whole sample (n / n == 1.0)
+    incr = np.asarray(incr)
+    return spot_vol(incr, 0.0, incr.shape[1]).matrix
+
+
 def test_integrated_hand_example():
     incr = np.array([[0.1, -0.2, 0.3, -0.4]])
-    np.testing.assert_allclose(realized_integrated_vol(incr), [[0.3]], rtol=1e-15)
+    np.testing.assert_allclose(_integrated(incr), [[0.3]], rtol=1e-15)
 
 
 def test_integrated_equals_sum_of_outers():
     rng = np.random.default_rng(0)
     incr = rng.standard_normal((3, 20))
     manual = sum(np.outer(incr[:, i], incr[:, i]) for i in range(20))
-    np.testing.assert_allclose(realized_integrated_vol(incr), manual, rtol=1e-13)
+    np.testing.assert_allclose(_integrated(incr), manual, rtol=1e-13)
 
 
 def test_spot_window_selection_matches_manual():
@@ -94,6 +100,16 @@ def test_negative_anchor_time_is_a_config_error():
         spot_vol(np.ones((2, 100)), -0.5, 4)
 
 
+@pytest.mark.parametrize("n", [-100, 0])
+def test_nonpositive_sample_size_is_a_config_error(n):
+    # -100 would shift the window to (-49, -46) and scale by -100; 0 would
+    # zero the estimate
+    with pytest.raises(ConfigError, match=rf"^n must be a positive integer, got {n}$"):
+        window_start(0.5, n)
+    with pytest.raises(ConfigError, match="n must be a positive integer"):
+        spot_vol_from_window(np.ones((2, 4)), n, 0.5, 4)
+
+
 def test_empty_window_is_a_config_error_not_a_division():
     with pytest.raises(ConfigError, match=r"^k_n must be a positive integer, got 0$"):
         spot_vol_from_window(np.ones((2, 0)), 100, 0.0, 0)
@@ -104,7 +120,7 @@ def test_output_is_exactly_symmetric():
     incr = rng.standard_normal((6, 50))
     est = spot_vol(incr, 0.1, 20)
     np.testing.assert_array_equal(est.matrix, est.matrix.T)
-    integrated = realized_integrated_vol(incr)
+    integrated = _integrated(incr)
     np.testing.assert_array_equal(integrated, integrated.T)
 
 
@@ -141,7 +157,7 @@ def test_spot_bits_do_not_depend_on_the_memory_order():
     f_order = spot_vol(np.asfortranarray(incr), 0.3, 20).matrix
     assert np.array_equal(c_order, f_order)
     np.testing.assert_array_equal(
-        realized_integrated_vol(np.asfortranarray(incr)), realized_integrated_vol(incr)
+        _integrated(np.asfortranarray(incr)), _integrated(incr)
     )
 
 
@@ -157,7 +173,7 @@ def test_tiling_windows_reassemble_integrated_vol():
     for j in range(n // k_n):
         est = spot_vol(incr, j * k_n / n, k_n)
         total += (k_n / n) * est.matrix
-    expected = realized_integrated_vol(incr)
+    expected = _integrated(incr)
     np.testing.assert_allclose(total, expected, rtol=1e-12)
 
 

@@ -97,9 +97,6 @@ def test_size_summary_structure_and_rates():
         threshold = NormalDist().inv_cdf(1.0 - level / 2.0)
         manual = float(np.mean(np.abs(z) > threshold))
         assert summary.rejection_rate(TestKind.LW, level, 8) == manual
-    rates = summary.rates()
-    assert rates[(TestKind.LW, 0.05, 8)] == summary.rejection_rate(TestKind.LW, 0.05, 8)
-    assert len(rates) == 5 * 3
 
 
 def test_single_rep_rate_is_zero_or_one():
@@ -821,6 +818,13 @@ def test_qq_two_rep_quantiles(tmp_path):
 def test_qq_single_rep_has_no_correlation(tmp_path):
     artifacts = run_qq_figure(MCConfig(seed=10, reps=1, n=400, p_list=(8,)), tmp_path)
     assert all(math.isnan(a.correlation) for a in artifacts)
+
+
+def test_qq_with_an_alternative_makes_no_directory(tmp_path):
+    cfg = MCConfig(seed=0, reps=2, n=400, p_list=(8,), alternative=Alternative(s=0.5))
+    with pytest.raises(ConfigError, match="size experiment takes no alternative"):
+        run_qq_figure(cfg, tmp_path / "qqx")
+    assert not (tmp_path / "qqx").exists()
 
 
 def test_size_table_csv():

@@ -59,14 +59,9 @@ def test_mp_law_support_and_atom():
     assert law.a == pytest.approx((1 - math.sqrt(0.5)) ** 2, rel=1e-15)
     assert law.b == pytest.approx((1 + math.sqrt(0.5)) ** 2, rel=1e-15)
     assert law.atom == 0.0
-    fat = MPLaw(y=1.5, sigma2=2.0)
-    assert fat.a == pytest.approx(2.0 * (1 - math.sqrt(1.5)) ** 2, rel=1e-15)
-    assert fat.b == pytest.approx(2.0 * (1 + math.sqrt(1.5)) ** 2, rel=1e-15)
-    assert fat.atom == pytest.approx(1 - 1 / 1.5, rel=1e-15)
+    assert MPLaw(y=1.5).atom == pytest.approx(1 - 1 / 1.5, rel=1e-15)
     with pytest.raises(ConfigError):
         MPLaw(y=0.0)
-    with pytest.raises(ConfigError):
-        MPLaw(y=0.5, sigma2=-1.0)
 
 
 def _quad_against_density(g, y):
@@ -124,7 +119,7 @@ def test_mp_cdf_shape():
 def _scalar_mp_cdf(x, law):
     # The scalar closed form mp_cdf had before it took arrays: the oracle for
     # the array form, which must equal it bit for bit.
-    u = float(x) / law.sigma2
+    u = float(x)
     y = law.y
     root = math.sqrt(y)
     ua, ub = (1.0 - root) ** 2, (1.0 + root) ** 2
@@ -143,17 +138,16 @@ def _scalar_mp_cdf(x, law):
     return min(law.atom + bulk / (2.0 * math.pi * y), 1.0)
 
 
-@pytest.mark.parametrize("sigma2", [1.0, 0.0009])
 @pytest.mark.parametrize("y", [0.3, 1.0, 1.5, 3.0])
-def test_mp_cdf_on_an_array_equals_the_scalar_formula(y, sigma2):
-    law = MPLaw(y=y, sigma2=sigma2)
+def test_mp_cdf_on_an_array_equals_the_scalar_formula(y):
+    law = MPLaw(y=y)
     edges = np.array([0.0, law.a, law.b])
     xs = np.concatenate(
         [
             edges,
             np.nextafter(edges, -np.inf),
             np.nextafter(edges, np.inf),
-            [-1.0 * sigma2, -1e-300, law.b * 1.5, law.b + 10.0],
+            [-1.0, -1e-300, law.b * 1.5, law.b + 10.0],
             np.linspace(law.a, law.b, 201),
             np.random.default_rng(11).uniform(-0.1, 1.1, 200) * law.b,
         ]
@@ -173,24 +167,22 @@ def test_mp_cdf_matches_quadrature_of_density():
     # 1/sqrt(x) pole at a = 0 when y = 1); the cdf must agree to 1e-12 in
     # the bulk and within 1e-12 of either edge
     for y in (0.3, 1.0, 1.5, 3.0):
-        for sigma2 in (1.0, 0.0009):
-            law = MPLaw(y=y, sigma2=sigma2)
-            w = law.b - law.a
+        law = MPLaw(y=y)
+        w = law.b - law.a
 
-            def integrand(theta):
-                x = law.a + w * math.sin(theta) ** 2
-                return float(mp_pdf(x, law)) * w * math.sin(2.0 * theta)
+        def integrand(theta):
+            x = law.a + w * math.sin(theta) ** 2
+            return float(mp_pdf(x, law)) * w * math.sin(2.0 * theta)
 
-            near = 1e-12 * sigma2
-            xs = [law.a + near, law.b - near]
-            xs += [law.a + w * f for f in (0.01, 0.25, 0.5, 0.75, 0.99)]
-            for x in xs:
-                theta_x = math.atan2(math.sqrt(x - law.a), math.sqrt(law.b - x))
-                bulk, err = integrate.quad(
-                    integrand, 0.0, theta_x, epsabs=1e-14, epsrel=1e-13, limit=200
-                )
-                assert err < 1e-12
-                assert mp_cdf(x, law) == pytest.approx(law.atom + bulk, abs=1e-12)
+        xs = [law.a + 1e-12, law.b - 1e-12]
+        xs += [law.a + w * f for f in (0.01, 0.25, 0.5, 0.75, 0.99)]
+        for x in xs:
+            theta_x = math.atan2(math.sqrt(x - law.a), math.sqrt(law.b - x))
+            bulk, err = integrate.quad(
+                integrand, 0.0, theta_x, epsabs=1e-14, epsrel=1e-13, limit=200
+            )
+            assert err < 1e-12
+            assert mp_cdf(x, law) == pytest.approx(law.atom + bulk, abs=1e-12)
 
 
 def test_runtime_imports_no_scipy():
@@ -203,13 +195,6 @@ def test_runtime_imports_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-def test_mp_cdf_scale_equivariance_is_exact():
-    law = MPLaw(y=0.5, sigma2=0.0009)
-    unit = MPLaw(y=0.5)
-    for x in (0.0005, 0.0009, 0.002, 0.0026):
-        assert mp_cdf(x, law) == mp_cdf(x / 0.0009, unit)
 
 
 def test_solver_matches_closed_form():

@@ -49,6 +49,12 @@ def test_vol_model_validation():
         VolModel(kind=VolKind.PIECEWISE_DIAG)
     with pytest.raises(ConfigError, match="does not take a diag"):
         VolModel(kind=VolKind.DETERMINISTIC_SIN, base=1.0, diag=(1.0,))
+    with pytest.raises(ConfigError, match="piecewise_diag does not use base"):
+        VolModel(kind=VolKind.PIECEWISE_DIAG, base=0.1, diag=(0.5, 0.2))
+    with pytest.raises(ConfigError, match="diag entries must be finite and nonnegative"):
+        VolModel.piecewise_diag((0.5, math.inf))
+    with pytest.raises(ConfigError, match="piecewise_diag does not use r2"):
+        VolModel(kind=VolKind.PIECEWISE_DIAG, r2=0.1, diag=(0.5, 0.2))
     with pytest.raises(ConfigError, match="can go negative"):
         VolModel.piecewise_diag((0.5, 0.2), r1=0.3)
     # boundary: the modulation may touch zero variance but not cross it
@@ -209,7 +215,7 @@ def test_rekey_resets_a_dirty_generator(rep, count):
     # replication left them
     seed, p = 2**64 - 1, 3
     other = 2**44 - 1 - rep
-    stream = simkit._substreams(seed, p)
+    stream = simkit._substreams(seed)
     for j in range(p + 1):
         dirty = stream(rep, p - j)
         dirty.standard_normal(5)

@@ -99,6 +99,8 @@ def test_spectral_sample_validation():
         SpectralSample(eigenvalues=np.array([1.0, 2.0]))
     with pytest.raises(ConfigError, match="non-finite"):
         SpectralSample(eigenvalues=np.array([np.inf, 1.0]))
+    with pytest.raises(ConfigError, match=r"nonempty 1-D array, got shape \(2, 2\)"):
+        SpectralSample(eigenvalues=np.eye(2))
 
 
 def test_esd_eval_step_function():
