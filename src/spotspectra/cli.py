@@ -25,7 +25,9 @@ import numpy as np
 
 from ._csvio import make_dir
 from .errors import ConfigError, NumericalError, WorkerError
-from .estimators import SpotEstimate, _check_factor, read_matrix_csv, spot_vol, write_matrix_csv
+from .estimators import (
+    SpotEstimate, _check_factor, read_matrix_csv, rescale, spot_vol, write_matrix_csv,
+)
 from .harness import (
     Alternative,
     MCConfig,
@@ -128,7 +130,7 @@ _TEST_OPTS = [
     _opt("matrix", "input matrix CSV from `spot`", required=True),
     _opt("k-n", "window length behind the estimate", type=int, required=True),
     _opt("kind", "which test", choices=("bjyz", "lw", "j", "all"), default="all"),
-    _opt("scale", "divide the matrix by this null level first", type=float),
+    _opt("scale", "multiply the matrix by 1 / this null level first", type=float),
     _opt("out", "output CSV (default: stdout)"),
 ]
 
@@ -211,20 +213,23 @@ def _cmd_simulate(cfg: dict) -> None:
 
 def _cmd_spot(cfg: dict) -> None:
     _, values = read_path_csv(cfg["path"])
-    incr = np.diff(values, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # spot_vol rejects a non-finite increment
+        incr = np.diff(values, axis=1)
     k_n = cfg["k_n"] if cfg["k_n"] is not None else math.isqrt(incr.shape[1])
     est = spot_vol(incr, cfg["t"], k_n)
     write_matrix_csv(est.matrix, _out_stream(cfg["out"]))
 
 
 def _cmd_test(cfg: dict) -> None:
-    matrix = read_matrix_csv(cfg["matrix"])
-    if cfg["scale"] is not None:
-        _check_factor(cfg["scale"], "--scale")
-        matrix = matrix / cfg["scale"]
-    # The tests assume a positive semidefinite matrix; this one comes from a file.
-    eigenvalues_sym(matrix)
+    matrix, scale = read_matrix_csv(cfg["matrix"]), cfg["scale"]
+    if scale is not None:
+        _check_factor(scale, "--scale")
+        if not math.isfinite(1.0 / scale):
+            raise ConfigError(f"--scale needs a finite reciprocal, got {scale!r}")
     est = SpotEstimate(matrix=matrix, t=0.0, k_n=cfg["k_n"], window=(1, cfg["k_n"]))
+    est = est if scale is None else rescale(est, 1.0 / scale)
+    # The tests assume a positive semidefinite matrix; this one comes from a file.
+    eigenvalues_sym(est.matrix)
     kinds = None if cfg["kind"] == "all" else [TestKind(cfg["kind"])]
     write_report_csv(evaluate_tests(est, kinds), _out_stream(cfg["out"]))
 

@@ -10,17 +10,19 @@ module forms the local spot covariance estimate at time :math:`t`,
    (\Delta_i X)(\Delta_i X)^\top ,
 
 which averages :math:`k_n` rescaled outer products over a shrinking window
-right of :math:`t`.  The floor is taken by :func:`window_start`, which first
-snaps a product :math:`tn` lying within a relative ``1e-9`` of an integer to
-that integer, and rejects a product that is not finite.  The realized
-integrated covariance :math:`\sum_{i=1}^{n} (\Delta_i X)(\Delta_i X)^\top`
+right of :math:`t`.  :func:`window_start`, the one check of where a window
+sits, takes the floor after it snaps a :math:`tn` within a relative ``1e-9``
+of an integer to that integer, and rejects every window that does not fit.
+The realized integrated covariance :math:`\sum_{i=1}^{n} (\Delta_i X)(\Delta_i X)^\top`
 is ``spot_vol(incr, 0.0, n).matrix``, the estimate whose window is the whole
 sample.
 
-The sum is one Gram product ``w @ w.T`` of a unit-stride copy ``w`` of the
-increments, on one BLAS thread, and so is every Monte Carlo estimate.  numpy
-forms it with BLAS ``syrk`` and mirrors one triangle, so it is exactly
-symmetric, whatever the input's layout, and no symmetrization pass follows.
+One function forms every estimate, public or Monte Carlo: the Gram product
+``w @ w.T`` of a unit-stride copy ``w`` of the window, on one BLAS thread,
+scaled in place by ``n / k_n`` and then by a factor, ``1.0`` here and
+``1 / base`` in a sweep or ESD figure.  numpy forms the Gram with BLAS
+``syrk`` and mirrors one triangle, so it is exactly symmetric, whatever the
+input's layout, and no symmetrization pass follows.
 
 The spot estimate is the input to the spectral tests: its aspect ratio
 ``z_n = p / k_n`` plays the role of the concentration index in the
@@ -37,7 +39,7 @@ import numpy as np
 
 from ._blas import one_thread
 from ._csvio import read_float_csv, write_csv
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .simkit import _snapped_floor
 from .spectra import checked_symmetric
 
@@ -97,26 +99,35 @@ def _check_k_n(k_n: object) -> None:
         raise ConfigError(f"k_n must be a positive integer, got {k_n!r}")
 
 
-def _gram(window: np.ndarray) -> np.ndarray:
+def _scaled_gram(window: np.ndarray, n: int, k_n: int, factor: float) -> np.ndarray:
+    """Every estimate matrix: ``w @ w.T`` scaled in place by ``n / k_n``, then by ``factor``."""
     # A column-strided window can take a general product, which is not always
     # symmetric; the copy (a no-op for a C-contiguous window) avoids it.
     w = np.ascontiguousarray(window)
-    with one_thread():
-        return w @ w.T
+    with one_thread(), np.errstate(over="ignore", invalid="ignore"):  # the caller reports an inf
+        matrix = w @ w.T
+        matrix *= n / k_n
+        matrix *= factor
+    return matrix
 
 
-def window_start(t: float, n: int) -> int:
-    """Cells before a window anchored at time ``t`` on an ``n``-cell grid:
-    ``floor(t*n)``, where a product within a relative ``1e-9`` of an integer
-    counts as that integer, so ``t = 0.29, n = 100`` starts after cell 29.  A
-    product that is not finite (NaN or overflow), ``t < 0`` or ``n < 1`` is a ``ConfigError``."""
+def window_start(t: float, n: int, k_n: int) -> int:
+    """Cells before a ``k_n``-increment window at time ``t`` on an ``n``-cell grid:
+    ``floor(t*n)``, where a ``t*n`` within a relative ``1e-9`` of an integer counts as
+    that integer (``t = 0.29, n = 100`` starts after cell 29).  An ``n`` or ``k_n`` not
+    a positive integer, ``t*n`` not finite, ``t < 0`` or an overrun is a ``ConfigError``."""
+    if not isinstance(n, int) or n < 1:
+        raise ConfigError(f"n must be a positive integer, got {n!r}")
+    _check_k_n(k_n)
     if not math.isfinite(t * n):
         raise ConfigError(f"window start t * n is not finite: t = {t!r}, n = {n!r}")
     if t < 0.0:
         raise ConfigError(f"t must be finite and nonnegative, got {t!r}")
-    if n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
-    return _snapped_floor(t * n)
+    start = _snapped_floor(t * n)
+    if start + k_n > n:
+        raise ConfigError(
+            f"window [{start + 1}, {start + k_n}] at t = {t!r} overruns the sample of n = {n}")
+    return start
 
 
 def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
@@ -128,7 +139,7 @@ def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
         ``p x n`` increment matrix for the full sample.
     t
         Anchor time in ``[0, 1]``; the window covers increments
-        ``s + 1 .. s + k_n`` with ``s = window_start(t, n)``, that is
+        ``s + 1 .. s + k_n`` with ``s = window_start(t, n, k_n)``, that is
         ``floor(t*n)`` up to round-off.
     k_n
         Window length; the window must fit inside the sample.
@@ -143,50 +154,46 @@ def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
     ------
     ConfigError
         If the window overruns the sample or the inputs are malformed.
+    NumericalError
+        If the estimate overflows.
     """
     incr = _validated_increments(incr)
     n = incr.shape[1]
-    _check_k_n(k_n)
-    start = window_start(t, n)
-    if start + k_n > n:
-        raise ConfigError(
-            f"spot window [{start + 1}, {start + k_n}] overruns the sample: "
-            f"start + k_n = {start + k_n} > n = {n}"
-        )
+    start = window_start(t, n, k_n)
     return spot_vol_from_window(incr[:, start : start + k_n], n, t, k_n)
 
 
-def spot_vol_from_window(
-    window: np.ndarray, n: int, t: float, k_n: int
-) -> SpotEstimate:
+def spot_vol_from_window(window: np.ndarray, n: int, t: float, k_n: int) -> SpotEstimate:
     """Spot estimate from an already-extracted ``p x k_n`` window block.
 
     ``n`` is the full-sample size the ``n / k_n`` rescaling refers to; the
-    window is assumed to start at increment ``window_start(t, n) + 1``.
+    window is assumed to start at increment ``window_start(t, n, k_n) + 1``,
+    and an estimate that overflows is a :class:`NumericalError`.
     """
-    _check_k_n(k_n)
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[1] != k_n:
-        raise ConfigError(
-            f"window block must have k_n = {k_n} columns, got shape {window.shape}"
-        )
-    start = window_start(t, n)
-    return SpotEstimate(
-        matrix=(n / k_n) * _gram(window),
-        t=t,
-        k_n=k_n,
-        window=(start + 1, start + k_n),
-    )
+    start = window_start(t, n, k_n)
+    window = _validated_increments(window)
+    if window.shape[1] != k_n:
+        raise ConfigError(f"window block must have k_n = {k_n} columns, got shape {window.shape}")
+    matrix = _finite(_scaled_gram(window, n, k_n, 1.0))
+    return SpotEstimate(matrix=matrix, t=t, k_n=k_n, window=(start + 1, start + k_n))
 
 
 def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
     """Return the estimate with its matrix multiplied by ``factor``.
 
-    Used to express an estimate in null units (for instance dividing by the
-    hypothesised variance level so the null population becomes the identity).
+    Used to express an estimate in null units: the factor ``1 / level`` for the
+    hypothesised variance level makes the null population the identity.  A
+    product that overflows is a :class:`NumericalError`.
     """
     _check_factor(factor)
-    return replace(estimate, matrix=estimate.matrix * factor)
+    with np.errstate(over="ignore"):
+        return replace(estimate, matrix=_finite(estimate.matrix * factor))
+
+
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    if not np.isfinite(matrix).all():
+        raise NumericalError("estimate is not finite")
+    return matrix
 
 
 def _check_factor(factor: float, name: str = "scale factor") -> None:

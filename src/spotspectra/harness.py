@@ -4,9 +4,9 @@ One experiment sweeps a list of cross-section dimensions ``p`` at a fixed
 window length ``k_n``; each replication simulates only the increment window
 the spot estimator consumes, normalizes the estimate by the null variance
 level so the null population is the identity, and records the z-scores of
-every applicable test.  The estimate is the public estimator's Gram scaled
-as ``rescale(spot_vol_from_window(...), 1 / base)`` scales it, so it is
-bit-identical; it is exactly symmetric and is not validated again:
+every applicable test.  The estimate comes from the one function that forms
+every estimate matrix in :mod:`~spotspectra.estimators`, with the factor
+``1 / base``; it is exactly symmetric and is not validated again:
 the :mod:`~spotspectra.hdtests` kernel it goes to checks that
 ``||A - I||_F**2`` is finite, so an overflow is a keyed numerical error.
 Replications are keyed to counter-based substreams, so results are
@@ -47,7 +47,7 @@ import numpy as np
 from ._blas import one_thread
 from ._csvio import make_dir, write_csv
 from .errors import ConfigError, NumericalError, WorkerError
-from .estimators import _check_k_n, _gram, window_start
+from .estimators import _scaled_gram, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
 from .simkit import GridConfig, VolKind, VolModel, _window_source
@@ -140,13 +140,8 @@ class MCConfig:
         if len(set(self.p_list)) != len(self.p_list):
             raise ConfigError(f"p_list entries must be distinct, got {self.p_list!r}")
         GridConfig(n=self.n, p=max(self.p_list), seed=self.seed)  # checks the run's largest grid
-        k_n = self.k_n if self.k_n is not None else math.isqrt(self.n)
-        _check_k_n(k_n)
-        object.__setattr__(self, "k_n", k_n)
-        if window_start(self.t, self.n) + k_n > self.n:
-            raise ConfigError(
-                f"window of length {k_n} at t = {self.t} overruns n = {self.n}"
-            )
+        object.__setattr__(self, "k_n", self.k_n if self.k_n is not None else math.isqrt(self.n))
+        window_start(self.t, self.n, self.k_n)
         object.__setattr__(self, "levels", tuple(float(x) for x in self.levels))
         if not self.levels:
             raise ConfigError("levels must name at least one test level")
@@ -184,21 +179,12 @@ class MCSummary:
         return float(np.mean(np.abs(z) > threshold))
 
 
-def _null_unit(window: np.ndarray, n: int, k_n: int, inv_scale: float) -> np.ndarray:
-    """The matrix of ``rescale(spot_vol_from_window(window, n, ...), inv_scale)``."""
-    matrix = _gram(window)
-    with np.errstate(over="ignore"):  # its consumer reports an inf
-        matrix *= n / k_n
-        matrix *= inv_scale
-    return matrix
-
-
 def _run_rep_range(
     seed: int, n: int, t: float, k_n: int, cells: tuple[_Cell, ...],
     null_scale: float, rep_lo: int, rep_hi: int,
 ) -> list[dict[TestKind, np.ndarray]]:
     """Z-scores for replications ``rep_lo .. rep_hi - 1`` of each cell."""
-    draw = _window_source(seed, n, window_start(t, n), k_n, [cell[:2] for cell in cells])
+    draw = _window_source(seed, n, window_start(t, n, k_n), k_n, [cell[:2] for cell in cells])
     plans = []
     for p, _, _ in cells:
         kinds = _default_kinds(p / k_n)
@@ -211,7 +197,7 @@ def _run_rep_range(
             for rep in range(rep_lo, rep_hi):
                 cell = None  # a failed draw is keyed to the rows it draws, which all cells share
                 for cell, window, (kinds, z, constants) in zip(cells, draw(rep), plans):
-                    matrix = _null_unit(window, n, k_n, inv_scale)
+                    matrix = _scaled_gram(window, n, k_n, inv_scale)
                     stats = _statistics(matrix, k_n, kinds, constants)
                     z[rep - rep_lo] = [zscore for _, zscore in stats]
     except NumericalError as exc:
@@ -365,10 +351,11 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     figure is computed before ``out_dir`` is made, so a failure writes nothing.
     """
     cells = tuple((p, cfg.model) for p in cfg.p_list)
-    windows = _window_source(cfg.seed, cfg.n, window_start(cfg.t, cfg.n), cfg.k_n, cells)(0)
+    start = window_start(cfg.t, cfg.n, cfg.k_n)
+    windows = _window_source(cfg.seed, cfg.n, start, cfg.k_n, cells)(0)
     figures = []
     for p, window in zip(cfg.p_list, windows):
-        matrix = _null_unit(window, cfg.n, cfg.k_n, 1.0 / cfg.model.base)
+        matrix = _scaled_gram(window, cfg.n, cfg.k_n, 1.0 / cfg.model.base)
         if not np.isfinite(matrix).all():
             raise NumericalError(f"seed {cfg.seed}, p {p}, replication 0: estimate is not finite")
         sample = eigenvalues_sym(matrix)
@@ -463,8 +450,9 @@ def _write_rate_table(
     amplitude = "r2" if stochastic == {True} else "r1"
     header = ["test", "level", amplitude, "pbar"] + (["s"] if with_s else []) + ["rejection_pct"]
     for summary in summaries:
-        if with_s and summary.config.alternative is None:
-            raise ConfigError("power table rows need summaries with an alternative")
+        if (summary.config.alternative is not None) != with_s:
+            table = "power table rows need" if with_s else "size table rows cannot take"
+            raise ConfigError(f"{table} summaries with an alternative")
     write_csv(stream, header, _rate_rows(summaries, with_s, amplitude))
 
 

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,10 @@ from spotspectra import (
     SingularEstimateError,
     TestReport,
     VolModel,
+    evaluate_tests,
     read_matrix_csv,
+    read_path_csv,
+    rescale,
     run_power_experiment,
     run_size_experiment,
     simulate_path,
@@ -172,6 +176,62 @@ def test_test_scale_is_transparent_to_j(tmp_path):
     rc = main(base + ["--scale", "4.0", "--out", str(scaled)])
     assert rc == 0
     assert scaled.read_text() == plain.read_text()
+
+
+def test_test_scale_multiplies_by_the_reciprocal_as_rescale_does(tmp_path):
+    # --scale S reports what evaluate_tests(rescale(est, 1 / S)) reports, bit
+    # for bit; dividing by S changes the last bits for a non-dyadic S.
+    path_csv, spot_csv, report_csv = (tmp_path / f"{stem}.csv" for stem in ("path", "spot", "report"))
+    assert main(["simulate", "--n", "400", "--p", "8", "--seed", "8", "--out", str(path_csv)]) == 0
+    assert main(["spot", "--path", str(path_csv), "--k-n", "20", "--out", str(spot_csv)]) == 0
+    argv = ["test", "--matrix", str(spot_csv), "--k-n", "20", "--scale", "0.0009"]
+    assert main(argv + ["--out", str(report_csv)]) == 0
+    with open(report_csv, newline="") as fh:
+        zscores = [float(row["zscore"]) for row in csv.DictReader(fh)]
+    incr = np.diff(read_path_csv(str(path_csv))[1], axis=1)
+    reports = evaluate_tests(rescale(spot_vol(incr, 0.0, 20), 1 / 0.0009))
+    assert zscores == [report.zscore for report in reports]
+
+
+def test_test_scale_without_a_finite_reciprocal_exits_2(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    write_matrix_csv(np.eye(2), str(matrix))
+    rc = main(["test", "--matrix", str(matrix), "--k-n", "4", "--scale", "1e-310"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --scale needs a finite reciprocal, got 1e-310\n"
+
+
+def test_test_scale_that_overflows_the_estimate_exits_3(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    write_matrix_csv(1e10 * np.eye(2), str(matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["test", "--matrix", str(matrix), "--k-n", "4", "--scale", "1e-300"])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: estimate is not finite\n"
+
+
+def test_spot_overflow_exits_3_with_one_line(tmp_path, capsys):
+    # increments of about 1e160 overflow the Gram: a numerical failure, not
+    # bad input, and no numpy warning
+    path = tmp_path / "path.csv"
+    path.write_text("t,x1\n0.0,0.0\n0.25,1e160\n0.5,0.0\n0.75,1e160\n1.0,0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["spot", "--path", str(path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: estimate is not finite\n"
+
+
+def test_spot_on_a_path_whose_increments_overflow_exits_2_with_one_line(tmp_path, capsys):
+    # 1e308 - (-1e308) is not a float: bad input, reported without a numpy warning
+    path = tmp_path / "path.csv"
+    path.write_text("t,x1\n0.0,1e308\n0.5,-1e308\n1.0,1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["spot", "--path", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: increment matrix contains non-finite entries\n"
 
 
 def test_test_indefinite_matrix_exits_3(tmp_path, capsys):

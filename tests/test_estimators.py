@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from spotspectra import (
     ConfigError,
     GridConfig,
+    MCConfig,
+    NumericalError,
     SpotEstimate,
     VolModel,
     increments,
@@ -85,7 +88,7 @@ def test_nonfinite_window_start_is_a_config_error(t):
     # t * n is NaN or overflows: an error naming t and n, not a bare
     # ValueError or OverflowError from the floor
     with pytest.raises(ConfigError, match=r"t \* n is not finite: t = .*, n = 100$"):
-        window_start(t, 100)
+        window_start(t, 100, 10)
     with pytest.raises(ConfigError, match="t \\* n is not finite"):
         spot_vol_from_window(np.ones((2, 10)), 100, t, 10)
 
@@ -93,7 +96,7 @@ def test_nonfinite_window_start_is_a_config_error(t):
 def test_negative_anchor_time_is_a_config_error():
     # the window would start before the sample: (-49, -46) at t = -0.5, n = 100
     with pytest.raises(ConfigError, match=r"^t must be finite and nonnegative, got -0\.5$"):
-        window_start(-0.5, 100)
+        window_start(-0.5, 100, 4)
     with pytest.raises(ConfigError, match="t must be finite and nonnegative"):
         spot_vol_from_window(np.ones((2, 4)), 100, -0.5, 4)
     with pytest.raises(ConfigError, match="t must be finite and nonnegative"):
@@ -105,9 +108,65 @@ def test_nonpositive_sample_size_is_a_config_error(n):
     # -100 would shift the window to (-49, -46) and scale by -100; 0 would
     # zero the estimate
     with pytest.raises(ConfigError, match=rf"^n must be a positive integer, got {n}$"):
-        window_start(0.5, n)
+        window_start(0.5, n, 4)
     with pytest.raises(ConfigError, match="n must be a positive integer"):
         spot_vol_from_window(np.ones((2, 4)), n, 0.5, 4)
+
+
+def _config_error(call):
+    with pytest.raises(ConfigError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "n, t, k_n, fragment",
+    [
+        (100.5, 0.5, 4, "n must be a positive integer, got 100.5"),
+        (10, 0.9, 4, "window [10, 13] at t = 0.9 overruns the sample"),
+        (100, 0.5, 0, "k_n must be a positive integer, got 0"),
+        (100, -0.5, 4, "t must be finite and nonnegative, got -0.5"),
+        (100, math.inf, 4, "window start t * n is not finite"),
+    ],
+    ids=["float n", "overrun", "k_n 0", "t < 0", "t*n not finite"],
+)
+def test_every_caller_rejects_a_bad_window_with_one_message(n, t, k_n, fragment):
+    # window_start is the only check of where a window sits, so the public
+    # estimators and MCConfig raise its message word for word.  A float n used
+    # to shift the window to (51, 54) and scale by 100.5 / 4, and the overrun
+    # returned window (10, 13) on a 10-cell sample.  spot_vol reads n from the
+    # increments' shape, which is always an integer.
+    message = _config_error(lambda: window_start(t, n, k_n))
+    assert fragment in message
+    assert _config_error(lambda: spot_vol_from_window(np.ones((2, k_n)), n, t, k_n)) == message
+    assert _config_error(lambda: MCConfig(seed=0, n=n, k_n=k_n, t=t, p_list=(2,))) == message
+    if isinstance(n, int):
+        assert _config_error(lambda: spot_vol(np.ones((2, n)), t, k_n)) == message
+
+
+def test_an_overflowing_estimate_is_a_numerical_error_without_a_warning():
+    # 1e160 squared overflows; the mixed signs also make inf - inf = nan
+    window = np.array([[1e160, 1e160], [1e160, -1e160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^estimate is not finite$"):
+            spot_vol_from_window(window, 100, 0.0, 2)
+        with pytest.raises(NumericalError, match="^estimate is not finite$"):
+            spot_vol(window, 0.0, 2)
+
+
+def test_a_nonfinite_window_is_a_config_error_not_an_overflow():
+    # bad input, not a numerical failure of the estimate
+    with pytest.raises(ConfigError, match="^increment matrix contains non-finite entries$"):
+        spot_vol_from_window(np.full((2, 4), np.nan), 100, 0.0, 4)
+
+
+def test_rescale_overflow_is_a_numerical_error_without_a_warning():
+    est = spot_vol(np.ones((2, 4)), 0.0, 4)  # entries 4.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^estimate is not finite$"):
+            rescale(est, 1e308)
 
 
 def test_empty_window_is_a_config_error_not_a_division():
@@ -143,10 +202,10 @@ def test_gram_is_exactly_symmetric_for_every_layout(p):
     # a numpy or BLAS release stops doing so.
     for k_n in (20, 68):
         layouts = _layouts(p, k_n, seed=p)
-        reference = estimators._gram(layouts["C"])
+        reference = estimators._scaled_gram(layouts["C"], k_n, k_n, 1.0)
         for name, window in layouts.items():
             assert np.array_equal(window, layouts["C"])
-            gram = estimators._gram(window)
+            gram = estimators._scaled_gram(window, k_n, k_n, 1.0)
             assert np.array_equal(gram, gram.T), f"{name} Gram is not symmetric at p = {p}"
             assert np.array_equal(gram, reference), f"{name} Gram differs from C order at p = {p}"
 

@@ -561,7 +561,7 @@ def test_rep_range_cells_share_one_draw(model, seed):
 def _public_estimate(seed, n, t, k_n, p, model, base, rep):
     # the composition of public calls the benchmark's oracles use
     grid = GridConfig(n=n, p=p, seed=seed)
-    window = simulate_window_increments(grid, model, window_start(t, n), k_n, replication=rep)
+    window = simulate_window_increments(grid, model, window_start(t, n, k_n), k_n, replication=rep)
     return rescale(spot_vol_from_window(window, n, t, k_n), 1.0 / base)
 
 
@@ -865,6 +865,19 @@ def test_size_table_csv():
         assert float(row[4]) == 100.0 * expected
     with pytest.raises(ConfigError, match="cannot mix stochastic_bm"):
         write_size_table(summaries[:1] + r2_summaries[:1], io.StringIO())
+
+
+def test_size_table_rejects_summaries_with_an_alternative():
+    # A size table has no s column: power summaries at s = 0.45 and 0.6 would
+    # write two rows per (test, level, r1, pbar) key.
+    summaries = [
+        run_power_experiment(
+            MCConfig(seed=0, reps=2, n=400, p_list=(8,), levels=(0.1,), alternative=Alternative(s=s))
+        )
+        for s in (0.45, 0.6)
+    ]
+    with pytest.raises(ConfigError, match="^size table rows cannot take summaries with an alternative$"):
+        write_size_table(summaries, io.StringIO())
 
 
 def test_power_table_csv():
