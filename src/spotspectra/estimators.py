@@ -32,7 +32,8 @@ Marchenko--Pastur approximation of its eigenvalue distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from typing import TextIO, Union
 
 import numpy as np
@@ -183,11 +184,14 @@ def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
 
     Used to express an estimate in null units: the factor ``1 / level`` for the
     hypothesised variance level makes the null population the identity.  A
-    product that overflows is a :class:`NumericalError`.
+    product that overflows is a :class:`NumericalError`; it is as symmetric as
+    the estimate's matrix, so it is not checked again.
     """
     _check_factor(factor)
+    scaled = copy(estimate)
     with np.errstate(over="ignore"):
-        return replace(estimate, matrix=_finite(estimate.matrix * factor))
+        object.__setattr__(scaled, "matrix", _finite(estimate.matrix * factor))
+    return scaled
 
 
 def _finite(matrix: np.ndarray) -> np.ndarray:

@@ -16,13 +16,17 @@ computed from matrix invariants with no eigendecomposition:
   ``||A - I||_F**2 / p - z_n * (tr(A) / p)**2 + z_n``, standardized as
   ``(k_n * raw - p - 1) / 2``; any ``z_n``.
 * ``j`` -- John's sphericity test: ``||B - I||_F**2 / p`` for ``B = A /
-  (tr(A) / p)``, standardized like ``lw``, so rescaling ``A`` by a power of
-  two leaves it bit-identical.
+  (tr(A) / p)``, standardized like ``lw``.
 
 :func:`evaluate_tests` runs them through one private kernel, which the Monte
-Carlo harness calls directly.  It computes all three from one ``tr(A)`` and
-one ``||A - I||_F**2``, and raises :class:`~spotspectra.errors.NumericalError`
-if that norm is not finite (an overflowed estimate).
+Carlo harness calls directly.  ``lw`` and ``j`` read two invariants of ``A``,
+``tr(A)`` and ``||A||_F**2`` (one ``vdot``, no copy of ``A``):
+``||A - I||_F**2 = ||A||_F**2 - 2 tr(A) + p``, and ``j``'s raw statistic is
+``p * (||A||_F**2 / tr(A)) / tr(A) - 1``, which overflows only where
+``||A||_F**2`` does (``tr(A)**2`` alone can).  A power-of-two rescaling scales
+both invariants exactly, so it leaves ``j`` bit-identical.  If ``||A||_F**2``
+is not finite (an overflowed estimate), the kernel raises
+:class:`~spotspectra.errors.NumericalError`.
 
 ``A`` is assumed symmetric positive semidefinite and is not checked: an
 indefinite matrix gives finite, meaningless ``lw`` and ``j`` statistics.
@@ -104,16 +108,12 @@ def _statistics(
     """``(raw, zscore)`` of each test in ``kinds`` on the C-ordered ``p x p`` matrix ``a``.
 
     The caller holds one BLAS thread and passes, if ``kinds`` has ``bjyz``,
-    ``constants = mp_lss_constants(p / k_n)``.  Subtracting 1 on the diagonal
-    alone is bit-identical to ``- np.eye(p)``: ``x - 0.0 == x`` for every float.
-    """
+    ``constants = mp_lss_constants(p / k_n)``."""
     p = a.shape[0]
-    trace = float(np.trace(a))
-    d = a.copy()
-    d.reshape(-1)[:: p + 1] -= 1.0
-    squared_distance = float(np.vdot(d, d))
-    if not math.isfinite(squared_distance):
-        raise NumericalError(f"||A - I||_F**2 = {squared_distance!r}: estimate is not finite")
+    trace = float(a.trace())
+    frob = float(np.vdot(a, a))
+    if not math.isfinite(frob):  # then ||A - I||_F**2 is not finite either
+        raise NumericalError(f"||A - I||_F**2 = {frob!r}: estimate is not finite")
     stats = []
     for kind in kinds:
         if kind is TestKind.BJYZ:
@@ -134,16 +134,14 @@ def _statistics(
             zscore = centered / math.sqrt(constants.variance)
         elif kind is TestKind.LW:
             z_n = p / k_n
-            raw = squared_distance / p - z_n * (trace / p) ** 2 + z_n
+            raw = (frob - 2.0 * trace + p) / p - z_n * (trace / p) ** 2 + z_n
             zscore = (k_n * raw - p - 1.0) / 2.0
         else:
             if not trace > 0.0:
                 raise SingularEstimateError(
                     f"trace {trace!r} is not positive: sphericity normalization undefined"
                 )
-            d = a / (trace / p)
-            d.reshape(-1)[:: p + 1] -= 1.0
-            raw = float(np.vdot(d, d)) / p
+            raw = p * (frob / trace) / trace - 1.0  # (tr A)**2 alone can overflow
             zscore = (k_n * raw - p - 1.0) / 2.0
         stats.append((raw, zscore))
     return stats

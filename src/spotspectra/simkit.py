@@ -74,28 +74,28 @@ def _snapped_floor(x: float) -> int:
     return math.floor(x)
 
 
+def _keyed_state(key: list[int]) -> dict:
+    """The state of a ``Philox`` keyed ``key``, with a zero counter and an empty
+    buffer: assigned, it draws what a freshly keyed ``Philox`` would.  It holds
+    ``key``, so setting ``key[1]`` re-keys the next assignment.  Plain ints: the
+    setter reads them faster than numpy scalars."""
+    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def _substreams(seed: int) -> Callable[[int, int], Generator]:
     """Return ``stream(replication, coord)``, the substreams of ``seed``.
 
     One ``Philox`` generator serves them all (a window source or one public
-    call): ``stream`` re-keys it to ``(seed,
-    replication << 20 | coord)`` with a zero counter and an empty output
-    buffer, which draws exactly what a freshly keyed ``Philox`` would.  Every
-    call returns that same generator, so draw from one substream before
-    asking for the next.  Callers check ``replication``; ``GridConfig`` checks ``coord``.
+    call): ``stream`` re-keys it to ``(seed, replication << 20 | coord)``
+    through :func:`_keyed_state`.  Every call returns that same generator, so
+    draw from one substream before asking for the next.  Callers check
+    ``replication``; ``GridConfig`` checks ``coord``.
     """
     bit_generator = Philox(key=0)  # re-keyed before every draw
     generator = Generator(bit_generator)
-    # Plain ints: the state setter reads them faster than numpy scalars.
     key = [seed, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = _keyed_state(key)
 
     def stream(replication: int, coord: int) -> Generator:
         key[1] = (replication << _COORD_BITS) | coord
@@ -321,11 +321,15 @@ def _window_source(
     A draw fills the largest ``p``'s noise rows once, in a reused buffer, and
     each cell scales its leading ``p`` rows (a row's substream does not depend
     on ``p``), the last cell in place, so a draw's windows are valid until the
-    next draw.  Only a ``STOCHASTIC_BM`` profile with ``r2 > 0`` is random: it
-    is drawn per replication from coordinate ``p``; the others are hoisted.
+    next draw.  Row ``j`` re-keys the source's one ``Philox`` in the draw's own
+    loop, as ``stream(replication, j)`` would, but with no call per row.  Only a
+    ``STOCHASTIC_BM`` profile with ``r2 > 0`` is random: it is drawn per
+    replication from ``stream(replication, p)``; the others are hoisted.
     """
     top = max(p for p, _ in cells)
-    stream = _substreams(seed)
+    stream, key = _substreams(seed), [seed, 0]
+    generator, state = stream(0, 0), _keyed_state(key)  # every stream is one generator
+    philox, normal = generator.bit_generator, generator.standard_normal
     noise = np.empty((top, count))
     rows = list(noise)
     sds = [
@@ -335,8 +339,11 @@ def _window_source(
     ]
 
     def draw(replication: int) -> list[np.ndarray]:
+        high = replication << _COORD_BITS
         for j, row in enumerate(rows):
-            stream(replication, j).standard_normal(out=row)  # no size: it costs a shape check
+            key[1] = high | j
+            philox.state = state
+            normal(out=row)  # no size: it costs a shape check
         windows = []
         for (p, model), sd in zip(cells, sds):
             if sd is None:

@@ -193,6 +193,20 @@ def test_test_scale_multiplies_by_the_reciprocal_as_rescale_does(tmp_path):
     assert zscores == [report.zscore for report in reports]
 
 
+def test_test_scale_checks_the_file_matrix_once(tmp_path, monkeypatch):
+    # rescale keeps the estimate's symmetry, so it does not check it again
+    matrix = tmp_path / "m.csv"
+    write_matrix_csv(np.diag([1.0, 2.0, 3.0]), str(matrix))
+    checked = []
+    real = spotspectra.estimators.checked_symmetric
+    monkeypatch.setattr(spotspectra.estimators, "checked_symmetric",
+                        lambda m, name: checked.append(name) or real(m, name))
+    rc = main(["test", "--matrix", str(matrix), "--k-n", "8", "--scale", "0.5",
+               "--out", str(tmp_path / "report.csv")])
+    assert rc == 0
+    assert checked == ["estimate matrix"]
+
+
 def test_test_scale_without_a_finite_reciprocal_exits_2(tmp_path, capsys):
     matrix = tmp_path / "m.csv"
     write_matrix_csv(np.eye(2), str(matrix))

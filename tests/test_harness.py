@@ -900,7 +900,9 @@ def test_power_table_csv():
 # p in {8, 30} and 20 replications, under a seasonal and a stochastic
 # volatility null.  The harness and simulate_window_increments share one
 # window draw, so these pin the draws bit for bit where the equality of the
-# two routes cannot.
+# two routes cannot.  They were taken on OpenBLAS's SkylakeX kernel: the
+# z-scores are printed at full precision, so their last bits follow the
+# kernel, which the tolerance test below does not.
 _QQ_MODELS = {
     "sin": VolModel.deterministic_sin(0.0009, 0.0004),
     "bm": VolModel.stochastic_bm(0.0009, 0.02),
@@ -908,31 +910,31 @@ _QQ_MODELS = {
 _QQ_PINNED = {
     (0, "sin"): {
         "qq_bjyz_0.4.csv": "f6c8f8eb4c0ddd1251aa7c3efffb36ad9aabc250cd9cdb4a28a5b298be2ddeed",
-        "qq_j_0.4.csv": "aabfe65c235f5143d81a00236f63bb396522ed0946b14bf93149418fce6f0eb8",
-        "qq_j_1.5.csv": "515cfd794f5483ae507340b9125e13bbdb020b4d7ad1eb32b0910a08515d0a62",
-        "qq_lw_0.4.csv": "283a4bbc507bc70b01e2dbf7e0159784791b4f3fcf1745016a44b3d80931b137",
-        "qq_lw_1.5.csv": "3fad19067fda11b3b6dc7a774851e516fd2b242bc766de1876c2d5abb4f5e983",
+        "qq_j_0.4.csv": "18e8832a2ba93a63b8480b62c2bd0a99aa2e5d42a8689bb9f6bd630dcdefd9b7",
+        "qq_j_1.5.csv": "eefc0b32789a16ea3664261926a8ffe52e82cb76a032cdcb9856ef7f707b1271",
+        "qq_lw_0.4.csv": "26e4416d44b3424ff9837412424a9e6186e38b12dc698898f7685bcf0c959091",
+        "qq_lw_1.5.csv": "ea65c980396491c90693c3443539845660e04703b7c14d31a15b792b27973682",
     },
     (0, "bm"): {
         "qq_bjyz_0.4.csv": "146ec11ce1edcec94f96fbb604df8f79d39ea5699f39479fc52019a46a43b592",
-        "qq_j_0.4.csv": "92489935ed1ca98c015d5c5d727608e40724c3fa082fada8f62c05b5074f98a0",
-        "qq_j_1.5.csv": "fc474426ca37e77f5af31e4ea442918ddedc06f462c551397d56fad9608a5a97",
-        "qq_lw_0.4.csv": "411c2c1055f94b19c2d52e90e0e45fffec0c6c20358abd700a10a82ffee0f1dd",
-        "qq_lw_1.5.csv": "998792bd63d67ae0690ce17d7f9e4f355c93e96605505bf4367bb9b62b6f310d",
+        "qq_j_0.4.csv": "7c04ef91168bb13b5dbff800ac7e919ab7ed304c839aea1b50441ccc2d3c026f",
+        "qq_j_1.5.csv": "cd30fc6c06c7411f5f5d1908a04836201e8ce6e0d450625ae2f7884e20e1fdbf",
+        "qq_lw_0.4.csv": "834e222ac5de752c0ce7a7251a1eebb9db2de7684bd35c9c0c7c4d40a1eb65bf",
+        "qq_lw_1.5.csv": "47cb4303a5e47684a34ac8178ac7727500c82664f692a423c3774f42479d7c83",
     },
     (8, "sin"): {
         "qq_bjyz_0.4.csv": "75ba991a50f5866af1e25d3e7d6b165c78103fb7a32a1f931b7dd7aa676ce6c8",
-        "qq_j_0.4.csv": "5afc65b749e578225e43133a126d7fec6942d23cfb094049a8847ac911a70dbf",
-        "qq_j_1.5.csv": "9813f640e99ed1db74b70234d353a83847ad649b67034d2e0e24f93b82ebe808",
-        "qq_lw_0.4.csv": "1c16400769f45e5ed5463d6fb9b26f55f42350534d0772368a78f918aecee57b",
-        "qq_lw_1.5.csv": "8dcf75d35592c8065357e3acb3b4e26215d14015929dd9b9aa5de835b91db5a1",
+        "qq_j_0.4.csv": "400cbf64e4e5c7e4c815b329331da646ed2c82a02a3415ef850ddae0008aeac3",
+        "qq_j_1.5.csv": "9421084833269a38fe5c7d8a1ac3334697373de3437f80a850632135094c531a",
+        "qq_lw_0.4.csv": "1f9d9bd314306103d31e6c0bc9f222aca6a13de983b828ad9d041dc6dc4cd126",
+        "qq_lw_1.5.csv": "be425c461a315f9ec1861f5d4a48db28ef6547301bb249e4902d334bfed7dea2",
     },
     (8, "bm"): {
         "qq_bjyz_0.4.csv": "4ec33739fdb32e3f4a0d7cffb2f1c28e2f548921b0ade7475277cbb31bc931bf",
-        "qq_j_0.4.csv": "1b86186b6dbad16f0e48207b5d3e4e6ef12fdae2af939371e22c4564eaba61f1",
-        "qq_j_1.5.csv": "aa19bff52072b4761563c396fdefb488a08f7e00a0ac85d5004cbad177709c3d",
-        "qq_lw_0.4.csv": "e9a9b6e12c7cb7eb8e134ad8cde0f894fc5a70bdffc2ddc3bb444e22ad155d24",
-        "qq_lw_1.5.csv": "ea5e42dfb5768ffddd3b81fd19ae942eefc4293c392186a8570e838e382b6e63",
+        "qq_j_0.4.csv": "1e7a5e8fc1ec43a21a8dd305756b9e5c3336b5b35ad45a0131c9665473fef6c7",
+        "qq_j_1.5.csv": "e6d26897e734c20cb9589a702940a6010b27c7f3e72524014a7084bfffa55b06",
+        "qq_lw_0.4.csv": "a2a82b9e4523eab1387ea32ce42ed8b2dda078b7c4a57368eda08ca56216fec6",
+        "qq_lw_1.5.csv": "d09b1f5a4df6b7a15666f1f3c8465c7cecfc0248a417d7e2b8c7b4b56620aa00",
     },
 }
 
@@ -943,6 +945,27 @@ def test_qq_figure_writes_pinned_bytes(tmp_path, seed, model):
     artifacts = run_qq_figure(cfg, tmp_path)
     digests = {a.path.name: hashlib.sha256(a.path.read_bytes()).hexdigest() for a in artifacts}
     assert digests == _QQ_PINNED[(seed, model)]
+
+
+@pytest.mark.parametrize("seed, model", sorted(_QQ_PINNED))
+def test_qq_figure_zscores_match_explicit_distances_to_identity(tmp_path, seed, model):
+    # The designs of the byte pins above, rebuilt replication by replication
+    # through the public draw: lw and j from A - I and B - I formed
+    # explicitly, where the kernel reads tr(A) and ||A||_F**2 alone.
+    cfg = MCConfig(seed=seed, reps=20, n=400, p_list=(8, 30), model=_QQ_MODELS[model])
+    figure = {(a.kind, a.p): a.empirical for a in run_qq_figure(cfg, tmp_path)}
+    for p in cfg.p_list:
+        z_n, expected = p / cfg.k_n, {TestKind.LW: [], TestKind.J: []}
+        for rep in range(cfg.reps):
+            a = _public_estimate(seed, cfg.n, cfg.t, cfg.k_n, p, cfg.model, cfg.model.base, rep).matrix
+            trace, a_minus_i = np.trace(a), a - np.eye(p)
+            b_minus_i = a / (trace / p) - np.eye(p)
+            raw_lw = np.sum(a_minus_i**2) / p - z_n * (trace / p) ** 2 + z_n
+            for kind, raw in ((TestKind.LW, raw_lw), (TestKind.J, np.sum(b_minus_i**2) / p)):
+                expected[kind].append((cfg.k_n * raw - p - 1.0) / 2.0)
+        for kind, z in expected.items():
+            z = np.sort(z)
+            assert np.all(np.abs(figure[(kind, p)] - z) <= 1e-10 * np.maximum(1.0, np.abs(z)))
 
 
 def test_power_table_writes_pinned_bytes(tmp_path):

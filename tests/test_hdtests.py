@@ -107,6 +107,30 @@ def test_j_raw_matches_eigenvalue_route():
         assert report.zscore == pytest.approx((k_n * expected - p - 1) / 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["near identity", "large norm"])
+def test_lw_and_j_match_eigenvalue_route_at_extreme_scales(case):
+    # At A = I + E with ||E||_F = 1e-8, ||A||_F**2 - 2 tr(A) + p cancels to
+    # ||E||_F**2; at ||A||_F**2 = 1e307, (tr A)**2 alone would overflow.
+    p, k_n = 34, 68
+    rng = np.random.default_rng(8)
+    if case == "near identity":
+        s = rng.standard_normal((p, p))
+        s += s.T
+        a = np.eye(p) + 1e-8 * (s / np.linalg.norm(s))
+    else:
+        g = rng.standard_normal((p, k_n))
+        a = g @ g.T
+        a *= math.sqrt(1e307 / np.vdot(a, a))
+    lam = np.linalg.eigvalsh(a)
+    raw = {
+        TestKind.LW: np.mean((lam - 1.0) ** 2) - (p / k_n) * np.mean(lam) ** 2 + p / k_n,
+        TestKind.J: np.mean((p * lam / np.sum(lam) - 1.0) ** 2),
+    }
+    for report in evaluate_tests(_estimate(a, k_n), [TestKind.LW, TestKind.J]):
+        z = (k_n * raw[report.kind] - p - 1) / 2
+        assert abs(report.zscore - z) <= 1e-10 * max(1.0, abs(z))
+
+
 def test_j_scale_invariance():
     rng = np.random.default_rng(4)
     est = _random_estimate(rng, 12, 30)
