@@ -16,6 +16,7 @@ numerical failure, 4 a Monte Carlo worker process that exited without reporting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -26,7 +27,8 @@ import numpy as np
 from ._csvio import make_dir
 from .errors import ConfigError, NumericalError, WorkerError
 from .estimators import (
-    SpotEstimate, _check_factor, read_matrix_csv, rescale, spot_vol, write_matrix_csv,
+    SpotEstimate, _check_factor, _window_length, read_matrix_csv, rescale, spot_vol,
+    write_matrix_csv,
 )
 from .harness import (
     Alternative,
@@ -87,12 +89,18 @@ def _config_argv(path: str, command: str) -> list[str]:
 
 
 def _opt(name: str, help: str, **kwargs) -> tuple[str, dict]:
-    if kwargs.get("default") is not None:
-        help += f" (default: {kwargs['default']})"
+    default = kwargs.get("default")
+    if default is not None:
+        # A list default is shown as it is typed, so it parses back to itself.
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        help += f" (default: {shown})"
     return "--" + name, dict(metavar="V", help=help, **kwargs)
 
 
 # Option tables --------------------------------------------------------------
+# Every Monte Carlo default is read from MCConfig or Alternative.
+
+_K_N = _opt("k-n", "window length (default: floor(sqrt(n)))", type=int)
 
 _SIM_OPTS = [
     _opt("n", "number of grid cells", type=int, required=True),
@@ -104,7 +112,7 @@ _SIM_OPTS = [
         choices=("deterministic-sin", "stochastic-bm", "constant-diag", "piecewise-diag"),
         default="deterministic-sin",
     ),
-    _opt("base", "variance level for scalar kinds (default 0.0009)", type=float),
+    _opt("base", f"variance level for scalar kinds (default: {MCConfig.model.base})", type=float),
     _opt("r1", "seasonal modulation amplitude", type=float, default=0.0),
     _opt("r2", "volatility-of-volatility amplitude", type=float, default=0.0),
     _opt("diag", "comma separated diagonal variances", type=_list_of(float)),
@@ -122,7 +130,7 @@ _SPOT_OPTS = [
         type=float,
         default=0.0,
     ),
-    _opt("k-n", "window length (default: floor(sqrt(n)))", type=int),
+    _K_N,
     _opt("out", "output CSV (default: stdout)"),
 ]
 
@@ -135,55 +143,48 @@ _TEST_OPTS = [
 ]
 
 _MC_COMMON = [
-    _opt("reps", "Monte Carlo replications", type=int, default=1000),
-    _opt("n", "number of grid cells", type=int, default=4680),
-    _opt("k-n", "window length (default: floor(sqrt(n)))", type=int),
-    _opt("p-list", "comma separated dimensions", type=_list_of(int), default=(34, 68, 102)),
-    _opt("base", "null variance level", type=float, default=0.0009),
+    _opt("reps", "Monte Carlo replications", type=int, default=MCConfig.reps),
+    _opt("n", "number of grid cells", type=int, default=MCConfig.n),
+    _K_N,
+    _opt("p-list", "comma separated dimensions", type=_list_of(int), default=MCConfig.p_list),
+    _opt("base", "null variance level", type=float, default=MCConfig.model.base),
     _opt(
         "t",
         "window anchor time; draws at t > 0 do not reuse the noise of a "
         "simulated full path",
         type=float,
-        default=0.0,
+        default=MCConfig.t,
     ),
-    _opt("levels", "test levels", type=_list_of(float), default=(0.10, 0.05, 0.01)),
-    _opt("workers", "worker processes per command, this one included", type=int, default=1),
+    _opt("levels", "test levels", type=_list_of(float), default=MCConfig.levels),
+    _opt("workers", "worker processes per command, this one included", type=int,
+         default=MCConfig.workers),
     _opt("out-dir", "output directory", default="."),
 ]
 
 _MC_SIZE_OPTS = [
     _opt("seed", "master seed (required)", type=int, required=True),
-    _opt("r1", "seasonal amplitudes to sweep", type=_list_of(float), default=(0.0,)),
+    _opt("r1", "seasonal amplitudes to sweep", type=_list_of(float), default=(MCConfig.model.r1,)),
     _opt("r2", "vol-of-vol amplitudes to sweep instead of r1", type=_list_of(float)),
     *_MC_COMMON,
 ]
 
 _MC_POWER_OPTS = [
     _opt("seed", "master seed (required)", type=int, required=True),
-    _opt("r1", "seasonal amplitudes to sweep", type=_list_of(float), default=(0.0,)),
+    _opt("r1", "seasonal amplitudes to sweep", type=_list_of(float), default=(MCConfig.model.r1,)),
     _opt("s", "block split fractions", type=_list_of(float), default=(0.45, 0.6, 0.75)),
-    _opt("low", "variance level of the second block", type=float, default=0.0004),
+    _opt("low", "variance level of the second block", type=float, default=Alternative.low),
     *_MC_COMMON,
 ]
 
 # The figures report no rejection rates, and one ESD draw needs no replications.
 _QQ_OPTS = [
     _opt("seed", "master seed", type=int, default=0),
-    _opt("r1", "seasonal amplitude", type=float, default=0.0),
+    _opt("r1", "seasonal amplitude", type=float, default=MCConfig.model.r1),
     _opt("r2", "vol-of-vol amplitude (selects the stochastic model)", type=float),
     *(opt for opt in _MC_COMMON if opt[0] != "--levels"),
 ]
 
 _ESD_OPTS = [opt for opt in _QQ_OPTS if opt[0] not in ("--reps", "--workers")]
-
-
-def _scalar_model(base: float, r1: float, r2: Optional[float]) -> VolModel:
-    if r2 is not None:
-        if r1 != 0.0:
-            raise ConfigError("give either r1 or r2, not both")
-        return VolModel.stochastic_bm(base, r2)
-    return VolModel.deterministic_sin(base, r1)
 
 
 def _out_stream(spec: Optional[str]):
@@ -204,7 +205,7 @@ def _cmd_simulate(cfg: dict) -> None:
     kind = VolKind(cfg["kind"].replace("-", "_"))
     base = cfg["base"]
     if base is None:
-        base = 0.0 if kind is VolKind.PIECEWISE_DIAG else 0.0009
+        base = 0.0 if kind is VolKind.PIECEWISE_DIAG else MCConfig.model.base
     model = VolModel(kind=kind, base=base, r1=cfg["r1"], r2=cfg["r2"], diag=cfg["diag"])
     grid = GridConfig(n=cfg["n"], p=cfg["p"], seed=cfg["seed"])
     path = simulate_path(grid, model, replication=cfg["replication"])
@@ -215,8 +216,7 @@ def _cmd_spot(cfg: dict) -> None:
     _, values = read_path_csv(cfg["path"])
     with np.errstate(over="ignore", invalid="ignore"):  # spot_vol rejects a non-finite increment
         incr = np.diff(values, axis=1)
-    k_n = cfg["k_n"] if cfg["k_n"] is not None else math.isqrt(incr.shape[1])
-    est = spot_vol(incr, cfg["t"], k_n)
+    est = spot_vol(incr, cfg["t"], _window_length(incr.shape[1], cfg["k_n"]))
     write_matrix_csv(est.matrix, _out_stream(cfg["out"]))
 
 
@@ -234,50 +234,45 @@ def _cmd_test(cfg: dict) -> None:
     write_report_csv(evaluate_tests(est, kinds), _out_stream(cfg["out"]))
 
 
-def _mc_config(cfg: dict, model: VolModel,
-               alternative: Optional[Alternative] = None) -> MCConfig:
-    # A subcommand without --reps, --levels or --workers keeps MCConfig's default.
-    fields = ("seed", "reps", "n", "k_n", "p_list", "t", "levels", "workers")
+def _mc_config(cfg: dict, r1: float, r2: Optional[float] = None,
+               s: Optional[float] = None) -> MCConfig:
+    """One model's config, ``stochastic_bm`` if ``r2`` is given and two-block if ``s`` is;
+    an option the subcommand lacks keeps MCConfig's default."""
+    if r2 is not None and r1 != 0.0:
+        raise ConfigError("give either r1 or r2, not both")
+    base = cfg["base"]
+    model = VolModel.deterministic_sin(base, r1) if r2 is None else VolModel.stochastic_bm(base, r2)
     return MCConfig(
         model=model,
-        alternative=alternative,
-        **{name: cfg[name] for name in fields if name in cfg},
+        alternative=None if s is None else Alternative(s=s, low=cfg["low"]),
+        **{f.name: cfg[f.name] for f in dataclasses.fields(MCConfig) if f.name in cfg},
     )
 
 
-def _cmd_mc_size(cfg: dict) -> None:
-    cfgs = [
-        _mc_config(cfg, _scalar_model(cfg["base"], r1, r2))
-        for r1 in cfg["r1"]
-        for r2 in cfg["r2"] or (None,)
-    ]
+def _run_table(cfgs: list[MCConfig], out_dir: str, write: Callable, name: str) -> None:
     _plan(cfgs, 1)  # a config error leaves no directory behind
-    out = make_dir(cfg["out_dir"]) / "size_table.csv"
-    write_size_table(_run_experiments(cfgs), str(out))
+    out = make_dir(out_dir) / name
+    write(_run_experiments(cfgs), str(out))
     print(out)
+
+
+def _cmd_mc_size(cfg: dict) -> None:
+    cfgs = [_mc_config(cfg, r1, r2) for r1 in cfg["r1"] for r2 in cfg["r2"] or (None,)]
+    _run_table(cfgs, cfg["out_dir"], write_size_table, "size_table.csv")
 
 
 def _cmd_mc_power(cfg: dict) -> None:
-    cfgs = [
-        _mc_config(cfg, VolModel.deterministic_sin(cfg["base"], r1), Alternative(s=s, low=cfg["low"]))
-        for s in cfg["s"]
-        for r1 in cfg["r1"]
-    ]
-    _plan(cfgs, 1)
-    out = make_dir(cfg["out_dir"]) / "power_table.csv"
-    write_power_table(_run_experiments(cfgs), str(out))
-    print(out)
+    cfgs = [_mc_config(cfg, r1, s=s) for s in cfg["s"] for r1 in cfg["r1"]]
+    _run_table(cfgs, cfg["out_dir"], write_power_table, "power_table.csv")
 
 
 def _cmd_esd(cfg: dict) -> None:
-    model = _scalar_model(cfg["base"], cfg["r1"], cfg["r2"])
-    for artifact in run_esd_figure(_mc_config(cfg, model), cfg["out_dir"]):
+    for artifact in run_esd_figure(_mc_config(cfg, cfg["r1"], cfg["r2"]), cfg["out_dir"]):
         print(f"{artifact.path} ks={artifact.ks_distance:.6f}")
 
 
 def _cmd_qq(cfg: dict) -> None:
-    model = _scalar_model(cfg["base"], cfg["r1"], cfg["r2"])
-    for artifact in run_qq_figure(_mc_config(cfg, model), cfg["out_dir"]):
+    for artifact in run_qq_figure(_mc_config(cfg, cfg["r1"], cfg["r2"]), cfg["out_dir"]):
         print(f"{artifact.path} corr={artifact.correlation:.6f}")
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from copy import copy
 from dataclasses import dataclass
-from typing import TextIO, Union
+from typing import Optional, TextIO, Union
 
 import numpy as np
 
@@ -101,15 +101,19 @@ def _check_k_n(k_n: object) -> None:
 
 
 def _scaled_gram(window: np.ndarray, n: int, k_n: int, factor: float) -> np.ndarray:
-    """Every estimate matrix: ``w @ w.T`` scaled in place by ``n / k_n``, then by ``factor``."""
+    """Every estimate matrix: ``w @ w.T`` scaled in place by ``n / k_n``, then by ``factor``,
+    on the caller's one BLAS thread; the caller ignores an overflow and reports it."""
     # A column-strided window can take a general product, which is not always
     # symmetric; the copy (a no-op for a C-contiguous window) avoids it.
     w = np.ascontiguousarray(window)
-    with one_thread(), np.errstate(over="ignore", invalid="ignore"):  # the caller reports an inf
-        matrix = w @ w.T
-        matrix *= n / k_n
-        matrix *= factor
+    matrix = w @ w.T
+    matrix *= n / k_n
+    matrix *= factor
     return matrix
+
+
+def _window_length(n: int, k_n: Optional[int]) -> int:
+    return math.isqrt(n) if k_n is None else k_n  # the default k_n is floor(sqrt(n))
 
 
 def window_start(t: float, n: int, k_n: int) -> int:
@@ -175,7 +179,8 @@ def spot_vol_from_window(window: np.ndarray, n: int, t: float, k_n: int) -> Spot
     window = _validated_increments(window)
     if window.shape[1] != k_n:
         raise ConfigError(f"window block must have k_n = {k_n} columns, got shape {window.shape}")
-    matrix = _finite(_scaled_gram(window, n, k_n, 1.0))
+    with one_thread(), np.errstate(over="ignore", invalid="ignore"):
+        matrix = _finite(_scaled_gram(window, n, k_n, 1.0))
     return SpotEstimate(matrix=matrix, t=t, k_n=k_n, window=(start + 1, start + k_n))
 
 

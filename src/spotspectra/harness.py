@@ -47,7 +47,7 @@ import numpy as np
 from ._blas import one_thread
 from ._csvio import make_dir, write_csv
 from .errors import ConfigError, NumericalError, WorkerError
-from .estimators import _scaled_gram, window_start
+from .estimators import _scaled_gram, _window_length, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
 from .simkit import GridConfig, VolKind, VolModel, _window_source
@@ -66,8 +66,6 @@ __all__ = [
     "write_size_table",
     "write_power_table",
 ]
-
-_DEFAULT_MODEL = VolModel.deterministic_sin(0.0009, 0.0)
 
 # The fewest replication rows (one cell's noise row of one replication) that
 # a chunk must hold for a child process to run it.  Measured on 2 cores of an
@@ -120,7 +118,7 @@ class MCConfig:
     n: int = 4680
     k_n: Optional[int] = None
     p_list: tuple[int, ...] = (34, 68, 102)
-    model: VolModel = _DEFAULT_MODEL
+    model: VolModel = VolModel.deterministic_sin(0.0009, 0.0)
     t: float = 0.0
     levels: tuple[float, ...] = (0.10, 0.05, 0.01)
     alternative: Optional[Alternative] = None
@@ -140,7 +138,7 @@ class MCConfig:
         if len(set(self.p_list)) != len(self.p_list):
             raise ConfigError(f"p_list entries must be distinct, got {self.p_list!r}")
         GridConfig(n=self.n, p=max(self.p_list), seed=self.seed)  # checks the run's largest grid
-        object.__setattr__(self, "k_n", self.k_n if self.k_n is not None else math.isqrt(self.n))
+        object.__setattr__(self, "k_n", _window_length(self.n, self.k_n))
         window_start(self.t, self.n, self.k_n)
         object.__setattr__(self, "levels", tuple(float(x) for x in self.levels))
         if not self.levels:
@@ -193,7 +191,7 @@ def _run_rep_range(
     top = max(p for p, _, _ in cells)
     inv_scale = 1.0 / null_scale
     try:
-        with one_thread():
+        with one_thread(), np.errstate(over="ignore", invalid="ignore"):  # the kernel reports inf
             for rep in range(rep_lo, rep_hi):
                 cell = None  # a failed draw is keyed to the rows it draws, which all cells share
                 for cell, window, (kinds, z, constants) in zip(cells, draw(rep), plans):
@@ -355,7 +353,8 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     windows = _window_source(cfg.seed, cfg.n, start, cfg.k_n, cells)(0)
     figures = []
     for p, window in zip(cfg.p_list, windows):
-        matrix = _scaled_gram(window, cfg.n, cfg.k_n, 1.0 / cfg.model.base)
+        with one_thread(), np.errstate(over="ignore", invalid="ignore"):
+            matrix = _scaled_gram(window, cfg.n, cfg.k_n, 1.0 / cfg.model.base)
         if not np.isfinite(matrix).all():
             raise NumericalError(f"seed {cfg.seed}, p {p}, replication 0: estimate is not finite")
         sample = eigenvalues_sym(matrix)
@@ -396,7 +395,7 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
     """
     _check_null(cfg)
     out_dir = make_dir(out_dir)
-    summary = run_size_experiment(cfg)
+    summary = _run_experiments([cfg])[0]
     dist = NormalDist()
     reps = cfg.reps
     theoretical = np.array(

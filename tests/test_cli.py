@@ -6,9 +6,11 @@ output, and written files against the library API.
 """
 
 import csv
+import dataclasses
 import hashlib
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -617,6 +619,50 @@ def test_mc_power_writes_table(tmp_path, capsys):
     rows = _rows(out)
     assert rows[0] == ["test", "level", "r1", "pbar", "s", "rejection_pct"]
     assert {row[4] for row in rows[1:]} == {"0.5"}
+
+
+@pytest.mark.parametrize("command", ["esd", "qq", "mc-size", "mc-power"])
+def test_printed_defaults_parse_back_to_the_config_defaults(command):
+    # Each printed default, typed back as the option's value, must give the
+    # option's default, and an option named after a config field must default
+    # to that field's default.  The figures' --seed 0 is the command line's own.
+    fields = dataclasses.fields(MCConfig)
+    config = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+    null = config.pop("model")
+    expected = dict(config, base=null.base, low=Alternative.low,
+                    r1=(null.r1,) if command.startswith("mc-") else null.r1)
+    compared = set()
+    for flag, kwargs in cli._COMMANDS[command][0]:
+        dest = flag[2:].replace("-", "_")
+        if kwargs.get("default") is None:
+            continue
+        printed = re.fullmatch(r".* \(default: (.*)\)", kwargs["help"]).group(1)
+        value = kwargs.get("type", str)(printed)
+        assert value == kwargs["default"], f"{command} {flag} prints {printed!r}"
+        if dest in expected:
+            assert value == expected[dest], f"{command} {flag} defaults to {value!r}"
+            compared.add(dest)
+    assert compared >= {"n", "p_list", "base", "t", "r1"}
+
+
+@pytest.mark.parametrize("command, runner, expected", [
+    ("mc-size", "_run_experiments", [MCConfig(seed=3)]),
+    ("mc-power", "_run_experiments",
+     [MCConfig(seed=3, alternative=Alternative(s)) for s in (0.45, 0.6, 0.75)]),
+    ("esd", "run_esd_figure", [MCConfig(seed=3)]),
+    ("qq", "run_qq_figure", [MCConfig(seed=3)]),
+])
+def test_a_command_without_options_runs_the_config_defaults(
+    tmp_path, capsys, monkeypatch, command, runner, expected
+):
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    if runner == "_run_experiments":
+        monkeypatch.setattr(cli, runner, lambda cfgs: runs.append(cfgs) or [])
+    else:
+        monkeypatch.setattr(cli, runner, lambda cfg, out_dir: runs.append([cfg]) or [])
+    assert main([command, "--seed", "3"]) == 0
+    assert runs == [expected]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
