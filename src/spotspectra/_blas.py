@@ -55,9 +55,12 @@ class one_thread:
     """Run the block on one OpenBLAS thread, then restore the caller's count.
 
     Does nothing when the count is already 1, so nested scopes (a kernel
-    inside a sweep) never call the setter.  A class rather than a generator
-    context manager, because the Gram product enters it once per
-    replication and a generator costs about three times as much per entry.
+    inside a sweep) never call the setter.  A sweep enters it once per chunk
+    of replications, but the public routes (``spot_vol_from_window``,
+    ``evaluate_tests``, ``eigenvalues_sym``) enter it once per call, and a
+    caller may make one call per replication.  So it is a class: per nested
+    entry it costs about 0.6 µs, a generator context manager 1.5 µs (Python
+    3.11 on an AVX-512 Xeon).
     """
 
     __slots__ = ("_old",)

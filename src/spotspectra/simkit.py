@@ -24,9 +24,9 @@ results are reproducible bit-for-bit regardless of scheduling or worker
 count.  Coordinate index ``p`` (one past the last price coordinate) is
 reserved for the volatility driver of ``STOCHASTIC_BM``.  Every draw, public
 or Monte Carlo, goes through one window source: one ``Philox`` generator,
-re-keyed with a zero counter to each key in turn, so it draws what
-``Philox(key=(seed, replication << 20 | coordinate))`` would.  The public
-:func:`simulate_window_increments` is a validated one-cell source.
+re-keyed with a zero counter to each key in turn, so it draws what a
+``Philox`` freshly keyed ``(seed, replication << 20 | coordinate)`` would.
+The public :func:`simulate_window_increments` is a validated one-cell source.
 """
 
 from __future__ import annotations
@@ -72,37 +72,6 @@ def _snapped_floor(x: float) -> int:
     if abs(x - nearest) <= 1e-9 * nearest:
         return int(nearest)
     return math.floor(x)
-
-
-def _keyed_state(key: list[int]) -> dict:
-    """The state of a ``Philox`` keyed ``key``, with a zero counter and an empty
-    buffer: assigned, it draws what a freshly keyed ``Philox`` would.  It holds
-    ``key``, so setting ``key[1]`` re-keys the next assignment.  Plain ints: the
-    setter reads them faster than numpy scalars."""
-    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _substreams(seed: int) -> Callable[[int, int], Generator]:
-    """Return ``stream(replication, coord)``, the substreams of ``seed``.
-
-    One ``Philox`` generator serves them all (a window source or one public
-    call): ``stream`` re-keys it to ``(seed, replication << 20 | coord)``
-    through :func:`_keyed_state`.  Every call returns that same generator, so
-    draw from one substream before asking for the next.  Callers check
-    ``replication``; ``GridConfig`` checks ``coord``.
-    """
-    bit_generator = Philox(key=0)  # re-keyed before every draw
-    generator = Generator(bit_generator)
-    key = [seed, 0]
-    state = _keyed_state(key)
-
-    def stream(replication: int, coord: int) -> Generator:
-        key[1] = (replication << _COORD_BITS) | coord
-        bit_generator.state = state
-        return generator
-
-    return stream
 
 
 class VolKind(Enum):
@@ -246,7 +215,7 @@ def _variance_profile(
     start: int,
     count: int,
     p: int,
-    vol_rng: Callable[[], Generator],
+    driver: Optional[Generator],
 ) -> np.ndarray:
     """Per-cell variances for cells ``start+1 .. start+count``.
 
@@ -255,8 +224,8 @@ def _variance_profile(
 
     Returns shape ``(count,)`` for scalar kinds and ``(p, count)`` for
     ``PIECEWISE_DIAG``; both broadcast against a ``(p, count)`` noise array.
-    ``vol_rng`` lazily supplies the volatility-driver substream (only
-    consumed by ``STOCHASTIC_BM`` with ``r2 > 0``).
+    ``driver`` is the volatility driver's keyed substream; only
+    ``STOCHASTIC_BM`` with ``r2 > 0`` draws from it, the others take ``None``.
     """
     if model.kind is VolKind.DETERMINISTIC_SIN:
         return model.base / n + _sin_cell_integrals(model.r1, n, start, count)
@@ -266,7 +235,7 @@ def _variance_profile(
             # deterministic model with r1 == 0 (sqrt round trips are inexact).
             return np.full(count, model.base / n)
         m = start + count - 1  # driver increments up to the last left endpoint
-        dw = vol_rng().standard_normal(m) * math.sqrt(1.0 / n)
+        dw = driver.standard_normal(m) * math.sqrt(1.0 / n)
         w_grid = np.concatenate(([0.0], np.cumsum(dw)))
         sigma = math.sqrt(model.base) + model.r2 * w_grid[start : start + count]
         return sigma**2 / n
@@ -321,15 +290,20 @@ def _window_source(
     A draw fills the largest ``p``'s noise rows once, in a reused buffer, and
     each cell scales its leading ``p`` rows (a row's substream does not depend
     on ``p``), the last cell in place, so a draw's windows are valid until the
-    next draw.  Row ``j`` re-keys the source's one ``Philox`` in the draw's own
-    loop, as ``stream(replication, j)`` would, but with no call per row.  Only a
-    ``STOCHASTIC_BM`` profile with ``r2 > 0`` is random: it is drawn per
-    replication from ``stream(replication, p)``; the others are hoisted.
+    next draw.  The source's one ``Philox`` is re-keyed in place: assigning
+    ``state`` with ``key[1] = replication << 20 | coordinate`` gives it that
+    key, a zero counter and an empty buffer, so it draws what a freshly keyed
+    ``Philox`` would.  Row ``j`` takes coordinate ``j``; only a
+    ``STOCHASTIC_BM`` profile with ``r2 > 0`` is random, and it is drawn per
+    replication from coordinate ``p``; the others are hoisted.
     """
     top = max(p for p, _ in cells)
-    stream, key = _substreams(seed), [seed, 0]
-    generator, state = stream(0, 0), _keyed_state(key)  # every stream is one generator
-    philox, normal = generator.bit_generator, generator.standard_normal
+    key = [seed, 0]  # plain ints: the state setter reads them faster than numpy scalars
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    philox = Philox(key=0)  # re-keyed before every draw
+    generator = Generator(philox)
+    normal = generator.standard_normal
     noise = np.empty((top, count))
     rows = list(noise)
     sds = [
@@ -347,8 +321,9 @@ def _window_source(
         windows = []
         for (p, model), sd in zip(cells, sds):
             if sd is None:
-                var = _variance_profile(model, n, start, count, p, lambda: stream(replication, p))
-                sd = np.sqrt(var)
+                key[1] = high | p
+                philox.state = state
+                sd = np.sqrt(_variance_profile(model, n, start, count, p, generator))
             last = len(windows) == len(cells) - 1
             windows.append(np.multiply(noise[:p], sd, out=noise[:p] if last else None))
         return windows

@@ -254,6 +254,58 @@ def test_acceptance_qq_normality(size_runs, capsys):
     assert not failures, failures
 
 
+@pytest.fixture(scope="module")
+def concentrated_power_runs():
+    # the s = 0.75 alternative at every default p, r1 within low = 0.0004
+    cfgs = [
+        _config(VolModel.deterministic_sin(_BASE, r1), alternative=Alternative(s=0.75, low=0.0004))
+        for r1 in (0.0, 0.0002, 0.0004)
+    ]
+    return harness._run_experiments(cfgs)
+
+
+def _lw_mean_exact(v):
+    # Exact mean of lw's z-score for a Gaussian window with independent
+    # entries of variance v[j, i] (coordinate j, cell i), from second and
+    # fourth moments: A = c W W^T with c = (n / k_n) / base.
+    p = v.shape[0]
+    c = (_N / _K_N) / _BASE
+    s = c * v.sum(axis=1)  # E A_jj
+    q = c**2 * np.sum(v**2, axis=1)  # Var A_jj = 2 q_j
+    off = c**2 * np.sum(v.sum(axis=0) ** 2) - q.sum()  # sum over j != l of E A_jl**2
+    frob = np.sum(s**2 + 2.0 * q - 2.0 * s + 1.0) + off  # E ||A - I||_F**2
+    trace_sq = s.sum() ** 2 + 2.0 * q.sum()  # E (tr A)**2
+    z_n = p / _K_N
+    raw = frob / p - z_n * trace_sq / p**2 + z_n
+    return (_K_N * raw - p - 1.0) / 2.0
+
+
+def test_lw_mean_matches_closed_form(size_runs, concentrated_power_runs):
+    # Every default size cell and every s = 0.75 power cell: the Monte Carlo
+    # mean of lw's z-score lies within 4 standard errors of its exact value.
+    # At t = 0 the window is cells 1 .. k_n, each with its exact integral of
+    # d_j + r1 * sin(2 * pi * t); under the null the mean is -1 / k_n.
+    i = np.arange(1, _K_N + 1)
+    sin_part = (np.cos(2.0 * np.pi * (i - 1) / _N) - np.cos(2.0 * np.pi * i / _N)) / (2.0 * np.pi)
+    summaries = list(size_runs[0].values()) + concentrated_power_runs
+    failures = []
+    for summary in summaries:
+        model, alt = summary.config.model, summary.config.alternative
+        for p in _P_LIST:
+            d = np.full(p, _BASE)
+            if alt is not None:
+                d[math.floor(alt.s * p):] = alt.low
+            exact = _lw_mean_exact(d[:, None] / _N + model.r1 * sin_part[None, :])
+            z = summary.zscores[(TestKind.LW, p)]
+            se = np.std(z, ddof=1) / math.sqrt(len(z))
+            if abs(np.mean(z) - exact) > 4.0 * se:
+                failures.append(
+                    f"r1={model.r1} s={alt and alt.s} p={p}: mean {np.mean(z):+.4f}, "
+                    f"exact {exact:+.4f}, se {se:.4f}"
+                )
+    assert not failures, failures
+
+
 def _closed_form_stieltjes(z, y):
     # unit-scale quadratic y*z*m^2 - (1 - y - z)*m + 1 = 0, Herglotz root
     b = -(1.0 - y - z)

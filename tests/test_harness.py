@@ -26,6 +26,7 @@ from spotspectra import (
     WorkerError,
     eigenvalues_sym,
     evaluate_tests,
+    mp_lss_constants,
     rescale,
     run_esd_figure,
     run_power_experiment,
@@ -951,11 +952,16 @@ def test_qq_figure_writes_pinned_bytes(tmp_path, seed, model):
 def test_qq_figure_zscores_match_explicit_distances_to_identity(tmp_path, seed, model):
     # The designs of the byte pins above, rebuilt replication by replication
     # through the public draw: lw and j from A - I and B - I formed
-    # explicitly, where the kernel reads tr(A) and ||A||_F**2 alone.
+    # explicitly, where the kernel reads tr(A) and ||A||_F**2 alone, and bjyz
+    # (p < k_n only) from sum(lam - log(lam) - 1) over the eigenvalues of A,
+    # where the kernel reads a Cholesky factor.
     cfg = MCConfig(seed=seed, reps=20, n=400, p_list=(8, 30), model=_QQ_MODELS[model])
     figure = {(a.kind, a.p): a.empirical for a in run_qq_figure(cfg, tmp_path)}
+    assert (TestKind.BJYZ, 8) in figure and (TestKind.BJYZ, 30) not in figure
     for p in cfg.p_list:
         z_n, expected = p / cfg.k_n, {TestKind.LW: [], TestKind.J: []}
+        if z_n < 1.0:
+            expected[TestKind.BJYZ], constants = [], mp_lss_constants(z_n)
         for rep in range(cfg.reps):
             a = _public_estimate(seed, cfg.n, cfg.t, cfg.k_n, p, cfg.model, cfg.model.base, rep).matrix
             trace, a_minus_i = np.trace(a), a - np.eye(p)
@@ -963,6 +969,10 @@ def test_qq_figure_zscores_match_explicit_distances_to_identity(tmp_path, seed, 
             raw_lw = np.sum(a_minus_i**2) / p - z_n * (trace / p) ** 2 + z_n
             for kind, raw in ((TestKind.LW, raw_lw), (TestKind.J, np.sum(b_minus_i**2) / p)):
                 expected[kind].append((cfg.k_n * raw - p - 1.0) / 2.0)
+            if z_n < 1.0:
+                lam = np.linalg.eigvalsh(a)
+                centered = np.sum(lam - np.log(lam) - 1.0) - p * constants.center - constants.mean_shift
+                expected[TestKind.BJYZ].append(centered / math.sqrt(constants.variance))
         for kind, z in expected.items():
             z = np.sort(z)
             assert np.all(np.abs(figure[(kind, p)] - z) <= 1e-10 * np.maximum(1.0, np.abs(z)))

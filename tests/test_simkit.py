@@ -197,9 +197,7 @@ def test_window_rows_equal_freshly_keyed_philox(model, rep, count):
         GridConfig(n=n, p=p, seed=seed), model, start, count, replication=rep
     )
     variance = np.broadcast_to(
-        simkit._variance_profile(
-            model, n, start, count, p, lambda: _fresh_stream(seed, rep, p)
-        ),
+        simkit._variance_profile(model, n, start, count, p, _fresh_stream(seed, rep, p)),
         (p, count),
     )
     for j in range(p):
@@ -210,28 +208,27 @@ def test_window_rows_equal_freshly_keyed_philox(model, rep, count):
 @pytest.mark.parametrize("rep", [0, 2**44 - 1])
 @pytest.mark.parametrize("count", [1, 3, 68])
 def test_rekey_resets_a_dirty_generator(rep, count):
-    # advanced counter, partly used buffer and a pending 32-bit half are all
-    # reset by each re-key, whether another coordinate or another
-    # replication left them
-    seed, p = 2**64 - 1, 3
-    other = 2**44 - 1 - rep
-    stream = simkit._substreams(seed)
-    for j in range(p + 1):
-        dirty = stream(rep, p - j)
-        dirty.standard_normal(5)
-        dirty.integers(2**32, size=3, dtype=np.uint32)
-        stream(other, j).standard_normal(7)
-        stream(other, j).integers(2**32, dtype=np.uint32)
-        np.testing.assert_array_equal(
-            stream(rep, j).standard_normal(count),
-            _fresh_stream(seed, rep, j).standard_normal(count),
-        )
-        stream(rep, p - j).integers(2**32, dtype=np.uint32)
-        stream(other, j).integers(2**32, size=5, dtype=np.uint32)
-        np.testing.assert_array_equal(
-            stream(rep, j).integers(2**32, size=count, dtype=np.uint32),
-            _fresh_stream(seed, rep, j).integers(2**32, size=count, dtype=np.uint32),
-        )
+    # One source draws replications out of order, so each re-key follows a
+    # generator that another row, another replication or a driver left with
+    # an advanced counter and a partly used buffer.  The p = 2 driver takes
+    # coordinate 2, which is also a noise row of the p = 3 cells.
+    n, seed, start = 100, 2**64 - 1, 5
+    cells = [
+        (3, VolModel.piecewise_diag((0.4, 0.9, 1.6), r1=0.1)),
+        (2, VolModel.stochastic_bm(0.0009, 0.02)),
+        (3, VolModel.deterministic_sin(0.0009, 0.0004)),
+        (3, VolModel.stochastic_bm(0.0004, 0.03)),
+    ]
+    draw = simkit._window_source(seed, n, start, count, cells)
+    for r in (rep, 5, 2, rep, 5):
+        for (p, model), window in zip(cells, draw(r)):
+            variance = np.broadcast_to(
+                simkit._variance_profile(model, n, start, count, p, _fresh_stream(seed, r, p)),
+                (p, count),
+            )
+            for j in range(p):
+                expected = np.sqrt(variance[j]) * _fresh_stream(seed, r, j).standard_normal(count)
+                np.testing.assert_array_equal(window[j], expected)
 
 
 def test_replication_index_must_fit_the_key():
