@@ -51,7 +51,7 @@ from .estimators import _scaled_gram, _window_length, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
 from .simkit import GridConfig, VolKind, VolModel, _window_source
-from .spectra import eigenvalues_sym, esd_eval, kolmogorov_distance
+from .spectra import _count_at_most, eigenvalues_sym, kolmogorov_distance
 
 __all__ = [
     "Alternative",
@@ -344,8 +344,10 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     Writes ``esd_p<p>.csv`` with columns ``x, esd, mp_cdf`` on a grid that
     contains every eigenvalue jump plus an even overlay up to just past the
     MP upper edge, and reports the Kolmogorov distance between the ESD and
-    the MP distribution with index ``p / k_n``.  An estimate that overflows
-    is a :class:`NumericalError` keyed ``seed S, p P, replication 0``.  Every
+    the MP distribution with index ``p / k_n``.  The ``esd`` column is the
+    count of eigenvalues at or below ``x`` over ``p``, each of its ``p + 1``
+    levels ``k / p`` formatted once.  An estimate that overflows is a
+    :class:`NumericalError` keyed ``seed S, p P, replication 0``.  Every
     figure is computed before ``out_dir`` is made, so a failure writes nothing.
     """
     cells = tuple((p, cfg.model) for p in cfg.p_list)
@@ -361,7 +363,9 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
         law = MPLaw(y=p / cfg.k_n)
         ks = kolmogorov_distance(sample, lambda x: mp_cdf(x, law))
         xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))
-        rows = zip(xs.tolist(), esd_eval(sample, xs).tolist(), mp_cdf(xs, law).tolist())
+        levels = [repr(k / p) for k in range(p + 1)]
+        esd = [levels[k] for k in _count_at_most(sample, xs).tolist()]
+        rows = zip(xs.tolist(), esd, mp_cdf(xs, law).tolist())
         figures.append((p, ks, rows))
     out_dir = make_dir(out_dir)
     artifacts = []

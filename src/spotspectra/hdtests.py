@@ -173,7 +173,8 @@ def evaluate_tests(
     except ValueError as exc:
         raise ConfigError(f"unknown test kind: {exc}") from None
     constants = mp_lss_constants(est.z_n) if TestKind.BJYZ in kinds else None
-    with one_thread():
+    # An overflowed estimate is a NumericalError from the kernel, not a warning.
+    with one_thread(), np.errstate(over="ignore", invalid="ignore"):
         stats = _statistics(np.ascontiguousarray(est.matrix), est.k_n, kinds, constants)
     return [
         TestReport(kind, raw, zscore, _two_sided_pvalue(zscore), est.z_n, est.p, est.k_n)

@@ -75,17 +75,18 @@ def eigenvalues_sym(matrix: np.ndarray) -> SpectralSample:
     """Spectrum of a symmetric positive semidefinite matrix.
 
     The input may be asymmetric up to ``1e-8`` relative round-off (it is
-    re-symmetrized before decomposition).  Eigenvalues within
-    ``1e-10 * ||A||_2`` of zero are snapped to exactly zero: a rank-deficient
-    matrix has its zero eigenvalues returned by LAPACK as values of order
-    ``±eps * ||A||_2``, and leaving the positive half of that noise in place
-    would smear a point mass at zero across distinct tiny values.  Anything
-    below the band raises :class:`~spotspectra.errors.NumericalError` because
-    the matrix is not a plausible covariance.  The decomposition runs on one
-    OpenBLAS thread, so the bits do not depend on the caller's thread count.
+    re-symmetrized as ``A / 2 + A^T / 2``, finite for any finite ``A``, before
+    decomposition).  Eigenvalues within ``1e-10 * ||A||_2`` of zero are
+    snapped to exactly zero: a rank-deficient matrix has its zero eigenvalues
+    returned by LAPACK as values of order ``±eps * ||A||_2``, and leaving the
+    positive half of that noise in place would smear a point mass at zero
+    across distinct tiny values.  Anything below the band raises
+    :class:`~spotspectra.errors.NumericalError` because the matrix is not a
+    plausible covariance.  The decomposition runs on one OpenBLAS thread, so
+    the bits do not depend on the caller's thread count.
     """
     m = checked_symmetric(matrix, "matrix")
-    sym = 0.5 * (m + m.T)
+    sym = 0.5 * m + 0.5 * m.T
     try:
         with one_thread():
             lam = np.linalg.eigvalsh(sym)
@@ -101,13 +102,17 @@ def eigenvalues_sym(matrix: np.ndarray) -> SpectralSample:
     return SpectralSample(eigenvalues=lam[::-1].copy())
 
 
+def _count_at_most(sample: SpectralSample, x: Union[float, np.ndarray]) -> np.ndarray:
+    """Number of eigenvalues ``<= x``, elementwise."""
+    return np.searchsorted(sample.eigenvalues[::-1], x, side="right")
+
+
 def esd_eval(sample: SpectralSample, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Empirical spectral distribution at ``x``: fraction of eigenvalues ``<= x``.
 
     Accepts scalars or arrays and returns a ``float`` for a scalar.
     """
-    asc = sample.eigenvalues[::-1]
-    out = np.searchsorted(asc, x, side="right") / sample.eigenvalues.size
+    out = _count_at_most(sample, x) / sample.eigenvalues.size
     return out if np.ndim(out) else float(out)
 
 

@@ -227,6 +227,19 @@ def test_test_scale_that_overflows_the_estimate_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "numerical failure: estimate is not finite\n"
 
 
+def test_test_matrix_whose_frobenius_norm_overflows_exits_3_with_one_line(tmp_path, capsys):
+    # a finite PSD matrix with a finite spectrum, but ||A||_F**2 and tr(A) overflow
+    matrix = tmp_path / "m.csv"
+    write_matrix_csv(np.array([[1e308, 5e307], [5e307, 1e308]]), str(matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["test", "--matrix", str(matrix), "--k-n", "20"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: ||A - I||_F**2 = inf: estimate is not finite\n"
+    )
+
+
 def test_spot_overflow_exits_3_with_one_line(tmp_path, capsys):
     # increments of about 1e160 overflow the Gram: a numerical failure, not
     # bad input, and no numpy warning

@@ -20,12 +20,15 @@ from spotspectra import (
     GridConfig,
     MCConfig,
     MCSummary,
+    MPLaw,
     SingularEstimateError,
     TestKind,
     VolModel,
     WorkerError,
     eigenvalues_sym,
+    esd_eval,
     evaluate_tests,
+    mp_cdf,
     mp_lss_constants,
     rescale,
     run_esd_figure,
@@ -756,6 +759,40 @@ def test_esd_figure_writes_pinned_bytes(tmp_path, seed):
         digest, ks = _ESD_PINNED[seed][artifact.p]
         assert hashlib.sha256(artifact.path.read_bytes()).hexdigest() == digest
         assert artifact.ks_distance == ks
+
+
+@pytest.mark.parametrize("seed", sorted(_ESD_PINNED))
+def test_esd_figure_content_matches_explicit_spectrum(tmp_path, monkeypatch, seed):
+    # The designs of the byte pins above, checked by content so that the check
+    # holds on any BLAS kernel: every row's esd and mp_cdf are the functions
+    # at its x, and the ESD jumps, with their multiplicities, sit at the
+    # eigenvalues of the estimate formed entry by entry from the window.
+    samples = []
+    real = harness.eigenvalues_sym
+    monkeypatch.setattr(
+        harness, "eigenvalues_sym", lambda m: samples.append(real(m)) or samples[-1]
+    )
+    cfg = MCConfig(seed=seed, n=400, k_n=20, p_list=(8, 20, 30))
+    artifacts = run_esd_figure(cfg, tmp_path)
+    start = window_start(cfg.t, cfg.n, cfg.k_n)
+    for artifact, sample in zip(artifacts, samples, strict=True):
+        p = artifact.p
+        with open(artifact.path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["x", "esd", "mp_cdf"]
+        x, esd, cdf = np.array(rows, dtype=float).T
+        np.testing.assert_array_equal(esd, esd_eval(sample, x))
+        np.testing.assert_array_equal(cdf, mp_cdf(x, MPLaw(y=p / cfg.k_n)))
+        grid = GridConfig(n=cfg.n, p=p, seed=seed)
+        window = simulate_window_increments(grid, cfg.model, start, cfg.k_n)
+        a = np.einsum("ik,jk->ij", window, window) * (cfg.n / cfg.k_n) / cfg.model.base
+        lam = np.linalg.eigvalsh(a)
+        steps = np.diff(np.concatenate(([0.0], esd))) * p
+        multiplicity = np.rint(steps).astype(int)
+        np.testing.assert_allclose(steps, multiplicity, rtol=0.0, atol=1e-9)
+        jumps = np.repeat(x, multiplicity)
+        assert jumps.size == p
+        assert np.all(np.abs(jumps - lam) <= 1e-10 * np.maximum(1.0, np.abs(jumps)))
 
 
 def test_esd_default_design_ks(tmp_path):

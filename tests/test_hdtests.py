@@ -184,10 +184,12 @@ def test_j_rejects_zero_trace():
 
 
 def test_overflowing_distance_to_identity_is_a_numerical_error():
-    # finite entries, but ||A - I||_F**2 overflows to inf
-    for kind in TestKind:
-        with pytest.raises(NumericalError, match="estimate is not finite"):
-            evaluate_tests(_estimate(np.eye(3) * 1e200, 8), [kind])
+    # finite entries, but ||A - I||_F**2 overflows to inf; at 1e308 tr(A)
+    # does too, and neither leaks a RuntimeWarning (see pyproject.toml)
+    for scale in (1e200, 1e308):
+        for kind in TestKind:
+            with pytest.raises(NumericalError, match="estimate is not finite"):
+                evaluate_tests(_estimate(np.eye(3) * scale, 8), [kind])
 
 
 def test_evaluate_tests_default_selection():

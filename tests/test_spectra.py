@@ -93,6 +93,15 @@ def test_input_validation():
     eigenvalues_sym(m)
 
 
+def test_entries_near_the_float_limit_keep_a_finite_spectrum():
+    # m + m.T overflows here; the symmetrizer halves each term before adding,
+    # and a leaked RuntimeWarning fails the test (see pyproject.toml)
+    m = np.array([[1e308, 5e307], [5e307, 1e308]])
+    lam = eigenvalues_sym(m).eigenvalues
+    np.testing.assert_array_equal(lam, np.linalg.eigvalsh(m)[::-1])
+    np.testing.assert_array_equal(lam, [1.5e308, 5e307])
+
+
 def test_spectral_sample_validation():
     SpectralSample(eigenvalues=np.array([2.0, 1.0]))
     with pytest.raises(ConfigError, match="descending"):
