@@ -12,7 +12,9 @@ its count of 1; after a fork any setter call would restart OpenBLAS's
 spinning helper threads.  The controls are looked up once per process in
 the library numpy's linear algebra is linked against; on a build without
 them (another BLAS) every call here does nothing and the library default
-stands.  The thread count is process-wide, so a scope is not meant to be
+stands.  :func:`core_name` reads which kernel the library picked: the last
+bits of a product or a decomposition follow the kernel as they follow the
+thread count.  The thread count is process-wide, so a scope is not meant to be
 entered from several Python threads at once.
 """
 
@@ -24,23 +26,45 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# (getter, setter) names, newest numpy wheels first: numpy 2 links
-# scipy-openblas, numpy 1.x wheels an ILP64 OpenBLAS, system builds a plain one.
+# (getter, setter, core name) symbols, newest numpy wheels first: numpy 2
+# links scipy-openblas, numpy 1.x wheels an ILP64 OpenBLAS, system builds a
+# plain one.
 _CONTROL_NAMES = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+     "scipy_openblas_get_corename64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_", "openblas_get_corename64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads", "openblas_get_corename"),
 )
+
+
+@functools.cache
+def _library() -> Optional[ctypes.CDLL]:
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+
+
+@functools.cache
+def core_name() -> Optional[str]:
+    """The name of the OpenBLAS kernel numpy's linear algebra runs on (say,
+    ``SkylakeX`` or ``Haswell``; ``OPENBLAS_CORETYPE`` can force one), or
+    ``None`` on a build without OpenBLAS."""
+    for *_, name in _CONTROL_NAMES:
+        get = getattr(_library(), name, None)
+        if get is not None:
+            get.argtypes, get.restype = (), ctypes.c_char_p
+            return get().decode()
+    return None
 
 
 @functools.cache
 def _controls() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
     """The OpenBLAS get/set-num-threads pair, or ``None`` if there is none."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
+    lib = _library()
+    if lib is None:
         return None
-    for get_name, set_name in _CONTROL_NAMES:
+    for get_name, set_name, _ in _CONTROL_NAMES:
         try:
             get, set_ = getattr(lib, get_name), getattr(lib, set_name)
         except AttributeError:

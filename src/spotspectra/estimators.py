@@ -39,7 +39,7 @@ from typing import Optional, TextIO, Union
 import numpy as np
 
 from ._blas import one_thread
-from ._csvio import read_float_csv, write_csv
+from ._csvio import float_rows, read_float_csv, write_csv
 from .errors import ConfigError, NumericalError
 from .simkit import _snapped_floor
 from .spectra import checked_symmetric
@@ -225,7 +225,7 @@ def write_matrix_csv(matrix: np.ndarray, stream: Union[str, TextIO]) -> None:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {matrix.shape}")
     header = [f"c{j + 1}" for j in range(matrix.shape[1])]
-    write_csv(stream, header, (row.tolist() for row in matrix))
+    write_csv(stream, header, float_rows(matrix))
 
 
 def read_matrix_csv(stream: Union[str, TextIO]) -> np.ndarray:

@@ -51,7 +51,7 @@ from .estimators import _scaled_gram, _window_length, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
 from .simkit import GridConfig, VolKind, VolModel, _window_source
-from .spectra import _count_at_most, eigenvalues_sym, kolmogorov_distance
+from .spectra import _count_at_most, _ks_scan, eigenvalues_sym
 
 __all__ = [
     "Alternative",
@@ -346,7 +346,11 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     MP upper edge, and reports the Kolmogorov distance between the ESD and
     the MP distribution with index ``p / k_n``.  The ``esd`` column is the
     count of eigenvalues at or below ``x`` over ``p``, each of its ``p + 1``
-    levels ``k / p`` formatted once.  An estimate that overflows is a
+    levels ``k / p`` formatted once.  The MP cdf is evaluated once on the
+    grid, and the Kolmogorov scan of
+    :func:`~spotspectra.spectra.kolmogorov_distance` reads its values at the
+    eigenvalues from there, so a figure calls the cdf twice: on the grid and
+    on the eigenvalues' left neighbours.  An estimate that overflows is a
     :class:`NumericalError` keyed ``seed S, p P, replication 0``.  Every
     figure is computed before ``out_dir`` is made, so a failure writes nothing.
     """
@@ -361,11 +365,12 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
             raise NumericalError(f"seed {cfg.seed}, p {p}, replication 0: estimate is not finite")
         sample = eigenvalues_sym(matrix)
         law = MPLaw(y=p / cfg.k_n)
-        ks = kolmogorov_distance(sample, lambda x: mp_cdf(x, law))
         xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))
+        cdf = mp_cdf(xs, law)
+        ks = _ks_scan(sample, lambda x: mp_cdf(x, law), xs, cdf)
         levels = [repr(k / p) for k in range(p + 1)]
-        esd = [levels[k] for k in _count_at_most(sample, xs).tolist()]
-        rows = zip(xs.tolist(), esd, mp_cdf(xs, law).tolist())
+        esd = map(levels.__getitem__, _count_at_most(sample, xs).tolist())
+        rows = zip(map(repr, xs.tolist()), esd, map(repr, cdf.tolist()))
         figures.append((p, ks, rows))
     out_dir = make_dir(out_dir)
     artifacts = []
@@ -414,7 +419,8 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
             correlation = math.nan
         pbar = p / cfg.k_n
         path = out_dir / f"qq_{kind.value}_{pbar:g}.csv"
-        write_csv(path, ["theoretical", "empirical"], zip(theoretical.tolist(), empirical.tolist()))
+        rows = zip(map(repr, theoretical.tolist()), map(repr, empirical.tolist()))
+        write_csv(path, ["theoretical", "empirical"], rows)
         artifacts.append(
             QQArtifact(
                 kind=kind,

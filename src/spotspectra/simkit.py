@@ -42,7 +42,7 @@ import numpy as np
 # inherit it instead of each importing it again.
 from numpy.random import Generator, Philox
 
-from ._csvio import read_float_csv, write_csv
+from ._csvio import float_rows, read_float_csv, write_csv
 from .errors import ConfigError
 
 __all__ = [
@@ -354,7 +354,7 @@ def write_path_csv(path: PricePath, stream: Union[str, TextIO]) -> None:
     """Write a path as CSV with header ``t,x1,...,xp`` and one row per grid point."""
     header = ["t"] + [f"x{j + 1}" for j in range(path.config.p)]
     table = np.column_stack([path.grid, path.values.T])
-    write_csv(stream, header, (row.tolist() for row in table))
+    write_csv(stream, header, float_rows(table))
 
 
 def read_path_csv(stream: Union[str, TextIO]) -> tuple[np.ndarray, np.ndarray]:

@@ -126,11 +126,25 @@ def kolmogorov_distance(
     The supremum of ``|ESD - cdf|`` over the whole line is attained at an
     eigenvalue from one side or the other, which is what is scanned here.
     ``cdf`` is called twice, each time on an array: the distinct eigenvalues,
-    then their left neighbours ``np.nextafter(lam, -inf)``.
+    then their left neighbours ``np.nextafter(lam, -inf)``.  The ESD figure
+    runs the same scan with ``cdf`` already evaluated on a grid that holds
+    every eigenvalue, and calls ``cdf`` once, for the left neighbours.
     """
+    lam = np.unique(sample.eigenvalues)
+    return _ks_scan(sample, cdf, lam, cdf(lam))
+
+
+def _ks_scan(
+    sample: SpectralSample, cdf: Callable[[np.ndarray], np.ndarray],
+    xs: np.ndarray, cdf_xs: np.ndarray,
+) -> float:
+    """:func:`kolmogorov_distance` given ``cdf_xs = cdf(xs)`` on a sorted
+    grid ``xs`` that holds every eigenvalue: the right limits at the
+    eigenvalues are read from ``cdf_xs``, and ``cdf`` is called once, on the
+    left neighbours."""
     asc = sample.eigenvalues[::-1]
     lam = np.unique(asc)
     p = asc.size
-    right = np.searchsorted(asc, lam, side="right") / p - cdf(lam)
+    right = np.searchsorted(asc, lam, side="right") / p - cdf_xs[np.searchsorted(xs, lam)]
     left = np.searchsorted(asc, lam, side="left") / p - cdf(np.nextafter(lam, -np.inf))
     return float(np.max(np.maximum(np.abs(right), np.abs(left))))

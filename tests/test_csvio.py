@@ -6,6 +6,7 @@ oracle is built here with the ``csv`` module itself.
 
 import csv
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -63,6 +64,8 @@ def recorded_writes(monkeypatch):
 
 
 def test_writers_give_csv_writer_bytes(tmp_path, recorded_writes):
+    # Each recorded row is written and then replayed to csv.writer, so it must
+    # be a list or a tuple, not a one-shot iterator.
     path = simulate_path(GridConfig(n=100, p=3, seed=4), VolModel.deterministic_sin(0.0009, 0.0004))
     write_path_csv(path, tmp_path / "path.csv")
     est = spot_vol(increments(path), 0.0, 10)
@@ -80,15 +83,44 @@ def test_writers_give_csv_writer_bytes(tmp_path, recorded_writes):
     assert any(name.startswith("qq_") for name in names)
     for target, header, rows in recorded_writes:
         assert rows, target
+        assert all(isinstance(row, (list, tuple)) for row in rows), target.name
         assert target.read_bytes() == _csv_writer_text(header, rows).encode(), target.name
 
 
+def test_path_writer_streams_one_row_at_a_time(tmp_path):
+    # Formatting the path column by column (one tolist() of the whole array)
+    # holds every cell as a Python float at once, several times the array.
+    grid = GridConfig(n=20000, p=50, seed=3)
+    path = simulate_path(grid, VolModel.deterministic_sin(0.0009, 0.0))
+    tracemalloc.start()
+    try:
+        write_path_csv(path, tmp_path / "path.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.values.nbytes
+
+
 def test_special_floats_give_csv_writer_bytes():
-    rows = [_SPECIAL, [7, "bjyz", 0.0, -0.5], []]
+    # The float writers format each cell with repr, which must give the bytes
+    # csv.writer gives for the floats themselves.
+    matrix = np.array(_SPECIAL + [7.0, 0.0, -0.5, 2.5]).reshape(4, 4)
+    buf = io.StringIO(newline="")
+    write_matrix_csv(matrix, buf)
+    assert buf.getvalue() == _csv_writer_text(["c1", "c2", "c3", "c4"], matrix.tolist())
+    assert buf.getvalue().splitlines()[1:3] == [
+        "-0.0,5e-324,1e+308,-1e+308", "1.0,3.0,-2.0,9007199254740992.0"
+    ]
+
+
+def test_write_csv_takes_only_str_cells():
+    rows = [["7", "bjyz", "0.0", "-0.5"], []]
     buf = io.StringIO(newline="")
     write_csv(buf, ["a", "b"], rows)
     assert buf.getvalue() == _csv_writer_text(["a", "b"], rows)
-    assert buf.getvalue().splitlines()[1].startswith("-0.0,5e-324,1e+308,-1e+308,1.0,3.0,")
+    for cell in (7, 0.5, np.float64(0.5), None):
+        with pytest.raises(TypeError):
+            write_csv(io.StringIO(newline=""), ["a", "b"], [["x", cell]])
 
 
 def test_special_floats_read_back_exactly():

@@ -28,6 +28,7 @@ from spotspectra import (
     eigenvalues_sym,
     esd_eval,
     evaluate_tests,
+    kolmogorov_distance,
     mp_cdf,
     mp_lss_constants,
     rescale,
@@ -40,7 +41,7 @@ from spotspectra import (
     write_power_table,
     write_size_table,
 )
-from spotspectra import estimators, harness, simkit, spectra
+from spotspectra import _blas, estimators, harness, simkit, spectra
 from spotspectra.estimators import window_start
 
 _SMALL = dict(reps=30, n=400, p_list=(8, 30))  # k_n defaults to isqrt(400) = 20
@@ -729,60 +730,126 @@ def test_esd_artifacts(tmp_path):
 
 
 # sha256 of esd_p{8,20,30}.csv and the KS distances at n = 400, k_n = 20:
-# y = 0.4, 1 and 1.5, so the bulk, the hard edge at zero and the atom.
+# y = 0.4, 1 and 1.5, so the bulk, the hard edge at zero and the atom.  The
+# ESD CSVs print eigenvalues at full precision, and the last bits of an
+# eigenvalue follow OpenBLAS's kernel, so the pins are keyed by the kernel's
+# name.  They were taken under OPENBLAS_CORETYPE=SkylakeX, Haswell, Zen and
+# Sandybridge on an AVX-512 Xeon (numpy 2.4.6, OpenBLAS 0.3.31); Zen runs
+# OpenBLAS's Haswell kernel there and names it so.
 _ESD_PINNED = {
-    0: {
-        8: ("791e021e876bd1d01f2c75617943614c4bef2dfbcbdaafc14d7941a006c115be",
-            0.17551499415967337),
-        20: ("9aa968ed7c739069b9b03f938f1294bcc3acdb66460f380df30e37d49445ed55",
-             0.08682937839687699),
-        30: ("361644aabd4bb9c12be9a2c4ee6f512515e0338212a9545eef3662aee85f35c7",
-             0.05099953983095151),
+    "SkylakeX": {
+        0: {
+            8: ("791e021e876bd1d01f2c75617943614c4bef2dfbcbdaafc14d7941a006c115be",
+                0.17551499415967337),
+            20: ("9aa968ed7c739069b9b03f938f1294bcc3acdb66460f380df30e37d49445ed55",
+                 0.08682937839687699),
+            30: ("361644aabd4bb9c12be9a2c4ee6f512515e0338212a9545eef3662aee85f35c7",
+                 0.05099953983095151),
+        },
+        8: {
+            8: ("d85024360264989f3fd4343ecc66b03057c74ebe6160e3aa41541cb19d018cdd",
+                0.15124137339887422),
+            20: ("350e01ba523cc700407943d98b0b34cafaf25754beaba981bd8cc5e0bc4a4234",
+                 0.08738286809181323),
+            30: ("5a725a6e304cc7f3ea0ad07db5176b108adbbcd6bc33b335420af814f317d36f",
+                 0.07235095619227683),
+        },
     },
-    8: {
-        8: ("d85024360264989f3fd4343ecc66b03057c74ebe6160e3aa41541cb19d018cdd",
-            0.15124137339887422),
-        20: ("350e01ba523cc700407943d98b0b34cafaf25754beaba981bd8cc5e0bc4a4234",
-             0.08738286809181323),
-        30: ("5a725a6e304cc7f3ea0ad07db5176b108adbbcd6bc33b335420af814f317d36f",
-             0.07235095619227683),
+    "Haswell": {
+        0: {
+            8: ("2f26e90fba0142238774b65dd35c7a317dc65494c66b32856583313c5b924387",
+                0.1755149941596732),
+            20: ("c4b28fb95aa11f7a79af926252d402c32c8cd78b2159ef8cec89ce5c37bca93e",
+                 0.08682937839687699),
+            30: ("d66fb95baac64d74ff8e6ac24d028e7edb1348c619dd6d7d01de51d6ae6d0fd3",
+                 0.05099953983095129),
+        },
+        8: {
+            8: ("912b41b63441a265ed1a1c297645655e253fc6b4e50ad69557de18afc948bd08",
+                0.15124137339887378),
+            20: ("36c0f52ffae917083e2d409f05c4cf5d82c60692d59d443e766ad8d3fdc139de",
+                 0.08738286809181312),
+            30: ("9086d424369465c51b2fd4e7f6b7667d9edfbd8aad47465077cd41e5d1b4d3c6",
+                 0.07235095619227683),
+        },
+    },
+    "Sandybridge": {
+        0: {
+            8: ("904ef0897e6c75c394e037563e7769e623e3902490ddd6defc14b3b95410be7e",
+                0.17551499415967314),
+            20: ("5523d033e95e59f8eaa3e26164d59b5bd30d71e9289bcd8afbdd6ca367c42d92",
+                 0.0868293783968771),
+            30: ("f957064650c0d18437511c7b0092afc34b647ae733d0ecc15ca92ad9e16dcaec",
+                 0.0509995398309514),
+        },
+        8: {
+            8: ("f9f2a1e2d44ea13b9d15dd4eefc64474e85b0d6ce5c944f07c17b5d385a5b5ac",
+                0.15124137339887422),
+            20: ("207afe95960ae05f7056b7e73c07b218be82822d0408c7f60ec23e203864a330",
+                 0.08738286809181323),
+            30: ("4fa9d599cd60848395844bca31084e49ee173e24546e103c8b864b6ce2802e64",
+                 0.07235095619227694),
+        },
     },
 }
 
 
-@pytest.mark.parametrize("seed", sorted(_ESD_PINNED))
+def _pins(table, what):
+    """The pins of ``table`` for the OpenBLAS kernel this process runs on; a
+    kernel with none fails the test and names it."""
+    core = _blas.core_name()
+    if core not in table:
+        pytest.fail(f"no {what} pins for the OpenBLAS kernel {core!r}: take them on it")
+    return table[core]
+
+
+@pytest.mark.parametrize("seed", [0, 8])
 def test_esd_figure_writes_pinned_bytes(tmp_path, seed):
+    pins = _pins(_ESD_PINNED, "ESD")[seed]
     cfg = MCConfig(seed=seed, n=400, k_n=20, p_list=(8, 20, 30))
     artifacts = run_esd_figure(cfg, tmp_path)
     assert [a.p for a in artifacts] == [8, 20, 30]
     for artifact in artifacts:
-        digest, ks = _ESD_PINNED[seed][artifact.p]
+        digest, ks = pins[artifact.p]
         assert hashlib.sha256(artifact.path.read_bytes()).hexdigest() == digest
         assert artifact.ks_distance == ks
 
 
-@pytest.mark.parametrize("seed", sorted(_ESD_PINNED))
-def test_esd_figure_content_matches_explicit_spectrum(tmp_path, monkeypatch, seed):
-    # The designs of the byte pins above, checked by content so that the check
-    # holds on any BLAS kernel: every row's esd and mp_cdf are the functions
-    # at its x, and the ESD jumps, with their multiplicities, sit at the
-    # eigenvalues of the estimate formed entry by entry from the window.
-    samples = []
-    real = harness.eigenvalues_sym
-    monkeypatch.setattr(
-        harness, "eigenvalues_sym", lambda m: samples.append(real(m)) or samples[-1]
-    )
-    cfg = MCConfig(seed=seed, n=400, k_n=20, p_list=(8, 20, 30))
+@pytest.mark.parametrize(
+    "seed, p_list", [(0, (8, 20, 30)), (8, (8, 20, 30)), (6, (8,))], ids=["0", "8", "6"]
+)
+def test_esd_figure_content_matches_explicit_spectrum(tmp_path, monkeypatch, seed, p_list):
+    # The designs of the byte pins above and one more, checked by content so
+    # that the check holds on any BLAS kernel: every row's esd and mp_cdf are
+    # the functions at its x, every eigenvalue is an x, the ESD jumps, with
+    # their multiplicities, sit at the eigenvalues of the estimate formed
+    # entry by entry from the window, and the KS distance is the one
+    # kolmogorov_distance gives, from two MP-cdf calls per figure.
+    samples, calls = [], []
+    real_eig, real_cdf = harness.eigenvalues_sym, harness.mp_cdf
+
+    def eig(m):
+        calls.append("eig")
+        samples.append(real_eig(m))
+        return samples[-1]
+
+    monkeypatch.setattr(harness, "eigenvalues_sym", eig)
+    monkeypatch.setattr(harness, "mp_cdf", lambda *a: calls.append("cdf") or real_cdf(*a))
+    cfg = MCConfig(seed=seed, n=400, k_n=20, p_list=p_list)
     artifacts = run_esd_figure(cfg, tmp_path)
+    assert calls == ["eig", "cdf", "cdf"] * len(p_list)
     start = window_start(cfg.t, cfg.n, cfg.k_n)
     for artifact, sample in zip(artifacts, samples, strict=True):
-        p = artifact.p
-        with open(artifact.path, newline="") as fh:
-            header, *rows = list(csv.reader(fh))
-        assert header == ["x", "esd", "mp_cdf"]
-        x, esd, cdf = np.array(rows, dtype=float).T
+        p, law = artifact.p, MPLaw(y=artifact.p / cfg.k_n)
+        assert artifact.path == tmp_path / f"esd_p{p}.csv"
+        header, *rows, end = artifact.path.read_bytes().decode().split("\r\n")
+        assert header == "x,esd,mp_cdf" and end == ""
+        x, esd, cdf = np.array([row.split(",") for row in rows], dtype=float).T
+        assert set(sample.eigenvalues.tolist()) <= set(x.tolist())
         np.testing.assert_array_equal(esd, esd_eval(sample, x))
-        np.testing.assert_array_equal(cdf, mp_cdf(x, MPLaw(y=p / cfg.k_n)))
+        np.testing.assert_array_equal(cdf, mp_cdf(x, law))
+        assert esd[-1] == 1.0
+        assert artifact.ks_distance == kolmogorov_distance(sample, lambda v: mp_cdf(v, law))
         grid = GridConfig(n=cfg.n, p=p, seed=seed)
         window = simulate_window_increments(grid, cfg.model, start, cfg.k_n)
         a = np.einsum("ik,jk->ij", window, window) * (cfg.n / cfg.k_n) / cfg.model.base
@@ -938,54 +1005,118 @@ def test_power_table_csv():
 # p in {8, 30} and 20 replications, under a seasonal and a stochastic
 # volatility null.  The harness and simulate_window_increments share one
 # window draw, so these pin the draws bit for bit where the equality of the
-# two routes cannot.  They were taken on OpenBLAS's SkylakeX kernel: the
-# z-scores are printed at full precision, so their last bits follow the
-# kernel, which the tolerance test below does not.
+# two routes cannot.  The z-scores are printed at full precision, so their
+# last bits follow OpenBLAS's kernel, and the pins are keyed by its name as
+# the ESD pins are; the tolerance test below holds on any kernel.
 _QQ_MODELS = {
     "sin": VolModel.deterministic_sin(0.0009, 0.0004),
     "bm": VolModel.stochastic_bm(0.0009, 0.02),
 }
 _QQ_PINNED = {
-    (0, "sin"): {
-        "qq_bjyz_0.4.csv": "f6c8f8eb4c0ddd1251aa7c3efffb36ad9aabc250cd9cdb4a28a5b298be2ddeed",
-        "qq_j_0.4.csv": "18e8832a2ba93a63b8480b62c2bd0a99aa2e5d42a8689bb9f6bd630dcdefd9b7",
-        "qq_j_1.5.csv": "eefc0b32789a16ea3664261926a8ffe52e82cb76a032cdcb9856ef7f707b1271",
-        "qq_lw_0.4.csv": "26e4416d44b3424ff9837412424a9e6186e38b12dc698898f7685bcf0c959091",
-        "qq_lw_1.5.csv": "ea65c980396491c90693c3443539845660e04703b7c14d31a15b792b27973682",
+    "SkylakeX": {
+        (0, "sin"): {
+            "qq_bjyz_0.4.csv": "f6c8f8eb4c0ddd1251aa7c3efffb36ad9aabc250cd9cdb4a28a5b298be2ddeed",
+            "qq_j_0.4.csv": "18e8832a2ba93a63b8480b62c2bd0a99aa2e5d42a8689bb9f6bd630dcdefd9b7",
+            "qq_j_1.5.csv": "eefc0b32789a16ea3664261926a8ffe52e82cb76a032cdcb9856ef7f707b1271",
+            "qq_lw_0.4.csv": "26e4416d44b3424ff9837412424a9e6186e38b12dc698898f7685bcf0c959091",
+            "qq_lw_1.5.csv": "ea65c980396491c90693c3443539845660e04703b7c14d31a15b792b27973682",
+        },
+        (0, "bm"): {
+            "qq_bjyz_0.4.csv": "146ec11ce1edcec94f96fbb604df8f79d39ea5699f39479fc52019a46a43b592",
+            "qq_j_0.4.csv": "7c04ef91168bb13b5dbff800ac7e919ab7ed304c839aea1b50441ccc2d3c026f",
+            "qq_j_1.5.csv": "cd30fc6c06c7411f5f5d1908a04836201e8ce6e0d450625ae2f7884e20e1fdbf",
+            "qq_lw_0.4.csv": "834e222ac5de752c0ce7a7251a1eebb9db2de7684bd35c9c0c7c4d40a1eb65bf",
+            "qq_lw_1.5.csv": "47cb4303a5e47684a34ac8178ac7727500c82664f692a423c3774f42479d7c83",
+        },
+        (8, "sin"): {
+            "qq_bjyz_0.4.csv": "75ba991a50f5866af1e25d3e7d6b165c78103fb7a32a1f931b7dd7aa676ce6c8",
+            "qq_j_0.4.csv": "400cbf64e4e5c7e4c815b329331da646ed2c82a02a3415ef850ddae0008aeac3",
+            "qq_j_1.5.csv": "9421084833269a38fe5c7d8a1ac3334697373de3437f80a850632135094c531a",
+            "qq_lw_0.4.csv": "1f9d9bd314306103d31e6c0bc9f222aca6a13de983b828ad9d041dc6dc4cd126",
+            "qq_lw_1.5.csv": "be425c461a315f9ec1861f5d4a48db28ef6547301bb249e4902d334bfed7dea2",
+        },
+        (8, "bm"): {
+            "qq_bjyz_0.4.csv": "4ec33739fdb32e3f4a0d7cffb2f1c28e2f548921b0ade7475277cbb31bc931bf",
+            "qq_j_0.4.csv": "1e7a5e8fc1ec43a21a8dd305756b9e5c3336b5b35ad45a0131c9665473fef6c7",
+            "qq_j_1.5.csv": "e6d26897e734c20cb9589a702940a6010b27c7f3e72524014a7084bfffa55b06",
+            "qq_lw_0.4.csv": "a2a82b9e4523eab1387ea32ce42ed8b2dda078b7c4a57368eda08ca56216fec6",
+            "qq_lw_1.5.csv": "d09b1f5a4df6b7a15666f1f3c8465c7cecfc0248a417d7e2b8c7b4b56620aa00",
+        },
     },
-    (0, "bm"): {
-        "qq_bjyz_0.4.csv": "146ec11ce1edcec94f96fbb604df8f79d39ea5699f39479fc52019a46a43b592",
-        "qq_j_0.4.csv": "7c04ef91168bb13b5dbff800ac7e919ab7ed304c839aea1b50441ccc2d3c026f",
-        "qq_j_1.5.csv": "cd30fc6c06c7411f5f5d1908a04836201e8ce6e0d450625ae2f7884e20e1fdbf",
-        "qq_lw_0.4.csv": "834e222ac5de752c0ce7a7251a1eebb9db2de7684bd35c9c0c7c4d40a1eb65bf",
-        "qq_lw_1.5.csv": "47cb4303a5e47684a34ac8178ac7727500c82664f692a423c3774f42479d7c83",
+    "Haswell": {
+        (0, "sin"): {
+            "qq_bjyz_0.4.csv": "ed9729416df9df5ca80992051810c3909ac65109e9f998af2017bdb1603f9695",
+            "qq_j_0.4.csv": "299709f14bb3a5058a877cfe28886c8db9c8dda8645223a04d036f6518e043e2",
+            "qq_j_1.5.csv": "f2c9c28539eabe3ebceb10b2968b8ac2d4b78770c04c5f166ab1504fbc5b7520",
+            "qq_lw_0.4.csv": "28531fe162f02eedd4ebb04b799c810128a63271f844bf1603eec20d57740fa7",
+            "qq_lw_1.5.csv": "e56a7136aec28be0a3c2858b038c4ac640035da390cab0ee83bce2320d47adb8",
+        },
+        (0, "bm"): {
+            "qq_bjyz_0.4.csv": "146ec11ce1edcec94f96fbb604df8f79d39ea5699f39479fc52019a46a43b592",
+            "qq_j_0.4.csv": "0cd0b75fa850c300911ec25f884c26491085f4da3ed3a52e6193e1c5b729cea9",
+            "qq_j_1.5.csv": "cd01b22e6fe52008d551cdf174fec4f6bf66891c26621e232838db67593f0eee",
+            "qq_lw_0.4.csv": "6e7d87da31d40d050bb5c93c1aa43c4467cabb6cc054c9b90d01144eea0a6bed",
+            "qq_lw_1.5.csv": "7a34466e457a07f0adc8e3a910400f8f1cc46922134aeb6a673d3b32afc03e3c",
+        },
+        (8, "sin"): {
+            "qq_bjyz_0.4.csv": "051626d7da55dea797bbac3326ea3f2ccb8d699cc5658cd137be0af7d1fa07e5",
+            "qq_j_0.4.csv": "4e3d89dc43093404df9ae17ae8674eb2474892926f32fb225d61dcb2e59eaa50",
+            "qq_j_1.5.csv": "bfeaa81bc6bb73b3ad9b770b63772051f82b263594edf3896508684f5dccaa30",
+            "qq_lw_0.4.csv": "51503f2e22c2b10ee9aaf38d2e4902ecfa101d5b67e430f9d1bf27f4ca09754d",
+            "qq_lw_1.5.csv": "e249bc2cedf2dde9c99e9d9ee9e5b79d0e4fa9ca474acca086f31054b49cbcf7",
+        },
+        (8, "bm"): {
+            "qq_bjyz_0.4.csv": "4ec33739fdb32e3f4a0d7cffb2f1c28e2f548921b0ade7475277cbb31bc931bf",
+            "qq_j_0.4.csv": "cb9a098a9d2aba7d158bd60de80c7159ceba829f9a0684f69313de7181e37108",
+            "qq_j_1.5.csv": "e1e8e2791f122ad4a845398cbf09c1c59c0fb0ae46e63b2864454fb9f096469c",
+            "qq_lw_0.4.csv": "4c253b718b693c2a962b6030f101a26058ad88a8587607c066bb4413d0cd2495",
+            "qq_lw_1.5.csv": "eaa2b5121a58ebfaa7a5bf1dfc4cdfc987a02ced3b6d55d7c1211a63b226324b",
+        },
     },
-    (8, "sin"): {
-        "qq_bjyz_0.4.csv": "75ba991a50f5866af1e25d3e7d6b165c78103fb7a32a1f931b7dd7aa676ce6c8",
-        "qq_j_0.4.csv": "400cbf64e4e5c7e4c815b329331da646ed2c82a02a3415ef850ddae0008aeac3",
-        "qq_j_1.5.csv": "9421084833269a38fe5c7d8a1ac3334697373de3437f80a850632135094c531a",
-        "qq_lw_0.4.csv": "1f9d9bd314306103d31e6c0bc9f222aca6a13de983b828ad9d041dc6dc4cd126",
-        "qq_lw_1.5.csv": "be425c461a315f9ec1861f5d4a48db28ef6547301bb249e4902d334bfed7dea2",
-    },
-    (8, "bm"): {
-        "qq_bjyz_0.4.csv": "4ec33739fdb32e3f4a0d7cffb2f1c28e2f548921b0ade7475277cbb31bc931bf",
-        "qq_j_0.4.csv": "1e7a5e8fc1ec43a21a8dd305756b9e5c3336b5b35ad45a0131c9665473fef6c7",
-        "qq_j_1.5.csv": "e6d26897e734c20cb9589a702940a6010b27c7f3e72524014a7084bfffa55b06",
-        "qq_lw_0.4.csv": "a2a82b9e4523eab1387ea32ce42ed8b2dda078b7c4a57368eda08ca56216fec6",
-        "qq_lw_1.5.csv": "d09b1f5a4df6b7a15666f1f3c8465c7cecfc0248a417d7e2b8c7b4b56620aa00",
+    "Sandybridge": {
+        (0, "sin"): {
+            "qq_bjyz_0.4.csv": "16bb8da75b46922ec986f7538e917fbdcbdbf8931316d1f986ff6a6c4cb0168c",
+            "qq_j_0.4.csv": "b59460ef21a48c69b76e6a0e389c6ff1662e6b9578b6c0f20236d36ea335c948",
+            "qq_j_1.5.csv": "eb3ee8d23f84eada789c9986ce350512ae623530a651f17c0d382e337f256307",
+            "qq_lw_0.4.csv": "b565b34a2494dbdf41c221201bf5d01fc1ba25f50027072de1bfcb096f416b33",
+            "qq_lw_1.5.csv": "963fb694914853291189a84285ad8b3719d3290f2f5c3b050a2c61bb666d19cc",
+        },
+        (0, "bm"): {
+            "qq_bjyz_0.4.csv": "a916fe66ea24a268e45209ecd65cb8c6231ec752d4ed83688cfab47520b9542b",
+            "qq_j_0.4.csv": "bdbfa4f1628cc6c5b9bd8fe40693d052a1161c2dab78f8289cbd96eb0c22fbb8",
+            "qq_j_1.5.csv": "bc510644df5a1f5064fb57546f365d26b2dd210a32636b210a1654ca18cee891",
+            "qq_lw_0.4.csv": "fc96c612ec761bce59a499b0b5f6fa874a892c0c63870edb026ea91f4bde61fa",
+            "qq_lw_1.5.csv": "7ecc8e23f0c662d77d20692311b3d195d849e73096d5a3db775e99d3f62afb03",
+        },
+        (8, "sin"): {
+            "qq_bjyz_0.4.csv": "7d717eea0b3bce0948508f4e5fb5f516317a7d156f4dcf8021e682a3eb536408",
+            "qq_j_0.4.csv": "dbfbdaec3d718b962df2a4ce34f3cd7ee14745832f5650c03529fa85a2a571de",
+            "qq_j_1.5.csv": "2d963f2f99ce1ab50f0b7806888175cfcec62e60a049fa9b6012bd52cdad3c9b",
+            "qq_lw_0.4.csv": "0a9af22318c24bd6a6e2f4807638b26216f0988fb8ec2b085d0ffd195f5c908e",
+            "qq_lw_1.5.csv": "50a0d5175cf3f573a9250e913470678a547594556eb0f7af5f3a6b94be67b7b4",
+        },
+        (8, "bm"): {
+            "qq_bjyz_0.4.csv": "c461f6275807014bed0ea74d2014e3e495b7a00a8b0e5034d4771e71391c139c",
+            "qq_j_0.4.csv": "0aa5664dd2fc87df9ccdf0324a9f08f5916586bab9699c9c65b4eb998c888c25",
+            "qq_j_1.5.csv": "2025d333515bcc110f0b2f8f3b58bd95c1f3df9545229f0e2708e94e1261cf50",
+            "qq_lw_0.4.csv": "244f9ebb5c76d27beb08f019fe7f8e47bad1bd1e74616776e060949860f78784",
+            "qq_lw_1.5.csv": "8f393932dd2314f1a5890f47d57b61425a8bc1e5f768a9dec16d30b36e036aa5",
+        },
     },
 }
+_QQ_DESIGNS = sorted(_QQ_PINNED["SkylakeX"])
 
 
-@pytest.mark.parametrize("seed, model", sorted(_QQ_PINNED))
+@pytest.mark.parametrize("seed, model", _QQ_DESIGNS)
 def test_qq_figure_writes_pinned_bytes(tmp_path, seed, model):
+    pins = _pins(_QQ_PINNED, "Q-Q")[(seed, model)]
     cfg = MCConfig(seed=seed, reps=20, n=400, p_list=(8, 30), model=_QQ_MODELS[model])
     artifacts = run_qq_figure(cfg, tmp_path)
     digests = {a.path.name: hashlib.sha256(a.path.read_bytes()).hexdigest() for a in artifacts}
-    assert digests == _QQ_PINNED[(seed, model)]
+    assert digests == pins
 
 
-@pytest.mark.parametrize("seed, model", sorted(_QQ_PINNED))
+@pytest.mark.parametrize("seed, model", _QQ_DESIGNS)
 def test_qq_figure_zscores_match_explicit_distances_to_identity(tmp_path, seed, model):
     # The designs of the byte pins above, rebuilt replication by replication
     # through the public draw: lw and j from A - I and B - I formed

@@ -7,7 +7,6 @@ import pytest
 
 from spotspectra import (
     ConfigError,
-    MCConfig,
     MPLaw,
     NumericalError,
     SpectralSample,
@@ -15,9 +14,7 @@ from spotspectra import (
     esd_eval,
     kolmogorov_distance,
     mp_cdf,
-    run_esd_figure,
 )
-from spotspectra import harness
 
 
 def _random_psd(rng, dim):
@@ -181,26 +178,3 @@ def test_ks_brute_force_oracle():
     brute = max(abs(esd_eval(sample, float(x)) - mp_cdf(float(x), law)) for x in xs)
     assert scan >= brute - 1e-12
     assert scan == pytest.approx(brute, abs=1e-12)
-
-
-def test_esd_csv(tmp_path, monkeypatch):
-    # The ESD rows on file are those `run_esd_figure` writes: every eigenvalue
-    # is an x, and each row holds the ESD and the MP cdf at its x.
-    samples = []
-    real = harness.eigenvalues_sym
-    monkeypatch.setattr(
-        harness, "eigenvalues_sym", lambda m: samples.append(real(m)) or samples[-1]
-    )
-    cfg = MCConfig(seed=6, n=400, p_list=(8,))
-    (artifact,) = run_esd_figure(cfg, tmp_path)
-    assert artifact.path == tmp_path / "esd_p8.csv"
-    lines = artifact.path.read_bytes().decode().split("\r\n")
-    assert lines[0] == "x,esd,mp_cdf" and lines[-1] == ""
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:-1]]
-    (sample,) = samples
-    law = MPLaw(y=8 / cfg.k_n)
-    xs = [row[0] for row in rows]
-    assert set(sample.eigenvalues.tolist()) <= set(xs)
-    assert [row[1] for row in rows] == [esd_eval(sample, x) for x in xs]
-    assert [row[2] for row in rows] == [mp_cdf(x, law) for x in xs]
-    assert rows[-1][1] == 1.0
