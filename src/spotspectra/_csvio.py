@@ -48,15 +48,16 @@ def _opened(target: Target, mode: str) -> Iterator[TextIO]:
 def make_dir(path: Union[str, "os.PathLike[str]"]) -> Path:
     """Create directory ``path`` and its parents unless it exists; return it.
 
-    A directory that cannot be created (say, a parent is a regular file) is a
-    :class:`ConfigError` naming the path.
+    A directory that exists costs one ``stat``; one that cannot be created
+    (say, a parent is a regular file) is a :class:`ConfigError` naming it.
     """
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot create directory {os.fspath(path)}: {exc.strerror or exc}"
-        ) from exc
+    if not os.path.isdir(path):
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create directory {os.fspath(path)}: {exc.strerror or exc}"
+            ) from exc
     return Path(path)
 
 

@@ -13,8 +13,8 @@ Replications are keyed to counter-based substreams, so results are
 bit-for-bit identical no matter how many workers share the sweep.  Every
 window comes from a :mod:`~spotspectra.simkit` window source, which draws a
 replication's noise rows once for all ``(model, p)`` cells of a run or for
-all ``p`` of an ESD figure; the figure's estimates take the same products and
-are validated once.  An experiment call runs its model's cells, and the
+all ``p`` of an ESD figure, whose estimates take the same products and one
+finiteness check each.  An experiment call runs its model's cells, and the
 ``mc-size`` and ``mc-power`` commands run every model of their table as one.
 A config is checked once, when it is built; a run adds only the checks across
 its configs, so a config error comes before any directory, draw or file.
@@ -51,7 +51,7 @@ from .estimators import _scaled_gram, _window_length, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
 from .simkit import GridConfig, VolKind, VolModel, _window_source
-from .spectra import _count_at_most, _ks_scan, eigenvalues_sym
+from .spectra import _count_at_most, _ks_scan, _spectrum
 
 __all__ = [
     "Alternative",
@@ -351,8 +351,10 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     :func:`~spotspectra.spectra.kolmogorov_distance` reads its values at the
     eigenvalues from there, so a figure calls the cdf twice: on the grid and
     on the eigenvalues' left neighbours.  An estimate that overflows is a
-    :class:`NumericalError` keyed ``seed S, p P, replication 0``.  Every
-    figure is computed before ``out_dir`` is made, so a failure writes nothing.
+    :class:`NumericalError` keyed ``seed S, p P, replication 0``: the one check
+    of the exactly symmetric Gram, which goes straight to the kernel behind
+    ``eigenvalues_sym`` in the one-thread scope that forms it.  Every figure is
+    computed before ``out_dir`` is made, so a failure writes nothing.
     """
     cells = tuple((p, cfg.model) for p in cfg.p_list)
     start = window_start(cfg.t, cfg.n, cfg.k_n)
@@ -361,9 +363,11 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     for p, window in zip(cfg.p_list, windows):
         with one_thread(), np.errstate(over="ignore", invalid="ignore"):
             matrix = _scaled_gram(window, cfg.n, cfg.k_n, 1.0 / cfg.model.base)
-        if not np.isfinite(matrix).all():
-            raise NumericalError(f"seed {cfg.seed}, p {p}, replication 0: estimate is not finite")
-        sample = eigenvalues_sym(matrix)
+            if not np.isfinite(matrix).all():
+                raise NumericalError(
+                    f"seed {cfg.seed}, p {p}, replication 0: estimate is not finite"
+                )
+            sample = _spectrum(matrix)
         law = MPLaw(y=p / cfg.k_n)
         xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))
         cdf = mp_cdf(xs, law)

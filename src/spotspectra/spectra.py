@@ -83,10 +83,15 @@ def eigenvalues_sym(matrix: np.ndarray) -> SpectralSample:
     across distinct tiny values.  Anything below the band raises
     :class:`~spotspectra.errors.NumericalError` because the matrix is not a
     plausible covariance.  The decomposition runs on one OpenBLAS thread, so
-    the bits do not depend on the caller's thread count.
+    the bits do not depend on the caller's thread count.  A private kernel
+    does all but the check and the copy; the ESD figure calls it directly.
     """
     m = checked_symmetric(matrix, "matrix")
-    sym = 0.5 * m + 0.5 * m.T
+    return _spectrum(0.5 * m + 0.5 * m.T)
+
+
+def _spectrum(sym: np.ndarray) -> SpectralSample:
+    """:func:`eigenvalues_sym` of a finite, exactly symmetric matrix, unchecked."""
     try:
         with one_thread():
             lam = np.linalg.eigvalsh(sym)

@@ -6,6 +6,7 @@ oracle is built here with the ``csv`` module itself.
 
 import csv
 import io
+import os
 import tracemalloc
 import warnings
 
@@ -35,7 +36,7 @@ from spotspectra import (
     write_size_table,
 )
 from spotspectra import estimators, harness, hdtests, simkit
-from spotspectra._csvio import read_float_csv, write_csv
+from spotspectra._csvio import make_dir, read_float_csv, write_csv
 
 _SPECIAL = [-0.0, 5e-324, 1e308, -1e308, 1.0, 3.0, -2.0, 2.0**53, 1e16, 1e-5, 0.1, 1 / 3]
 
@@ -200,3 +201,27 @@ def test_one_column_reads_as_2d():
     _, rows = read_float_csv(io.StringIO("c1\n2.5\n"), "matrix CSV", ("c1",))
     assert rows.shape == (1, 1)
     assert np.array_equal(read_matrix_csv(io.StringIO("c1\n2.5\n")), [[2.5]])
+
+
+def test_make_dir_returns_an_existing_directory_without_creating(tmp_path, monkeypatch):
+    def makedirs(*args, **kwargs):
+        raise AssertionError("os.makedirs called on an existing directory")
+
+    monkeypatch.setattr(os, "makedirs", makedirs)
+    assert make_dir(tmp_path) == tmp_path
+    assert make_dir(str(tmp_path)) == tmp_path
+
+
+def test_make_dir_creates_a_missing_nested_path(tmp_path):
+    out = tmp_path / "a" / "b"
+    assert make_dir(out) == out
+    assert out.is_dir()
+
+
+def test_make_dir_on_a_regular_file_is_a_config_error(tmp_path):
+    path = tmp_path / "file"
+    path.write_text("x")
+    with pytest.raises(ConfigError) as raised:
+        make_dir(path)
+    assert str(raised.value).startswith(f"cannot create directory {path}: ")
+    assert path.read_text() == "x"

@@ -639,11 +639,12 @@ def test_sweep_config_rejects_a_bad_model_when_built(model, alternative, message
 
 
 def test_esd_figure_eigenvalues_equal_public_route(tmp_path, monkeypatch):
+    # The figure hands its Gram to the kernel unsymmetrized: the spectrum must
+    # still be the public route's bit for bit, with the p - k_n zeros of a
+    # rank-deficient estimate snapped to exactly 0.0.
     samples = []
-    real = harness.eigenvalues_sym
-    monkeypatch.setattr(
-        harness, "eigenvalues_sym", lambda m: samples.append(real(m)) or samples[-1]
-    )
+    real = harness._spectrum
+    monkeypatch.setattr(harness, "_spectrum", lambda m: samples.append(real(m)) or samples[-1])
     for model in (VolModel.deterministic_sin(0.0009, 0.0004), VolModel.stochastic_bm(0.0009, 0.02)):
         samples.clear()
         cfg = MCConfig(seed=2, reps=1, n=400, p_list=(8, 30), t=0.25, model=model)
@@ -653,6 +654,7 @@ def test_esd_figure_eigenvalues_equal_public_route(tmp_path, monkeypatch):
             est = _public_estimate(cfg.seed, cfg.n, cfg.t, cfg.k_n, p, model, model.base, 0)
             public = eigenvalues_sym(est.matrix).eigenvalues
             np.testing.assert_array_equal(sample.eigenvalues, public)
+            assert np.count_nonzero(sample.eigenvalues == 0.0) == max(p - cfg.k_n, 0)
 
 
 def test_esd_figure_draws_all_dimensions_from_one_philox(tmp_path, monkeypatch):
@@ -665,6 +667,10 @@ def test_esd_figure_draws_all_dimensions_from_one_philox(tmp_path, monkeypatch):
 
 
 def test_esd_figure_validates_each_estimate_once(tmp_path, monkeypatch):
+    # The figure's one check is its keyed finiteness check
+    # (test_esd_overflow_is_a_keyed_numerical_failure); its exactly symmetric
+    # Gram goes to the kernel, once per p
+    # (test_esd_figure_content_matches_explicit_spectrum), unchecked.
     calls = []
     for module in (estimators, spectra):
         real = module.checked_symmetric
@@ -672,7 +678,7 @@ def test_esd_figure_validates_each_estimate_once(tmp_path, monkeypatch):
             module, "checked_symmetric", lambda *a, real=real: calls.append(a[0].shape) or real(*a)
         )
     run_esd_figure(MCConfig(seed=2, n=400, p_list=(8, 30)), tmp_path)
-    assert calls == [(8, 8), (30, 30)]
+    assert calls == []
 
 
 def test_size_experiment_rejects_bad_configs():
@@ -803,6 +809,19 @@ def _pins(table, what):
     return table[core]
 
 
+def _stack():
+    """numpy, OpenBLAS and kernel this process runs, for a pin failure message:
+    a digest mismatch under pins of the right kernel points at one of them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy that only prints its build config
+        blas = {"name": "BLAS"}
+    return (
+        f"numpy {np.__version__}, {blas['name']} {blas.get('version')}, "
+        f"OpenBLAS kernel {_blas.core_name()!r}"
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 8])
 def test_esd_figure_writes_pinned_bytes(tmp_path, seed):
     pins = _pins(_ESD_PINNED, "ESD")[seed]
@@ -811,7 +830,8 @@ def test_esd_figure_writes_pinned_bytes(tmp_path, seed):
     assert [a.p for a in artifacts] == [8, 20, 30]
     for artifact in artifacts:
         digest, ks = pins[artifact.p]
-        assert hashlib.sha256(artifact.path.read_bytes()).hexdigest() == digest
+        got = hashlib.sha256(artifact.path.read_bytes()).hexdigest()
+        assert got == digest, f"{artifact.path.name} changed bytes under {_stack()}"
         assert artifact.ks_distance == ks
 
 
@@ -826,14 +846,14 @@ def test_esd_figure_content_matches_explicit_spectrum(tmp_path, monkeypatch, see
     # entry by entry from the window, and the KS distance is the one
     # kolmogorov_distance gives, from two MP-cdf calls per figure.
     samples, calls = [], []
-    real_eig, real_cdf = harness.eigenvalues_sym, harness.mp_cdf
+    real_eig, real_cdf = harness._spectrum, harness.mp_cdf
 
     def eig(m):
         calls.append("eig")
         samples.append(real_eig(m))
         return samples[-1]
 
-    monkeypatch.setattr(harness, "eigenvalues_sym", eig)
+    monkeypatch.setattr(harness, "_spectrum", eig)
     monkeypatch.setattr(harness, "mp_cdf", lambda *a: calls.append("cdf") or real_cdf(*a))
     cfg = MCConfig(seed=seed, n=400, k_n=20, p_list=p_list)
     artifacts = run_esd_figure(cfg, tmp_path)
@@ -1113,7 +1133,7 @@ def test_qq_figure_writes_pinned_bytes(tmp_path, seed, model):
     cfg = MCConfig(seed=seed, reps=20, n=400, p_list=(8, 30), model=_QQ_MODELS[model])
     artifacts = run_qq_figure(cfg, tmp_path)
     digests = {a.path.name: hashlib.sha256(a.path.read_bytes()).hexdigest() for a in artifacts}
-    assert digests == pins
+    assert digests == pins, f"Q-Q files changed bytes under {_stack()}"
 
 
 @pytest.mark.parametrize("seed, model", _QQ_DESIGNS)
