@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._blas import kernel_scope
 from ._csvio import make_dir
 from .errors import ConfigError, NumericalError, WorkerError
 from .estimators import (
@@ -42,7 +43,7 @@ from .harness import (
 )
 from .hdtests import TestKind, evaluate_tests, write_report_csv
 from .simkit import GridConfig, VolKind, VolModel, read_path_csv, simulate_path, write_path_csv
-from .spectra import eigenvalues_sym
+from .spectra import _spectrum
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,7 +215,7 @@ def _cmd_simulate(cfg: dict) -> None:
 
 def _cmd_spot(cfg: dict) -> None:
     _, values = read_path_csv(cfg["path"])
-    with np.errstate(over="ignore", invalid="ignore"):  # spot_vol rejects a non-finite increment
+    with kernel_scope():  # spot_vol rejects a non-finite increment
         incr = np.diff(values, axis=1)
     est = spot_vol(incr, cfg["t"], _window_length(incr.shape[1], cfg["k_n"]))
     write_matrix_csv(est.matrix, _out_stream(cfg["out"]))
@@ -226,12 +227,13 @@ def _cmd_test(cfg: dict) -> None:
         _check_factor(scale, "--scale")
         if not math.isfinite(1.0 / scale):
             raise ConfigError(f"--scale needs a finite reciprocal, got {scale!r}")
-    est = SpotEstimate(matrix=matrix, t=0.0, k_n=cfg["k_n"], window=(1, cfg["k_n"]))
-    est = est if scale is None else rescale(est, 1.0 / scale)
-    # The tests assume a positive semidefinite matrix; this one comes from a file.
-    eigenvalues_sym(est.matrix)
     kinds = None if cfg["kind"] == "all" else [TestKind(cfg["kind"])]
-    write_report_csv(evaluate_tests(est, kinds), _out_stream(cfg["out"]))
+    with kernel_scope():
+        est = SpotEstimate(matrix=matrix, t=0.0, k_n=cfg["k_n"], window=(1, cfg["k_n"]))
+        est = est if scale is None else rescale(est, 1.0 / scale)
+        # The tests assume a PSD matrix; SpotEstimate already checked its symmetry.
+        _spectrum(0.5 * est.matrix + 0.5 * est.matrix.T)
+        write_report_csv(evaluate_tests(est, kinds), _out_stream(cfg["out"]))
 
 
 def _mc_config(cfg: dict, r1: float, r2: Optional[float] = None,

@@ -18,11 +18,11 @@ is ``spot_vol(incr, 0.0, n).matrix``, the estimate whose window is the whole
 sample.
 
 One function forms every estimate, public or Monte Carlo: the Gram product
-``w @ w.T`` of a unit-stride copy ``w`` of the window, on one BLAS thread,
-scaled in place by ``n / k_n`` and then by a factor, ``1.0`` here and
-``1 / base`` in a sweep or ESD figure.  numpy forms the Gram with BLAS
-``syrk`` and mirrors one triangle, so it is exactly symmetric, whatever the
-input's layout, and no symmetrization pass follows.
+``w @ w.T`` of a unit-stride copy ``w`` of the window, in the caller's
+:mod:`~spotspectra._blas` scope, scaled in place by ``n / k_n`` and then by a
+factor, ``1.0`` here and ``1 / base`` in a sweep or ESD figure.  numpy forms
+the Gram with BLAS ``syrk`` and mirrors one triangle, so it is exactly
+symmetric, whatever the input's layout, and no symmetrization pass follows.
 
 The spot estimate is the input to the spectral tests: its aspect ratio
 ``z_n = p / k_n`` plays the role of the concentration index in the
@@ -38,7 +38,7 @@ from typing import Optional, TextIO, Union
 
 import numpy as np
 
-from ._blas import one_thread
+from ._blas import kernel_scope
 from ._csvio import float_rows, read_float_csv, write_csv
 from .errors import ConfigError, NumericalError
 from .simkit import _snapped_floor
@@ -80,7 +80,8 @@ class SpotEstimate:
     window: tuple[int, int]
 
     def __post_init__(self) -> None:
-        m = checked_symmetric(self.matrix, "estimate matrix")
+        with kernel_scope():  # A - A^T can overflow
+            m = checked_symmetric(self.matrix, "estimate matrix")
         _check_k_n(self.k_n)
         object.__setattr__(self, "matrix", m)
 
@@ -102,7 +103,7 @@ def _check_k_n(k_n: object) -> None:
 
 def _scaled_gram(window: np.ndarray, n: int, k_n: int, factor: float) -> np.ndarray:
     """Every estimate matrix: ``w @ w.T`` scaled in place by ``n / k_n``, then by ``factor``,
-    on the caller's one BLAS thread; the caller ignores an overflow and reports it."""
+    in the caller's :mod:`~spotspectra._blas` scope; the caller reports an overflow."""
     # A column-strided window can take a general product, which is not always
     # symmetric; the copy (a no-op for a C-contiguous window) avoids it.
     w = np.ascontiguousarray(window)
@@ -179,9 +180,9 @@ def spot_vol_from_window(window: np.ndarray, n: int, t: float, k_n: int) -> Spot
     window = _validated_increments(window)
     if window.shape[1] != k_n:
         raise ConfigError(f"window block must have k_n = {k_n} columns, got shape {window.shape}")
-    with one_thread(), np.errstate(over="ignore", invalid="ignore"):
+    with kernel_scope():  # the estimate's own check nests, so it sets no thread count
         matrix = _finite(_scaled_gram(window, n, k_n, 1.0))
-    return SpotEstimate(matrix=matrix, t=t, k_n=k_n, window=(start + 1, start + k_n))
+        return SpotEstimate(matrix=matrix, t=t, k_n=k_n, window=(start + 1, start + k_n))
 
 
 def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
@@ -194,7 +195,7 @@ def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
     """
     _check_factor(factor)
     scaled = copy(estimate)
-    with np.errstate(over="ignore"):
+    with kernel_scope():
         object.__setattr__(scaled, "matrix", _finite(estimate.matrix * factor))
     return scaled
 

@@ -23,8 +23,8 @@ function decides a run's cells, process count and chunks from its configs
 and usable CPUs before anything runs: at most ``workers`` processes, no more
 than the replications or CPUs, and no child whose chunk is too small to pay
 for its fork (``_CHILD_MIN_ROWS``).  The run takes chunk 0 itself and each
-other chunk in one child process, keeps its kernels on one OpenBLAS thread in
-every process and restores the caller's thread count when it ends.
+other chunk in one child process, all inside one :mod:`~spotspectra._blas`
+kernel scope that the children inherit.
 
 The log-spectral test is skipped (left out of the result dictionaries, the
 way singular columns are left blank in a report) whenever ``p / k_n >= 1``.
@@ -44,10 +44,10 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from ._blas import one_thread
+from ._blas import kernel_scope
 from ._csvio import make_dir, write_csv
 from .errors import ConfigError, NumericalError, WorkerError
-from .estimators import _scaled_gram, _window_length, window_start
+from .estimators import _finite, _scaled_gram, _window_length, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
 from .simkit import GridConfig, VolKind, VolModel, _window_source
@@ -191,7 +191,7 @@ def _run_rep_range(
     top = max(p for p, _, _ in cells)
     inv_scale = 1.0 / null_scale
     try:
-        with one_thread(), np.errstate(over="ignore", invalid="ignore"):  # the kernel reports inf
+        with kernel_scope():
             for rep in range(rep_lo, rep_hi):
                 cell = None  # a failed draw is keyed to the rows it draws, which all cells share
                 for cell, window, (kinds, z, constants) in zip(cells, draw(rep), plans):
@@ -262,7 +262,7 @@ def _run_experiments(cfgs: Sequence[MCConfig]) -> list[MCSummary]:
     args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, cells, cfg.model.base)
     children = []
     try:
-        with one_thread():
+        with kernel_scope():
             for lo, hi in bounds[1:]:
                 receiver, sender = Pipe(duplex=False)
                 child = Process(target=_run_child, args=(sender, *args, lo, hi))
@@ -350,32 +350,32 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     grid, and the Kolmogorov scan of
     :func:`~spotspectra.spectra.kolmogorov_distance` reads its values at the
     eigenvalues from there, so a figure calls the cdf twice: on the grid and
-    on the eigenvalues' left neighbours.  An estimate that overflows is a
-    :class:`NumericalError` keyed ``seed S, p P, replication 0``: the one check
-    of the exactly symmetric Gram, which goes straight to the kernel behind
-    ``eigenvalues_sym`` in the one-thread scope that forms it.  Every figure is
-    computed before ``out_dir`` is made, so a failure writes nothing.
+    on the eigenvalues' left neighbours.  The draw and every ``p`` run in one
+    :mod:`~spotspectra._blas` scope, and each exactly symmetric Gram takes one
+    check, of finiteness, before the kernel behind ``eigenvalues_sym``.  A
+    failure is a :class:`NumericalError` keyed ``seed S, p P, replication 0``,
+    a draw's by the largest ``p``.  An ``alternative`` is rejected, and every
+    figure is computed before ``out_dir`` is made, so a failure writes nothing.
     """
+    _check_null(cfg)
     cells = tuple((p, cfg.model) for p in cfg.p_list)
-    start = window_start(cfg.t, cfg.n, cfg.k_n)
-    windows = _window_source(cfg.seed, cfg.n, start, cfg.k_n, cells)(0)
-    figures = []
-    for p, window in zip(cfg.p_list, windows):
-        with one_thread(), np.errstate(over="ignore", invalid="ignore"):
-            matrix = _scaled_gram(window, cfg.n, cfg.k_n, 1.0 / cfg.model.base)
-            if not np.isfinite(matrix).all():
-                raise NumericalError(
-                    f"seed {cfg.seed}, p {p}, replication 0: estimate is not finite"
-                )
-            sample = _spectrum(matrix)
-        law = MPLaw(y=p / cfg.k_n)
-        xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))
-        cdf = mp_cdf(xs, law)
-        ks = _ks_scan(sample, lambda x: mp_cdf(x, law), xs, cdf)
-        levels = [repr(k / p) for k in range(p + 1)]
-        esd = map(levels.__getitem__, _count_at_most(sample, xs).tolist())
-        rows = zip(map(repr, xs.tolist()), esd, map(repr, cdf.tolist()))
-        figures.append((p, ks, rows))
+    draw = _window_source(cfg.seed, cfg.n, window_start(cfg.t, cfg.n, cfg.k_n), cfg.k_n, cells)
+    p, figures = max(cfg.p_list), []  # a failed draw is keyed to the rows it draws
+    try:
+        with kernel_scope():
+            for p, window in zip(cfg.p_list, draw(0)):
+                matrix = _scaled_gram(window, cfg.n, cfg.k_n, 1.0 / cfg.model.base)
+                sample = _spectrum(_finite(matrix))
+                law = MPLaw(y=p / cfg.k_n)
+                xs = np.union1d(sample.eigenvalues, np.linspace(0.0, law.b + 0.5, 401))
+                cdf = mp_cdf(xs, law)
+                ks = _ks_scan(sample, lambda x: mp_cdf(x, law), xs, cdf)
+                levels = [repr(k / p) for k in range(p + 1)]
+                esd = map(levels.__getitem__, _count_at_most(sample, xs).tolist())
+                rows = zip(map(repr, xs.tolist()), esd, map(repr, cdf.tolist()))
+                figures.append((p, ks, rows))
+    except NumericalError as exc:
+        raise type(exc)(f"seed {cfg.seed}, p {p}, replication 0: {exc}") from exc
     out_dir = make_dir(out_dir)
     artifacts = []
     for p, ks, rows in figures:

@@ -31,8 +31,8 @@ is not finite (an overflowed estimate), the kernel raises
 ``A`` is assumed symmetric positive semidefinite and is not checked: an
 indefinite matrix gives finite, meaningless ``lw`` and ``j`` statistics.
 Check a matrix from outside the program with
-:func:`~spotspectra.spectra.eigenvalues_sym` first, as the command line
-``test`` does.  P-values are two-sided: ``2 * (1 - Phi(|z|))``.
+:func:`~spotspectra.spectra.eigenvalues_sym` first; the command line
+``test`` makes the same check.  P-values are two-sided: ``2 * (1 - Phi(|z|))``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from ._blas import one_thread
+from ._blas import kernel_scope
 from ._csvio import write_csv
 from .errors import ConfigError, NumericalError, SingularEstimateError
 from .estimators import SpotEstimate
@@ -107,7 +107,7 @@ def _statistics(
 ) -> list[tuple[float, float]]:
     """``(raw, zscore)`` of each test in ``kinds`` on the C-ordered ``p x p`` matrix ``a``.
 
-    The caller holds one BLAS thread and passes, if ``kinds`` has ``bjyz``,
+    The caller holds the :mod:`~spotspectra._blas` scope and passes, if ``kinds`` has ``bjyz``,
     ``constants = mp_lss_constants(p / k_n)``."""
     p = a.shape[0]
     trace = float(a.trace())
@@ -173,8 +173,7 @@ def evaluate_tests(
     except ValueError as exc:
         raise ConfigError(f"unknown test kind: {exc}") from None
     constants = mp_lss_constants(est.z_n) if TestKind.BJYZ in kinds else None
-    # An overflowed estimate is a NumericalError from the kernel, not a warning.
-    with one_thread(), np.errstate(over="ignore", invalid="ignore"):
+    with kernel_scope():
         stats = _statistics(np.ascontiguousarray(est.matrix), est.k_n, kinds, constants)
     return [
         TestReport(kind, raw, zscore, _two_sided_pvalue(zscore), est.z_n, est.p, est.k_n)

@@ -42,8 +42,9 @@ import numpy as np
 # inherit it instead of each importing it again.
 from numpy.random import Generator, Philox
 
+from ._blas import kernel_scope
 from ._csvio import float_rows, read_float_csv, write_csv
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 __all__ = [
     "VolKind",
@@ -220,7 +221,7 @@ def _variance_profile(
     """Per-cell variances for cells ``start+1 .. start+count``.
 
     Exact cell integrals for the deterministic kinds; the left-endpoint
-    (Euler) value ``sigma(t_{i-1})**2 / n`` for ``STOCHASTIC_BM``.
+    (Euler) value ``sigma(t_{i-1})**2 / n``, checked finite, for ``STOCHASTIC_BM``.
 
     Returns shape ``(count,)`` for scalar kinds and ``(p, count)`` for
     ``PIECEWISE_DIAG``; both broadcast against a ``(p, count)`` noise array.
@@ -238,7 +239,10 @@ def _variance_profile(
         dw = driver.standard_normal(m) * math.sqrt(1.0 / n)
         w_grid = np.concatenate(([0.0], np.cumsum(dw)))
         sigma = math.sqrt(model.base) + model.r2 * w_grid[start : start + count]
-        return sigma**2 / n
+        var = sigma**2 / n
+        if not np.isfinite(var).all():
+            raise NumericalError(f"volatility path at r2 {model.r2!r} overflows")
+        return var
     diag = np.asarray(model.diag, dtype=float)
     if diag.shape != (p,):
         raise ConfigError(f"diag has length {diag.size}, expected p = {p}")
@@ -260,7 +264,8 @@ def simulate_window_increments(
     coincides bit-for-bit with the leading columns of a full path only when
     ``start == 0``.  The distribution is correct for any ``start`` because
     the cell variances are evaluated at their true positions.  It checks its
-    arguments and draws from a one-cell :func:`_window_source`.
+    arguments and draws from a one-cell :func:`_window_source` in the kernel
+    scope; a volatility path that overflows is a :class:`NumericalError`.
     """
     if not isinstance(start, int) or start < 0:
         raise ConfigError(f"start must be a nonnegative integer, got {start!r}")
@@ -277,7 +282,9 @@ def simulate_window_increments(
         raise ConfigError(f"replication index must be an integer, got {replication!r}") from None
     if not 0 <= replication <= _MAX_REPLICATION:
         raise ConfigError(f"replication index {replication} outside [0, 2**44)")
-    return _window_source(config.seed, config.n, start, count, [(config.p, model)])(replication)[0]
+    draw = _window_source(config.seed, config.n, start, count, [(config.p, model)])
+    with kernel_scope():
+        return draw(replication)[0]
 
 
 def _window_source(
@@ -347,7 +354,8 @@ def simulate_path(config: GridConfig, model: VolModel, replication: int = 0) -> 
 
 def increments(path: PricePath) -> np.ndarray:
     """Return the ``p x n`` increment matrix; column ``i`` is ``X_{(i+1)/n} - X_{i/n}``."""
-    return np.diff(path.values, axis=1)
+    with kernel_scope():  # spot_vol rejects a non-finite increment
+        return np.diff(path.values, axis=1)
 
 
 def write_path_csv(path: PricePath, stream: Union[str, TextIO]) -> None:

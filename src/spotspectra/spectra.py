@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._blas import one_thread
+from ._blas import kernel_scope
 from .errors import ConfigError, NumericalError
 
 __all__ = [
@@ -82,19 +82,19 @@ def eigenvalues_sym(matrix: np.ndarray) -> SpectralSample:
     positive half of that noise in place would smear a point mass at zero
     across distinct tiny values.  Anything below the band raises
     :class:`~spotspectra.errors.NumericalError` because the matrix is not a
-    plausible covariance.  The decomposition runs on one OpenBLAS thread, so
-    the bits do not depend on the caller's thread count.  A private kernel
-    does all but the check and the copy; the ESD figure calls it directly.
+    plausible covariance.  It runs in the :mod:`~spotspectra._blas` scope, so
+    the bits do not depend on the caller's thread count.  A private kernel does
+    all but the check and the copy; the ESD figure and CLI ``test`` call it.
     """
-    m = checked_symmetric(matrix, "matrix")
-    return _spectrum(0.5 * m + 0.5 * m.T)
+    with kernel_scope():
+        m = checked_symmetric(matrix, "matrix")
+        return _spectrum(0.5 * m + 0.5 * m.T)
 
 
 def _spectrum(sym: np.ndarray) -> SpectralSample:
-    """:func:`eigenvalues_sym` of a finite, exactly symmetric matrix, unchecked."""
+    """:func:`eigenvalues_sym` of a finite, exactly symmetric matrix, unchecked; caller's scope."""
     try:
-        with one_thread():
-            lam = np.linalg.eigvalsh(sym)
+        lam = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue decomposition failed: {exc}") from exc
     spectral_norm = max(abs(lam[0]), abs(lam[-1]))

@@ -1,4 +1,4 @@
-"""One-thread OpenBLAS scope around the per-replication kernels."""
+"""The kernel scope: one OpenBLAS thread, numpy's overflow handling at ignore."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,14 @@ from spotspectra import _blas
 def test_one_thread_restores_the_callers_count(blas_threads):
     get, set_ = blas_threads
     set_(2)
-    with _blas.one_thread():
+    with _blas.kernel_scope():
         assert get() == 1
-        with _blas.one_thread():
+        with _blas.kernel_scope():
             assert get() == 1
         assert get() == 1
     assert get() == 2
     with pytest.raises(RuntimeError, match="inside"):
-        with _blas.one_thread():
+        with _blas.kernel_scope():
             raise RuntimeError("inside")
     assert get() == 2
 
@@ -38,12 +38,45 @@ def test_setter_runs_only_when_the_count_is_not_1(monkeypatch):
     for count, expected in ((1, []), (3, [1, 3])):
         calls = []
         monkeypatch.setattr(_blas, "_controls", lambda: (lambda: count, calls.append))
-        with _blas.one_thread():
+        with _blas.kernel_scope():
             pass
         assert calls == expected
 
 
 def test_without_thread_controls_the_scopes_do_nothing(monkeypatch):
     monkeypatch.setattr(_blas, "_controls", lambda: None)
-    with _blas.one_thread():
+    with _blas.kernel_scope():
         pass
+
+
+def test_scope_ignores_overflow_and_restores_the_callers_handling(blas_threads):
+    get, set_ = blas_threads
+    set_(2)
+    with np.errstate(all="warn", under="raise"):
+        caller = np.geterr()
+        with _blas.kernel_scope():
+            inside = np.geterr()
+            assert np.isinf(np.float64(1e308) * 10.0)  # no warning, no error
+        assert inside == dict(caller, over="ignore", invalid="ignore")
+        assert np.geterr() == caller
+        assert get() == 2
+        with pytest.raises(FloatingPointError):
+            with _blas.kernel_scope():
+                np.float64(1e-308) * 1e-308  # the caller's "raise" still holds for underflow
+        assert np.geterr() == caller
+        assert get() == 2
+
+
+def test_a_nested_scope_calls_no_setter(monkeypatch):
+    count, calls = [3], []
+
+    def set_(n):
+        calls.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(_blas, "_controls", lambda: (lambda: count[0], set_))
+    with _blas.kernel_scope():
+        with _blas.kernel_scope():
+            assert calls == [1]
+        assert calls == [1]
+    assert calls == [1, 3]

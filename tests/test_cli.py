@@ -196,13 +196,15 @@ def test_test_scale_multiplies_by_the_reciprocal_as_rescale_does(tmp_path):
 
 
 def test_test_scale_checks_the_file_matrix_once(tmp_path, monkeypatch):
-    # rescale keeps the estimate's symmetry, so it does not check it again
+    # rescale keeps the estimate's symmetry, and the PSD check takes the
+    # checked matrix, so neither checks it again
     matrix = tmp_path / "m.csv"
     write_matrix_csv(np.diag([1.0, 2.0, 3.0]), str(matrix))
     checked = []
-    real = spotspectra.estimators.checked_symmetric
-    monkeypatch.setattr(spotspectra.estimators, "checked_symmetric",
-                        lambda m, name: checked.append(name) or real(m, name))
+    real = spotspectra.spectra.checked_symmetric
+    for module in (spotspectra.estimators, spotspectra.spectra):
+        monkeypatch.setattr(module, "checked_symmetric",
+                            lambda m, name: checked.append(name) or real(m, name))
     rc = main(["test", "--matrix", str(matrix), "--k-n", "8", "--scale", "0.5",
                "--out", str(tmp_path / "report.csv")])
     assert rc == 0
@@ -825,6 +827,41 @@ def test_mc_tables_equal_one_experiment_call_per_model(
         write(summaries, str(tmp_path / "per_model.csv"))
         assert table.read_bytes() == (tmp_path / "per_model.csv").read_bytes()
     assert len(started) == len(cases) * (int(workers) - 1)
+
+
+def _volatility_overflow(argv, capsys):
+    # sqrt(base) + r2 * W_t squares to inf: a numerical failure that names r2,
+    # with no numpy warning and no inf or nan rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv + ["--seed", "0"])
+    assert rc == 3
+    return capsys.readouterr().err
+
+
+def test_simulate_volatility_overflow_exits_3_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "path.csv"
+    argv = ["simulate", "--kind", "stochastic-bm", "--r2", "1e200", "--n", "10", "--p", "2",
+            "--out", str(out)]
+    err = _volatility_overflow(argv, capsys)
+    assert err == "numerical failure: volatility path at r2 1e+200 overflows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["esd", "--r2", "1e200"],
+    ["mc-size", "--r2", "0.01,1e200", "--reps", "2"],
+])
+def test_volatility_overflow_is_keyed_to_the_largest_p(tmp_path, capsys, argv):
+    # All cells share the draw, so a failed draw is keyed by the rows it draws,
+    # and the message carries the amplitude that a cell's key would name.
+    out = tmp_path / "out"
+    design = ["--n", "400", "--k-n", "20", "--p-list", "8,30", "--out-dir", str(out)]
+    err = _volatility_overflow(argv + design, capsys)
+    assert err == (
+        "numerical failure: seed 0, p 30, replication 0: volatility path at r2 1e+200 overflows\n"
+    )
+    assert argv[0] != "esd" or not out.exists()
 
 
 def test_esd_overflow_is_a_keyed_numerical_failure(tmp_path, capsys):

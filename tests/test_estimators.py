@@ -14,6 +14,7 @@ from spotspectra import (
     NumericalError,
     SpotEstimate,
     VolModel,
+    eigenvalues_sym,
     increments,
     read_matrix_csv,
     rescale,
@@ -285,6 +286,15 @@ def test_spot_estimate_validation():
     for k_n in (0, 2.0):
         with pytest.raises(ConfigError, match="k_n must be a positive integer"):
             SpotEstimate(matrix=good, t=0.0, k_n=k_n, window=(1, 4))
+
+
+def test_asymmetry_that_overflows_is_a_config_error():
+    # max |A - A^T| = inf: the check says asymmetric, with no numpy warning
+    m = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with pytest.raises(ConfigError, match="asymmetric: max [|]A - A\\^T[|] = inf"):
+        SpotEstimate(matrix=m, t=0.0, k_n=4, window=(1, 4))
+    with pytest.raises(ConfigError, match="asymmetric"):
+        eigenvalues_sym(m)
 
 
 def test_matrix_csv_round_trip():

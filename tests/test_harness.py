@@ -206,7 +206,7 @@ def test_run_executes_the_plans_chunks(monkeypatch, no_child_floor):
     ids=["roadmap-example", "table-cell", "default-design"],
 )
 def test_plan_decides_on_two_cpus_without_running(monkeypatch, cfgs, bounds):
-    for name in ("Process", "Pipe", "one_thread", "_run_rep_range", "_window_source", "make_dir"):
+    for name in ("Process", "Pipe", "kernel_scope", "_run_rep_range", "_window_source", "make_dir"):
         monkeypatch.setattr(harness, name, None)  # the plan starts, draws and writes nothing
     assert harness._plan(cfgs, 2)[1] == bounds
 
@@ -950,6 +950,14 @@ def test_qq_with_an_alternative_makes_no_directory(tmp_path):
     with pytest.raises(ConfigError, match="size experiment takes no alternative"):
         run_qq_figure(cfg, tmp_path / "qqx")
     assert not (tmp_path / "qqx").exists()
+
+
+def test_esd_with_an_alternative_makes_no_directory(tmp_path):
+    # The figure is drawn under the null; an alternative would be ignored.
+    cfg = MCConfig(seed=2, n=400, k_n=20, p_list=(8,), alternative=Alternative(s=0.5))
+    with pytest.raises(ConfigError, match="takes no alternative"):
+        run_esd_figure(cfg, tmp_path / "esdx")
+    assert not (tmp_path / "esdx").exists()
 
 
 def test_size_table_csv():

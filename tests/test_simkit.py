@@ -11,6 +11,7 @@ from spotspectra import simkit
 from spotspectra import (
     ConfigError,
     GridConfig,
+    NumericalError,
     PricePath,
     VolKind,
     VolModel,
@@ -177,6 +178,25 @@ def test_stochastic_bm_uses_left_endpoint_variance():
     for j in range(p):
         expected = np.sqrt(variance) * _fresh_stream(seed, rep, j).standard_normal(count)
         np.testing.assert_allclose(incr[j], expected, rtol=1e-14, atol=0.0)
+
+
+def test_stochastic_bm_volatility_overflow_is_a_numerical_error():
+    # (sqrt(base) + r2 * W)**2 overflows: an error naming r2, not a numpy
+    # warning and a window of inf and nan increments
+    grid = GridConfig(n=10, p=2, seed=0)
+    with pytest.raises(NumericalError, match=r"^volatility path at r2 1e\+200 overflows$"):
+        simulate_window_increments(grid, VolModel.stochastic_bm(0.0009, 1e200), 0, 10)
+    with pytest.raises(NumericalError, match="r2 1e\\+200"):
+        simulate_path(grid, VolModel.stochastic_bm(0.0009, 1e200))
+
+
+def test_increments_that_overflow_give_no_warning():
+    # -1e308 - 1e308 is not a float: spot_vol rejects it as bad input, so
+    # numpy's warning would only be noise
+    grid = GridConfig(n=2, p=1, seed=0)
+    path = PricePath(grid=np.array([0.0, 0.5, 1.0]), values=np.array([[0.0, 1e308, -1e308]]),
+                     config=grid)
+    np.testing.assert_array_equal(increments(path), [[1e308, -np.inf]])
 
 
 _SUBSTREAM_MODELS = [
