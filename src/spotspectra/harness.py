@@ -307,13 +307,13 @@ def run_size_experiment(cfg: MCConfig) -> MCSummary:
     the estimate by the null level ``cfg.model.base``, and evaluates the
     tests; the summary holds the full z-score samples.
     """
-    _check_null(cfg)
+    _check_null(cfg, "size experiment", "; use run_power_experiment")
     return _run_experiments([cfg])[0]
 
 
-def _check_null(cfg: MCConfig) -> None:
+def _check_null(cfg: MCConfig, route: str, hint: str = "") -> None:
     if cfg.alternative is not None:
-        raise ConfigError("size experiment takes no alternative; use run_power_experiment")
+        raise ConfigError(f"{route} takes no alternative{hint}")
 
 
 def run_power_experiment(cfg: MCConfig) -> MCSummary:
@@ -357,7 +357,7 @@ def run_esd_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[EsdArtifact
     a draw's by the largest ``p``.  An ``alternative`` is rejected, and every
     figure is computed before ``out_dir`` is made, so a failure writes nothing.
     """
-    _check_null(cfg)
+    _check_null(cfg, "ESD figure")
     cells = tuple((p, cfg.model) for p in cfg.p_list)
     draw = _window_source(cfg.seed, cfg.n, window_start(cfg.t, cfg.n, cfg.k_n), cfg.k_n, cells)
     p, figures = max(cfg.p_list), []  # a failed draw is keyed to the rows it draws
@@ -406,7 +406,7 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
     against the sorted z-scores.  A config with an ``alternative`` is
     rejected before ``out_dir`` is made.
     """
-    _check_null(cfg)
+    _check_null(cfg, "Q-Q figure")
     out_dir = make_dir(out_dir)
     summary = _run_experiments([cfg])[0]
     dist = NormalDist()

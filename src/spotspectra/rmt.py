@@ -5,10 +5,12 @@ Three groups of tools live here:
 * the closed-form Marchenko--Pastur (MP) family with concentration index
   ``y`` at unit scale: density, distribution function (atom at the origin
   included when ``y > 1``), and support edges;
-* a damped fixed-point solver for the Stieltjes transform of the limiting
-  spectral distribution when the population spectrum is a general discrete
-  distribution ``H`` (Silverstein's equation), together with the companion
-  transform of the singular-value ensemble;
+* a direct solver of Silverstein's equation for the Stieltjes transform of
+  the limiting spectral distribution when the population spectrum is a
+  general discrete distribution ``H``, together with the companion
+  transform: the equation is a secular equation whose roots are the
+  eigenvalues of an arrowhead matrix, and its one root in the upper
+  half-plane is the solution;
 * the centering / mean / variance constants of the linear spectral statistic
   :math:`x - \log x - 1` under the MP law, which standardize the
   log-likelihood-ratio identity test.
@@ -26,6 +28,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from ._blas import kernel_scope
 from .errors import ConfigError, DegenerateStatisticError, NumericalError
 
 __all__ = [
@@ -39,11 +42,7 @@ __all__ = [
     "mp_lss_constants",
 ]
 
-# Fixed-point iteration controls for the Silverstein solver.
-_FP_TOL = 1e-12
-_FP_MAX_ITER = 10_000
-_FP_DAMPINGS = (0.5, 0.25)
-_RESIDUAL_TOL = 1e-10
+_RESIDUAL_TOL = 1e-10  # absolute bound on the defect of Silverstein's equations
 
 
 @dataclass(frozen=True)
@@ -169,15 +168,20 @@ class StieltjesPoint:
 
 
 def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
-    """Solve Silverstein's fixed-point equation at one upper-half-plane point.
+    """Solve Silverstein's equation at one upper-half-plane point.
 
     The companion transform ``m_under`` satisfies
 
-    .. math:: z = -\\frac{1}{\\underline{m}} + y \\sum_j \\frac{w_j t_j}{1 + t_j \\underline{m}},
+    .. math:: z = -\\frac{1}{\\underline{m}} + y \\sum_j \\frac{w_j t_j}{1 + t_j \\underline{m}}.
 
-    which is iterated in damped fixed-point form starting from ``-1/z``.
-    The map preserves the upper half-plane, so with damping the iteration is
-    a contraction away from the support edges.
+    Over the K atoms with ``t_j > 0`` and ``w_j > 0`` (the others add no
+    term), with ``s_j = -1/t_j``, ``W = sum_j w_j``, ``alpha = (yW - 1)/z``
+    and ``b_j = y w_j s_j / z``, it is the secular equation
+    ``m_under - alpha - sum_j b_j / (m_under - s_j) = 0``.  Its K + 1 roots
+    are the eigenvalues of the arrowhead matrix with diagonal ``(s, alpha)``,
+    last column ``b`` and last row ones, and for ``Im z > 0`` exactly one
+    lies in the upper half-plane (Silverstein & Bai 1995, J. Multivariate
+    Anal. 54): the solution is the eigenvalue with the largest imaginary part.
 
     Raises
     ------
@@ -186,8 +190,9 @@ def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
         (the ensemble degenerates to a point mass and the equation carries
         no information).
     NumericalError
-        If the iteration fails to converge or the converged point does not
-        satisfy the defining equations to ``1e-10``.
+        If the eigenvalue solve fails (a non-finite matrix included), no
+        root lies in the upper half-plane, or the root does not satisfy the
+        defining equations to ``1e-10``.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)) or z.imag <= 0.0:
@@ -196,44 +201,29 @@ def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
         raise ConfigError(f"y must be finite and positive, got {y!r}")
     t = np.asarray(h.support, dtype=float)
     w = np.asarray(h.weights, dtype=float)
-    if float(np.max(t * (w > 0.0))) == 0.0:
+    keep = (t > 0.0) & (w > 0.0)
+    if not keep.any():
         raise ConfigError(
             "population spectrum has all mass at zero: limiting spectrum degenerate"
         )
 
-    def fixed_point_map(mu: complex) -> complex:
-        shifted = y * complex(np.sum(w * t / (1.0 + t * mu)))
-        return -1.0 / (z - shifted)
-
-    mu = None
-    for damping in _FP_DAMPINGS:
-        candidate = -1.0 / z
-        failed = False
-        for _ in range(_FP_MAX_ITER):
-            nxt = (1.0 - damping) * candidate + damping * fixed_point_map(candidate)
-            if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)) or nxt.imag <= 0.0:
-                failed = True  # left the upper half-plane; retry more cautiously
-                break
-            step = abs(nxt - candidate)
-            candidate = nxt
-            if step < _FP_TOL:
-                break
-        else:
-            failed = True
-        if not failed:
-            mu = candidate
-            break
-    if mu is None:
-        raise NumericalError(
-            f"Silverstein iteration failed to converge at z = {z!r} "
-            f"after {_FP_MAX_ITER} steps per damping level"
-        )
-
-    m = (mu + (1.0 - y) / z) / y
-    res_under = abs(z + 1.0 / mu - y * complex(np.sum(w * t / (1.0 + t * mu))))
-    res_m = abs(m - complex(np.sum(w / (t * (1.0 - y * (1.0 + z * m)) - z))))
-    residual = max(res_under, res_m)
-    if residual > _RESIDUAL_TOL:
+    with kernel_scope():  # one LAPACK thread; -1/t and b overflow to inf for extreme atoms
+        s = -1.0 / t[keep]
+        arrow = np.diag(np.append(s, (y * math.fsum(w[keep]) - 1.0) / z))
+        arrow[:-1, -1] = y * w[keep] * s / z
+        arrow[-1, :-1] = 1.0
+        try:
+            roots = np.linalg.eigvals(arrow)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Silverstein eigensolve failed at z = {z!r}: {exc}") from None
+        mu = complex(roots[np.argmax(roots.imag)])
+        if not mu.imag > 0.0:
+            raise NumericalError(f"Silverstein equation has no root with Im > 0 at z = {z!r}")
+        m = (mu + (1.0 - y) / z) / y
+        res_under = abs(z + 1.0 / mu - y * complex(np.sum(w * t / (1.0 + t * mu))))
+        res_m = abs(m - complex(np.sum(w / (t * (1.0 - y * (1.0 + z * m)) - z))))
+    residual = float(np.maximum(res_under, res_m))  # a NaN defect stays NaN
+    if not residual <= _RESIDUAL_TOL:
         raise NumericalError(
             f"Silverstein solution at z = {z!r} has residual {residual:.3e} > "
             f"{_RESIDUAL_TOL:.1e}"

@@ -115,9 +115,10 @@ def _count_at_most(sample: SpectralSample, x: Union[float, np.ndarray]) -> np.nd
 def esd_eval(sample: SpectralSample, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Empirical spectral distribution at ``x``: fraction of eigenvalues ``<= x``.
 
-    Accepts scalars or arrays and returns a ``float`` for a scalar.
+    Accepts scalars or arrays and returns a ``float`` for a scalar; NaN at a
+    NaN, as :func:`~spotspectra.rmt.mp_cdf` gives.
     """
-    out = _count_at_most(sample, x) / sample.eigenvalues.size
+    out = np.where(np.isnan(x), np.nan, _count_at_most(sample, x) / sample.eigenvalues.size)
     return out if np.ndim(out) else float(out)
 
 

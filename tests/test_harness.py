@@ -947,7 +947,7 @@ def test_qq_single_rep_has_no_correlation(tmp_path):
 
 def test_qq_with_an_alternative_makes_no_directory(tmp_path):
     cfg = MCConfig(seed=0, reps=2, n=400, p_list=(8,), alternative=Alternative(s=0.5))
-    with pytest.raises(ConfigError, match="size experiment takes no alternative"):
+    with pytest.raises(ConfigError, match="^Q-Q figure takes no alternative$"):
         run_qq_figure(cfg, tmp_path / "qqx")
     assert not (tmp_path / "qqx").exists()
 
@@ -955,7 +955,7 @@ def test_qq_with_an_alternative_makes_no_directory(tmp_path):
 def test_esd_with_an_alternative_makes_no_directory(tmp_path):
     # The figure is drawn under the null; an alternative would be ignored.
     cfg = MCConfig(seed=2, n=400, k_n=20, p_list=(8,), alternative=Alternative(s=0.5))
-    with pytest.raises(ConfigError, match="takes no alternative"):
+    with pytest.raises(ConfigError, match="^ESD figure takes no alternative$"):
         run_esd_figure(cfg, tmp_path / "esdx")
     assert not (tmp_path / "esdx").exists()
 

@@ -264,11 +264,56 @@ def test_solver_degenerate_inputs():
         solve_silverstein(complex(1.0, 1.0), 0.5, DiscreteH.point_mass(0.0))
 
 
-def test_solver_fails_honestly_at_the_edge():
-    # the fixed-point map loses its contraction exactly at the support edge
-    law = MPLaw(y=0.5)
-    with pytest.raises(NumericalError):
-        solve_silverstein(complex(law.b, 1e-6), 0.5, DiscreteH.point_mass(1.0))
+def test_solver_solves_at_the_edges_and_far_away():
+    # next to both support edges and out to |z| = 1e4, where the residual of a
+    # solution grows with |z| against the absolute bound of 1e-10
+    h = DiscreteH.point_mass(1.0)
+    for y in (0.3, 0.5, 1.5):
+        law = MPLaw(y=y)
+        points = [complex(law.a, 1e-6), complex(law.b, 1e-6)] + [
+            cmath.rect(radius, angle)
+            for radius in (10.0, 1e2, 1e3, 1e4)
+            for angle in (math.pi / 6, math.pi / 2, 5 * math.pi / 6)
+        ]
+        for z in points:
+            point = solve_silverstein(z, y, h)
+            assert abs(point.m - _closed_form_m(z, y)) <= 1e-10 * max(1.0, abs(point.m))
+            assert point.residual <= 1e-10
+            assert point.m.imag > 0.0
+
+
+@pytest.mark.parametrize("y", [0.3, 0.5])
+@pytest.mark.parametrize(
+    "h",
+    [DiscreteH((1.0, 4 / 9), (0.6, 0.4)), DiscreteH(tuple(0.25 * np.arange(1, 11)), (0.1,) * 10)],
+    ids=["two-block", "ten-atom"],
+)
+def test_solver_density_has_unit_mass_and_the_population_mean(h, y):
+    # Im m(x + i eps) / pi on a strip over the whole support of F^{y,H}; by
+    # hand, since numpy 1.24 has no np.trapezoid
+    x = np.linspace(0.0, max(h.support) * (1.0 + math.sqrt(y)) ** 2 + 0.5, 4001)
+    density = np.empty_like(x)
+    for i, point in enumerate(solve_silverstein(complex(u, 1e-4), y, h) for u in x):
+        assert point.residual <= 1e-10
+        assert point.m.imag > 0.0
+        density[i] = point.m.imag / math.pi
+
+    def trapezoid(f):
+        return float(np.sum((f[1:] + f[:-1]) * np.diff(x)) / 2.0)
+
+    assert trapezoid(density) == pytest.approx(1.0, abs=1e-3)
+    mean = math.fsum(np.multiply(h.weights, h.support))
+    assert trapezoid(x * density) == pytest.approx(mean, abs=1e-3)
+
+
+def test_solver_failures_are_numerical_errors(monkeypatch):
+    # an atom at the smallest subnormal puts -1/t = -inf in the arrowhead matrix
+    with pytest.raises(NumericalError, match="eigensolve failed"):
+        solve_silverstein(complex(1.0, 1.0), 0.5, DiscreteH((5e-324, 1.0), (0.5, 0.5)))
+    # a NaN defect fails the residual check instead of passing it
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([complex(math.nan, 1.0)]))
+    with pytest.raises(NumericalError, match="residual nan"):
+        solve_silverstein(complex(1.0, 1.0), 0.5, DiscreteH.point_mass(1.0))
 
 
 def test_discrete_h_validation():

@@ -126,6 +126,14 @@ def test_esd_counts_multiplicities():
     assert esd_eval(sample, 2.0) == 1.0
 
 
+def test_esd_eval_at_nan_is_nan_as_mp_cdf_is():
+    # searchsorted places NaN after every eigenvalue, which would read 1
+    sample = SpectralSample(eigenvalues=np.array([3.0, 2.0, 1.0]))
+    assert math.isnan(esd_eval(sample, math.nan))
+    values = esd_eval(sample, np.array([math.nan, 2.0]))
+    assert math.isnan(values[0]) and values[1] == pytest.approx(2 / 3)
+
+
 def test_esd_eval_on_an_array_equals_the_scalar_loop():
     rng = np.random.default_rng(3)
     sample = SpectralSample(eigenvalues=np.array([2.0, 2.0, 1.5, 0.25, 0.0]))
