@@ -6,12 +6,16 @@ mapping live in one place.  Rows are written as text and parsed by numpy's
 C reader, so no cell is quoted: every cell the package writes is a number or
 a plain identifier.  The writer takes cells that are already ``str``; each
 caller formats its own floats with ``repr``, which reads back exactly.
-Writers stream one row at a time, and a table is never built as one string
-in memory: a path or matrix writer formats one row of its array at a time
-(:func:`float_rows`), because formatting a path column by column (``tolist()`` of the whole
-array) holds every cell as a Python float at once, which raised the peak RSS
-of a ``simulate``/``spot``/``test`` round trip at p = 102, n = 4680 by
-about 20 %.
+Rows are formatted one at a time and written one block of rows at a time,
+so a table is never built as one string in memory: a path or matrix writer
+formats one row of its array at a time (:func:`float_rows`), because
+formatting a path column by column (``tolist()`` of the whole array) holds
+every cell as a Python float at once, which raised the peak RSS of a
+``simulate``/``spot``/``test`` round trip at p = 102, n = 4680 by about 20 %.
+A failure to write or close a written target (a full disk) is a
+:class:`ConfigError` naming it, as a failed open is; a closed pipe
+(:class:`BrokenPipeError`) is passed on unchanged for the command line to end
+quietly.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
@@ -30,19 +34,35 @@ from .errors import ConfigError
 Target = Union[str, "os.PathLike[str]", TextIO]
 
 
+# Rows per ``write`` call.  Writing the nine ESD figures of a benchmark pass
+# (open to close, in-process, 2 vCPUs of an AVX-512 Xeon) took a median 7.9 ms
+# with one call per line and 7.0 ms with one per 128 rows; a block of a
+# p = 102 path is about 0.3 MB of text.
+_BLOCK_ROWS = 128
+
+
 @contextmanager
 def _opened(target: Target, mode: str) -> Iterator[TextIO]:
-    # Paths are opened and closed here; streams are used and left open.
-    if not isinstance(target, (str, os.PathLike)):
-        yield target
-        return
+    # Paths are opened and closed here; streams are used and left open.  An
+    # OSError while writing or closing a written target is a ConfigError.
+    action = "read" if mode == "r" else "write"
+    if isinstance(target, (str, os.PathLike)):
+        name = os.fspath(target)
+        try:
+            stream = open(target, mode, encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot {action} {name}: {exc.strerror or exc}") from exc
+    else:
+        name, stream = getattr(target, "name", "stream"), nullcontext(target)
     try:
-        stream = open(target, mode, encoding="utf-8", newline="")
+        with stream as opened:
+            yield opened
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        action = "read" if mode == "r" else "write"
-        raise ConfigError(f"cannot {action} {os.fspath(target)}: {exc.strerror or exc}") from exc
-    with stream:
-        yield stream
+        if mode == "r":
+            raise
+        raise ConfigError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def make_dir(path: Union[str, "os.PathLike[str]"]) -> Path:
@@ -69,11 +89,14 @@ def write_csv(target: Target, header: Sequence[str], rows: Iterable[Sequence[str
     ``csv.writer`` gives for cells that need no quoting.  Cells must not
     contain a comma, a quote or a line break.  Callers format a float with
     ``repr``, which reads back exactly and is the text ``csv.writer`` gives
-    it.  ``rows`` is consumed lazily, one row at a time.
+    it.  ``rows`` is consumed lazily: each row is formatted as it is pulled,
+    and the lines are written one block of up to ``_BLOCK_ROWS`` at a time,
+    one ``write`` per block.
     """
     with _opened(target, "w") as stream:
-        lines = itertools.chain([header], rows)
-        stream.writelines(map("%s\r\n".__mod__, map(",".join, lines)))
+        lines = map(",".join, itertools.chain([header], rows))
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            stream.write("\r\n".join(block) + "\r\n")
 
 
 def float_rows(table: np.ndarray) -> Iterator[list[str]]:

@@ -9,8 +9,12 @@ tables.  argparse is the only option parser: each ``key = value`` line of a
 line's own, so the command line wins and a config key is accepted exactly when
 the subcommand has the flag of that name; any other key is an error naming the
 file and line.  No option may be abbreviated.  Exit codes: 0
-success, 2 bad configuration or input (one ``error: ...`` line on stderr), 3
-numerical failure, 4 a Monte Carlo worker process that exited without reporting.
+success, 2 bad configuration or input (one ``error: ...`` line on stderr; an
+output that cannot be written, a full disk or a full standard output
+included), 3 numerical failure, 4 a Monte Carlo worker process that exited
+without reporting.  A standard output closed by its reader (``... | head``)
+ends the command with exit 1 and nothing on stderr: what is left to write is
+dropped.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Optional
@@ -25,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._blas import kernel_scope
-from ._csvio import make_dir
+from ._csvio import _opened, make_dir
 from .errors import ConfigError, NumericalError, WorkerError
 from .estimators import (
     SpotEstimate, _check_factor, _window_length, read_matrix_csv, rescale, spot_vol,
@@ -319,6 +324,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.print_help()
             return 2
         args.handler(vars(args))
+        # Standard output is flushed here, so a failure to write its last
+        # block is reported like any other failed write.
+        with _opened(sys.stdout, "w") as stdout:
+            stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point fd 1 at devnull so the flush at
+        # interpreter shutdown has nowhere to fail (the SIGPIPE recipe of
+        # Python's signal module documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,9 @@ output, and written files against the library API.
 
 import csv
 import dataclasses
+import errno
 import hashlib
+import io
 import multiprocessing
 import os
 import re
@@ -42,6 +44,13 @@ from spotspectra import (
 import spotspectra
 from spotspectra import _blas, cli, harness
 from spotspectra.cli import main
+
+
+def _src_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(spotspectra.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def _rows(path):
@@ -357,6 +366,41 @@ def test_unwritable_output_csv_exits_2(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "path.csv"
     assert main(["simulate", "--n", "16", "--p", "2", "--out", str(out)]) == 2
     assert f"error: cannot write {out}:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_output_to_a_full_device_exits_2(capsys):
+    assert main(["simulate", "--n", "10", "--p", "2", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
+
+
+def test_a_full_standard_output_exits_2(capsys, monkeypatch):
+    # The last block of standard output is written when main flushes it.
+    class Full(io.StringIO):
+        name = "<stdout>"
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["simulate", "--n", "10", "--p", "2"]) == 2
+    assert capsys.readouterr().err == "error: cannot write <stdout>: No space left on device\n"
+
+
+def test_a_closed_standard_output_exits_1_quietly():
+    # A process of its own, so that pointing fd 1 at devnull leaves this
+    # process's standard output alone.  The path (about 10 MB) fills the pipe
+    # long before it is written, so the write after the close fails.
+    code = "import sys; from spotspectra import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "simulate", "--n", "4680", "--p", "102"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 1
+    assert first.startswith(b"t,x1,x2,") and err == b""
 
 
 @pytest.mark.parametrize(
@@ -754,9 +798,6 @@ def test_mc_size_overflow_prints_only_its_keyed_line(tmp_path, workers):
     # A process of its own, so that a warning numpy prints reaches stderr.  It
     # lowers the child floor and sees two CPUs, so that at --workers 2 a
     # forked child runs replications 3..4 as well.
-    src = str(Path(spotspectra.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import os, sys; from spotspectra import cli, harness; "
         "harness._CHILD_MIN_ROWS = 1; os.sched_getaffinity = lambda pid: {0, 1}; "
@@ -766,7 +807,7 @@ def test_mc_size_overflow_prints_only_its_keyed_line(tmp_path, workers):
             "--base", "1.7e308", "--workers", workers, "--out-dir", str(tmp_path)]
     run = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_src_env(), timeout=300,
     )
     assert run.returncode == 3
     assert run.stderr == (

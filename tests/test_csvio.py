@@ -5,7 +5,9 @@ oracle is built here with the ``csv`` module itself.
 """
 
 import csv
+import errno
 import io
+import math
 import os
 import tracemalloc
 import warnings
@@ -36,7 +38,7 @@ from spotspectra import (
     write_size_table,
 )
 from spotspectra import estimators, harness, hdtests, simkit
-from spotspectra._csvio import make_dir, read_float_csv, write_csv
+from spotspectra._csvio import _BLOCK_ROWS, make_dir, read_float_csv, write_csv
 
 _SPECIAL = [-0.0, 5e-324, 1e308, -1e308, 1.0, 3.0, -2.0, 2.0**53, 1e16, 1e-5, 0.1, 1 / 3]
 
@@ -100,6 +102,89 @@ def test_path_writer_streams_one_row_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * path.values.nbytes
+
+
+class _RecordingStream(io.StringIO):
+    """A text stream that records the text of each ``write`` call."""
+
+    def __init__(self):
+        super().__init__(newline="")
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _block_rows(count):
+    return [[str(i), repr(i / 7), "id"] for i in range(count)]
+
+
+_COUNTS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("count", _COUNTS)
+def test_block_writer_gives_csv_writer_bytes_to_a_path_and_a_stream(tmp_path, count):
+    rows = _block_rows(count)
+    expected = _csv_writer_text(["i", "x", "name"], rows)
+    out = tmp_path / "rows.csv"
+    write_csv(out, ["i", "x", "name"], iter(rows))
+    assert out.read_bytes() == expected.encode()
+    buf = io.StringIO(newline="")
+    write_csv(buf, ["i", "x", "name"], iter(rows))
+    assert buf.getvalue() == expected
+
+
+@pytest.mark.parametrize("count", _COUNTS)
+def test_block_writer_makes_one_write_per_block(count):
+    stream = _RecordingStream()
+    write_csv(stream, ["i", "x", "name"], _block_rows(count))
+    assert len(stream.writes) <= math.ceil((count + 1) / _BLOCK_ROWS)
+    assert "".join(stream.writes) == _csv_writer_text(["i", "x", "name"], _block_rows(count))
+
+
+def test_block_writer_pulls_at_most_one_block_before_its_first_write():
+    pulled = []
+
+    def rows():
+        for row in _block_rows(3 * _BLOCK_ROWS):
+            pulled.append(row)
+            yield row
+
+    class Stream(_RecordingStream):
+        def write(self, text):
+            if not self.writes:
+                self.pulled_at_first_write = len(pulled)
+            return super().write(text)
+
+    stream = Stream()
+    write_csv(stream, ["i", "x", "name"], rows())
+    assert 0 < stream.pulled_at_first_write <= _BLOCK_ROWS
+    assert len(pulled) == 3 * _BLOCK_ROWS
+
+
+def test_a_failed_write_to_a_stream_is_a_config_error():
+    # A stream is named by its name attribute; a StringIO has none.
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    class NamedFull(Full):
+        name = "full.csv"
+
+    with pytest.raises(ConfigError, match="^cannot write stream: No space left on device$"):
+        write_csv(Full(), ["a"], [["1"]])
+    with pytest.raises(ConfigError, match="^cannot write full.csv: No space left on device$"):
+        write_csv(NamedFull(), ["a"], [])
+
+
+def test_a_closed_pipe_is_passed_on_unchanged():
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    with pytest.raises(BrokenPipeError):
+        write_csv(Closed(), ["a"], [["1"]])
 
 
 def test_special_floats_give_csv_writer_bytes():
