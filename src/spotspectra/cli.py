@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import math
 import os
 import sys
@@ -56,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ConfigError(message)
+
+    def print_help(self) -> None:
+        # argparse's own drops a failed write of the help text (all of it when
+        # standard output is unbuffered); this one fails as any other write.
+        with _opened(sys.stdout, "w") as stdout:
+            stdout.write(self.format_help())
+        _flush_stdout()
 
 
 def _list_of(conv: Callable[[str], object]) -> Callable[[str], tuple]:
@@ -310,6 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    # Point fd 1 at devnull, so that what standard output could not write is
+    # dropped and the flush at interpreter shutdown has nowhere to fail (the
+    # SIGPIPE recipe of Python's signal module documentation).  A stream with
+    # no descriptor is left as it is.
+    try:
+        fd = sys.stdout.fileno()
+    except io.UnsupportedOperation:
+        return
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
+def _flush_stdout() -> None:
+    # Through _opened, so a failure to write the last block of standard
+    # output, or the help text, is reported like any other failed write.
+    with _opened(sys.stdout, "w") as stdout:
+        try:
+            stdout.flush()
+        except OSError:
+            _drop_stdout()
+            raise
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -319,20 +350,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = pre.parse_known_args(argv[1:])[0].config
         # An unknown command is left to the parser to report.
         config_argv = _config_argv(config, argv[0]) if config and argv[0] in _COMMANDS else []
-        args = parser.parse_args(argv[:1] + config_argv + argv[1:])
+        try:
+            args = parser.parse_args(argv[:1] + config_argv + argv[1:])
+        except SystemExit:  # after --help; the parser's errors are ConfigErrors
+            return 0
         if args.command is None:
             parser.print_help()
             return 2
         args.handler(vars(args))
-        # Standard output is flushed here, so a failure to write its last
-        # block is reported like any other failed write.
-        with _opened(sys.stdout, "w") as stdout:
-            stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe.  Point fd 1 at devnull so the flush at
-        # interpreter shutdown has nowhere to fail (the SIGPIPE recipe of
-        # Python's signal module documentation).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _flush_stdout()
+    except BrokenPipeError:  # the reader closed the pipe
+        _drop_stdout()
         return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,8 @@
 """The kernel scope: one OpenBLAS thread, numpy's overflow handling at ignore."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,3 +83,15 @@ def test_a_nested_scope_calls_no_setter(monkeypatch):
             assert calls == [1]
         assert calls == [1]
     assert calls == [1, 3]
+
+
+def test_only_the_kernel_scope_sets_numpys_error_handling():
+    # Any other module that set it would hide or raise what a kernel reports.
+    sources = Path(_blas.__file__).parent.glob("*.py")
+    calls = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(sources) if path.name != "_blas.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"np\.(errstate|seterr)", line)
+    ]
+    assert calls == []

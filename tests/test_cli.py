@@ -73,13 +73,15 @@ def test_simulate_matches_api(tmp_path):
     assert out.read_text() == expected.read_text()
 
 
-def test_simulate_stdout_default(tmp_path, capsys):
+def test_simulate_stdout_default(tmp_path, capsysbinary):
+    # a header and 401 rows: more than one block of the CSV writer
     out = tmp_path / "path.csv"
-    argv = ["simulate", "--n", "16", "--p", "2", "--seed", "1"]
+    argv = ["simulate", "--n", "400", "--p", "2", "--seed", "1"]
     assert main(argv + ["--out", str(out)]) == 0
-    capsys.readouterr()
+    capsysbinary.readouterr()
     assert main(argv) == 0
-    assert capsys.readouterr().out.replace("\r\n", "\n") == out.read_text()
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    assert out.read_bytes().count(b"\r\n") == 402
 
 
 def test_simulate_kind_validation(capsys):
@@ -374,17 +376,56 @@ def test_output_to_a_full_device_exits_2(capsys):
     assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
 
 
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _Full(io.StringIO):
+    """A standard output on a full device: what is written fails when flushed."""
+
+    name = "<stdout>"
+    flush = _no_space
+
+
+class _FullUnbuffered(io.StringIO):
+    """An unbuffered standard output on a full device: each write fails."""
+
+    name = "<stdout>"
+    write = _no_space
+
+
 def test_a_full_standard_output_exits_2(capsys, monkeypatch):
     # The last block of standard output is written when main flushes it.
-    class Full(io.StringIO):
-        name = "<stdout>"
-
-        def flush(self):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(sys, "stdout", Full())
+    monkeypatch.setattr(sys, "stdout", _Full())
     assert main(["simulate", "--n", "10", "--p", "2"]) == 2
     assert capsys.readouterr().err == "error: cannot write <stdout>: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_exits_0_and_a_lost_help_exits_2(capsys, monkeypatch, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: spotspectra {command} ")
+    for stdout in (_Full(), _FullUnbuffered()):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([command, "--help"]) == 2
+        assert capsys.readouterr().err == "error: cannot write <stdout>: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--n", "10", "--p", "2"], ["simulate", "--help"]], ids=["path", "help"]
+)
+def test_a_full_standard_output_device_exits_2_with_one_line(argv):
+    # A buffered standard output of a process of its own: what main could not
+    # flush must not fail again at interpreter shutdown (exit 120).
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spotspectra.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+            env=env, timeout=300,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write <stdout>: No space left on device\n"
 
 
 def test_a_closed_standard_output_exits_1_quietly():
@@ -968,10 +1009,13 @@ def test_qq_prints_correlation_per_series(tmp_path, capsys):
 def test_figure_r2_writes_the_stochastic_models_bytes(tmp_path, capsys, command):
     # --r2 selects VolModel.stochastic_bm(base, r2): the command must write
     # what the library writes under that model (an ESD figure has no --reps
-    # and draws replication 0 alone)
-    argv = [command, "--seed", "8", "--n", "400", "--k-n", "20", "--p-list", "8,30",
-            "--r2", "0.02", "--out-dir", str(tmp_path / "cli")]
-    assert main(argv + (["--reps", "4"] if command == "qq" else [])) == 0
+    # and draws replication 0 alone), and p = 30 alone what it writes beside p = 8
+    argv = [command, "--seed", "8", "--n", "400", "--k-n", "20", "--r2", "0.02"]
+    argv += ["--reps", "4"] if command == "qq" else []
+    for p_list, out in (("8,30", "cli"), ("30", "p30")):
+        assert main(argv + ["--p-list", p_list, "--out-dir", str(tmp_path / out)]) == 0
+    alone = list((tmp_path / "p30").iterdir())
+    assert alone and all(f.read_bytes() == (tmp_path / "cli" / f.name).read_bytes() for f in alone)
     cfg = MCConfig(seed=8, reps=4, n=400, k_n=20, p_list=(8, 30),
                    model=VolModel.stochastic_bm(0.0009, 0.02))
     {"esd": harness.run_esd_figure, "qq": harness.run_qq_figure}[command](cfg, tmp_path / "api")
@@ -979,6 +1023,21 @@ def test_figure_r2_writes_the_stochastic_models_bytes(tmp_path, capsys, command)
     assert names and names == sorted(f.name for f in (tmp_path / "cli").iterdir())
     for name in names:
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
+
+def test_esd_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
+    # The count OpenBLAS reads when it loads: a route apart from the setter of
+    # test_harness.py::test_esd_bytes_do_not_depend_on_the_callers_blas_threads.
+    written = []
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "spotspectra.cli", "esd", "--seed", "8", "--p-list", "300",
+             "--out-dir", str(tmp_path / threads)],
+            env=dict(_src_env(), OPENBLAS_NUM_THREADS=threads), check=True, timeout=300,
+            stdout=subprocess.DEVNULL,
+        )
+        written.append((tmp_path / threads / "esd_p300.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_scalar_model_rejects_both_amplitudes(tmp_path, capsys):

@@ -257,21 +257,37 @@ def test_chunks_clear_the_floor():
     assert harness._plan([cfg], 4)[1] == [(0, reps // 2), (reps // 2, reps)]
 
 
-def test_children_above_the_floor_match_serial(monkeypatch):
-    # No lowered floor: 216 replications of p = 8 and 30 hold 8,208 rows, two
-    # chunks' worth, so one real child runs half of them.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    cfg = dict(_SMALL, reps=216)
-    assert cfg["reps"] * sum(cfg["p_list"]) >= 2 * harness._CHILD_MIN_ROWS
-    serial = run_size_experiment(MCConfig(seed=7, **cfg))
+def _sin(r1, **kw):
+    return MCConfig(model=VolModel.deterministic_sin(0.0009, r1), **kw)
+
+
+@pytest.mark.parametrize("cfgs, workers, children", [
+    # 216 replications of p = 8 and 30 hold 8,208 rows, two chunks' worth
+    ([MCConfig(seed=7, **dict(_SMALL, reps=216))], 2, [(108, 216)]),
+    # qq --seed 8 --reps 216 --r2 0.02: the same rows under the stochastic model
+    ([MCConfig(seed=8, **dict(_SMALL, reps=216), model=VolModel.stochastic_bm(0.0009, 0.02))],
+     2, [(108, 216)]),
+    # mc-power --seed 8 --reps 36 --r1 0,0.0004: 36 x 6 cells x 38 = 8,208 rows
+    ([_sin(r1, seed=8, **dict(_SMALL, reps=36), alternative=Alternative(s))
+      for s in (0.45, 0.6, 0.75) for r1 in (0.0, 0.0004)], 2, [(18, 36)]),
+    # mc-size --seed 8 --reps 170 --r1 0,0.0004 at three workers: 12,920 rows
+    # in uneven chunks
+    ([_sin(r1, seed=8, **dict(_SMALL, reps=170)) for r1 in (0.0, 0.0004)], 3, [(57, 114), (114, 170)]),
+], ids=["size", "qq", "mc-power", "mc-size"])
+def test_children_above_the_floor_match_serial(monkeypatch, cfgs, workers, children):
+    # No lowered floor: real children run every chunk after the first.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    assert cfgs[0].reps * sum(sum(cfg.p_list) for cfg in cfgs) >= workers * harness._CHILD_MIN_ROWS
+    serial = harness._run_experiments(cfgs)
     started = []
     real = harness.Process
     monkeypatch.setattr(harness, "Process", lambda **kw: started.append(kw) or real(**kw))
-    parallel = run_size_experiment(MCConfig(seed=7, **cfg, workers=2))
-    assert [kw["args"][-2:] for kw in started] == [(108, 216)]
-    assert set(serial.zscores) == set(parallel.zscores)
-    for key in serial.zscores:
-        assert np.array_equal(serial.zscores[key], parallel.zscores[key])
+    parallel = harness._run_experiments([replace(cfg, workers=workers) for cfg in cfgs])
+    assert [kw["args"][-2:] for kw in started] == children
+    for one, many in zip(serial, parallel, strict=True):
+        assert set(one.zscores) == set(many.zscores)
+        for key in one.zscores:
+            assert np.array_equal(one.zscores[key], many.zscores[key])
 
 
 _FORK = pytest.mark.skipif(
@@ -824,15 +840,18 @@ def _stack():
 
 @pytest.mark.parametrize("seed", [0, 8])
 def test_esd_figure_writes_pinned_bytes(tmp_path, seed):
+    # Written twice into one directory, once into a fresh one, and at p = 30 alone.
     pins = _pins(_ESD_PINNED, "ESD")[seed]
     cfg = MCConfig(seed=seed, n=400, k_n=20, p_list=(8, 20, 30))
-    artifacts = run_esd_figure(cfg, tmp_path)
-    assert [a.p for a in artifacts] == [8, 20, 30]
-    for artifact in artifacts:
-        digest, ks = pins[artifact.p]
-        got = hashlib.sha256(artifact.path.read_bytes()).hexdigest()
-        assert got == digest, f"{artifact.path.name} changed bytes under {_stack()}"
-        assert artifact.ks_distance == ks
+    runs = [(cfg.p_list, tmp_path)] * 2 + [(cfg.p_list, tmp_path / "fresh"), ((30,), tmp_path / "p30")]
+    for p_list, out in runs:
+        artifacts = run_esd_figure(replace(cfg, p_list=p_list), out)
+        assert [a.p for a in artifacts] == list(p_list)
+        for artifact in artifacts:
+            digest, ks = pins[artifact.p]
+            got = hashlib.sha256(artifact.path.read_bytes()).hexdigest()
+            assert got == digest, f"{artifact.path.name} changed bytes under {_stack()}"
+            assert artifact.ks_distance == ks
 
 
 @pytest.mark.parametrize(
