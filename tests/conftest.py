@@ -1,5 +1,10 @@
 """Shared fixtures."""
 
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from spotspectra import _blas, harness
@@ -23,3 +28,41 @@ def no_child_floor(monkeypatch):
     """Let a run fork a child for a chunk of any size, so that a small test
     design exercises worker processes as a large one would."""
     monkeypatch.setattr(harness, "_CHILD_MIN_ROWS", 1)
+
+
+@pytest.fixture(scope="session")
+def pin_store():
+    """``tests/pins.json``: an ``any`` section and one per OpenBLAS kernel, each with
+    the stack it was taken on and its pins, a sha256 hex digest or a float per key."""
+    return json.loads(Path(__file__).with_name("pins.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def pinned(pin_store):
+    """``pinned(key, got)`` fails the test unless ``got`` (bytes, compared by
+    sha256, or a float) is the pin ``key`` of the ``any`` section or else of
+    the running kernel's: a figure prints eigenvalues and z-scores at full
+    precision, and their last bits follow the kernel.  A failure names the
+    key, what was got and the running stack, so pins for a new kernel are
+    copied from a run on it; a mismatch also names the pin and its stack."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy that only prints its build config
+        blas = {"name": "BLAS"}
+    core = _blas.core_name()
+    running = f"numpy {np.__version__}, {blas['name']} {blas.get('version')}, kernel {core}"
+
+    def check(key, got):
+        if isinstance(got, bytes):
+            got = hashlib.sha256(got).hexdigest()
+        for name in ("any", core):
+            section = pin_store.get(name, {"pins": {}})
+            if key in section["pins"]:
+                break
+        else:
+            pytest.fail(f"no pin {key!r} for the OpenBLAS kernel {core!r}: got {got!r} on {running}")
+        if section["pins"][key] != got:
+            pytest.fail(f"pin {key!r}: expected {section['pins'][key]!r}, got {got!r}\n"
+                        f"taken on {section['taken_on']}, kernel {name}\nrunning  {running}")
+
+    return check

@@ -7,6 +7,7 @@ component is pinned to ``ACCEPT_SEED`` and is reproducible bit for bit.
 """
 
 import cmath
+import io
 import math
 import os
 import time
@@ -30,11 +31,12 @@ from spotspectra import (
     mp_lss_constants,
     rescale,
     run_esd_figure,
-    run_power_experiment,
     run_size_experiment,
     simulate_path,
     solve_silverstein,
     spot_vol,
+    write_power_table,
+    write_size_table,
 )
 from spotspectra import harness
 
@@ -109,23 +111,12 @@ def size_runs():
 
 @pytest.fixture(scope="module")
 def power_runs():
-    spread = {
-        r1: run_power_experiment(
-            _config(
-                VolModel.deterministic_sin(_BASE, r1),
-                alternative=Alternative(s=0.45, low=0.0004),
-            )
-        )
+    # Table 2: s = 0.45, then s = 0.75, each at r1 in {0, 0.0002, 0.0004}
+    return harness._run_experiments([
+        _config(VolModel.deterministic_sin(_BASE, r1), alternative=Alternative(s=s, low=0.0004))
+        for s in (0.45, 0.75)
         for r1 in (0.0, 0.0002, 0.0004)
-    }
-    concentrated = run_power_experiment(
-        _config(
-            VolModel.deterministic_sin(_BASE, 0.0),
-            p_list=(34,),
-            alternative=Alternative(s=0.75, low=0.0004),
-        )
-    )
-    return spread, concentrated
+    ])
 
 
 def test_acceptance_table1_size(size_runs, capsys):
@@ -156,10 +147,10 @@ def test_acceptance_table1_size(size_runs, capsys):
 
 
 def test_acceptance_table2_power(power_runs, capsys):
-    spread, concentrated = power_runs
+    concentrated = power_runs[3]  # s = 0.75, r1 = 0
     failures = []
     lowest = 100.0
-    for r1, summary in spread.items():
+    for summary in power_runs[:3]:
         for level in _LEVELS:
             for kind, p_values in ((TestKind.BJYZ, (34,)), (TestKind.LW, _P_LIST)):
                 for p in p_values:
@@ -167,7 +158,8 @@ def test_acceptance_table2_power(power_runs, capsys):
                     lowest = min(lowest, rate)
                     if rate < 99.5:
                         failures.append(
-                            f"s=0.45 {kind.value} p={p} r1={r1} level={level}: {rate:.1f}%"
+                            f"s=0.45 {kind.value} p={p} r1={summary.config.model.r1} "
+                            f"level={level}: {rate:.1f}%"
                         )
     observed = {}
     for kind, (ref, band) in _POWER_075_REFS.items():
@@ -254,16 +246,6 @@ def test_acceptance_qq_normality(size_runs, capsys):
     assert not failures, failures
 
 
-@pytest.fixture(scope="module")
-def concentrated_power_runs():
-    # the s = 0.75 alternative at every default p, r1 within low = 0.0004
-    cfgs = [
-        _config(VolModel.deterministic_sin(_BASE, r1), alternative=Alternative(s=0.75, low=0.0004))
-        for r1 in (0.0, 0.0002, 0.0004)
-    ]
-    return harness._run_experiments(cfgs)
-
-
 def _lw_mean_exact(v):
     # Exact mean of lw's z-score for a Gaussian window with independent
     # entries of variance v[j, i] (coordinate j, cell i), from second and
@@ -280,14 +262,14 @@ def _lw_mean_exact(v):
     return (_K_N * raw - p - 1.0) / 2.0
 
 
-def test_lw_mean_matches_closed_form(size_runs, concentrated_power_runs):
+def test_lw_mean_matches_closed_form(size_runs, power_runs):
     # Every default size cell and every s = 0.75 power cell: the Monte Carlo
     # mean of lw's z-score lies within 4 standard errors of its exact value.
     # At t = 0 the window is cells 1 .. k_n, each with its exact integral of
     # d_j + r1 * sin(2 * pi * t); under the null the mean is -1 / k_n.
     i = np.arange(1, _K_N + 1)
     sin_part = (np.cos(2.0 * np.pi * (i - 1) / _N) - np.cos(2.0 * np.pi * i / _N)) / (2.0 * np.pi)
-    summaries = list(size_runs[0].values()) + concentrated_power_runs
+    summaries = list(size_runs[0].values()) + power_runs[3:]
     failures = []
     for summary in summaries:
         model, alt = summary.config.model, summary.config.alternative
@@ -304,6 +286,18 @@ def test_lw_mean_matches_closed_form(size_runs, concentrated_power_runs):
                     f"exact {exact:+.4f}, se {se:.4f}"
                 )
     assert not failures, failures
+
+
+def test_table1_size_table_writes_pinned_bytes(size_runs, pinned):
+    out = io.StringIO()
+    write_size_table(list(size_runs[0].values()), out)
+    pinned("table 1 seed 8: size_table.csv", out.getvalue().encode())
+
+
+def test_table2_power_table_writes_pinned_bytes(power_runs, pinned):
+    out = io.StringIO()
+    write_power_table(power_runs, out)
+    pinned("table 2 seed 8: power_table.csv", out.getvalue().encode())
 
 
 def _closed_form_stieltjes(z, y):

@@ -8,7 +8,6 @@ output, and written files against the library API.
 import csv
 import dataclasses
 import errno
-import hashlib
 import io
 import multiprocessing
 import os
@@ -102,20 +101,17 @@ def test_simulate_constant_diag_requires_diag(capsys):
     assert "requires a nonempty diag vector" in capsys.readouterr().err
 
 
-# The bytes `simulate --kind constant-diag` wrote while that kind had its own
-# variance branch; it is now a name for piecewise-diag with r1 = 0.
-_DIAG_PATH_SHA256 = "b4c8cef24437e03525603dc17d98ca7e5cdc1ce34cac3715c26dc17d452fc6bb"
-
-
 @pytest.mark.parametrize("kind", ["constant-diag", "piecewise-diag"])
-def test_simulate_diag_kinds_write_pinned_bytes(tmp_path, kind):
+def test_simulate_diag_kinds_write_pinned_bytes(tmp_path, pinned, kind):
+    # The draws' pin (Philox, normals, profile, cumsum, repr; no BLAS): the bytes
+    # constant-diag wrote with a branch of its own, now piecewise-diag at r1 = 0.
     out = tmp_path / "path.csv"
     rc = main(
         ["simulate", "--kind", kind, "--n", "200", "--p", "3", "--diag", "0.4,0.9,1.6",
          "--seed", "8", "--replication", "2", "--out", str(out)]
     )
     assert rc == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _DIAG_PATH_SHA256
+    pinned("simulate diag seed 8: path.csv", out.read_bytes())
 
 
 def test_simulate_diag_length_must_match_p(capsys):
@@ -413,7 +409,8 @@ def test_help_exits_0_and_a_lost_help_exits_2(capsys, monkeypatch, command):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize(
-    "argv", [["simulate", "--n", "10", "--p", "2"], ["simulate", "--help"]], ids=["path", "help"]
+    "argv", [["simulate", "--n", "10", "--p", "2"], ["simulate", "--help"], []],
+    ids=["path", "help", "bare"],
 )
 def test_a_full_standard_output_device_exits_2_with_one_line(argv):
     # A buffered standard output of a process of its own: what main could not
