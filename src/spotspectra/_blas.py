@@ -9,12 +9,12 @@ processes, makes each worker's spinning helpers starve the others.
 :func:`kernel_scope` sets one OpenBLAS thread and numpy's ``over`` and
 ``invalid`` handling to ``ignore`` (a kernel reports an overflow itself, as a
 ``NumericalError``), and restores the caller's count and handling when the
-block ends or raises.  Each route enters it once, where it starts; the kernels
-inside enter none, and a nested entry calls no setter.  A worker process forked
-inside a scope inherits its count of 1 and its handling; after a fork any
-setter call would restart OpenBLAS's spinning helpers.  The controls are
-looked up once per process, in the library numpy's linear algebra is linked
-against; without them (another BLAS) the thread count is left alone.
+block ends or raises.  A command enters it once, in ``cli.main``, and each
+public route its own; a nested entry calls no setter.  A process forked in a
+scope inherits its count of 1 and handling; after a fork a setter call restarts
+OpenBLAS's spinning helpers, so a command restores once, at its end.  The
+controls are looked up once per process, in the library numpy's linear algebra
+is linked against; without them (another BLAS) the thread count is left alone.
 :func:`core_name` reads which kernel the library picked: the last bits of a
 product or a decomposition follow the kernel as they follow the thread count.
 The count is process-wide: a scope is not for several Python threads at once.

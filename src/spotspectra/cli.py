@@ -228,8 +228,7 @@ def _cmd_simulate(cfg: dict) -> None:
 
 def _cmd_spot(cfg: dict) -> None:
     _, values = read_path_csv(cfg["path"])
-    with kernel_scope():  # spot_vol rejects a non-finite increment
-        incr = np.diff(values, axis=1)
+    incr = np.diff(values, axis=1)  # overflow is ignored: spot_vol rejects a non-finite increment
     est = spot_vol(incr, cfg["t"], _window_length(incr.shape[1], cfg["k_n"]))
     write_matrix_csv(est.matrix, _out_stream(cfg["out"]))
 
@@ -241,12 +240,11 @@ def _cmd_test(cfg: dict) -> None:
         if not math.isfinite(1.0 / scale):
             raise ConfigError(f"--scale needs a finite reciprocal, got {scale!r}")
     kinds = None if cfg["kind"] == "all" else [TestKind(cfg["kind"])]
-    with kernel_scope():
-        est = SpotEstimate(matrix=matrix, t=0.0, k_n=cfg["k_n"], window=(1, cfg["k_n"]))
-        est = est if scale is None else rescale(est, 1.0 / scale)
-        # The tests assume a PSD matrix; SpotEstimate already checked its symmetry.
-        _spectrum(0.5 * est.matrix + 0.5 * est.matrix.T)
-        write_report_csv(evaluate_tests(est, kinds), _out_stream(cfg["out"]))
+    est = SpotEstimate(matrix=matrix, t=0.0, k_n=cfg["k_n"], window=(1, cfg["k_n"]))
+    est = est if scale is None else rescale(est, 1.0 / scale)
+    # The tests assume a PSD matrix; SpotEstimate already checked its symmetry.
+    _spectrum(0.5 * est.matrix + 0.5 * est.matrix.T)
+    write_report_csv(evaluate_tests(est, kinds), _out_stream(cfg["out"]))
 
 
 def _mc_config(cfg: dict, r1: float, r2: Optional[float] = None,
@@ -357,7 +355,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command is None:
             parser.print_help()
             return 2
-        args.handler(vars(args))
+        with kernel_scope():  # one per command: a forked run keeps 1 thread until it has written
+            args.handler(vars(args))
         _flush_stdout()
     except BrokenPipeError:  # the reader closed the pipe
         _drop_stdout()

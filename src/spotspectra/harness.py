@@ -22,9 +22,9 @@ its configs, so a config error comes before any directory, draw or file.
 function decides a run's cells, process count and chunks from its configs
 and usable CPUs before anything runs: at most ``workers`` processes, no more
 than the replications or CPUs, and no child whose chunk is too small to pay
-for its fork (``_CHILD_MIN_ROWS``).  The run takes chunk 0 itself and each
-other chunk in one child process, all inside one :mod:`~spotspectra._blas`
-kernel scope that the children inherit.
+for its fork (``_CHILD_MIN_ROWS``).  The run takes chunk 0 itself and forks
+one child per other chunk (on Linux whatever the default start method; other
+platforms keep theirs), all in one :mod:`~spotspectra._blas` kernel scope.
 
 The log-spectral test is skipped (left out of the result dictionaries, the
 way singular columns are left blank in a report) whenever ``p / k_n >= 1``.
@@ -33,11 +33,12 @@ way singular columns are left blank in a report) whenever ``p / k_n >= 1``.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import operator
 import os
+import sys
 import traceback
 from dataclasses import dataclass, replace
-from multiprocessing import Pipe, Process
 from pathlib import Path
 from statistics import NormalDist
 from typing import Iterator, Optional, Sequence, TextIO, Union
@@ -68,13 +69,15 @@ __all__ = [
 ]
 
 # The fewest replication rows (one cell's noise row of one replication) that
-# a chunk must hold for a child process to run it.  Measured on 2 cores of an
-# AVX-512 Xeon (numpy 2.4, OpenBLAS 0.3.31): one child costs about 10 ms,
-# that is ~1.5 ms to start, ~430 copy-on-write page faults in the child at
-# ~7 us each, ~400 more in the caller and ~1.5 ms to join, while one row costs
-# about 4-6 us (p = 34 takes ~190 us per replication).  A fork breaks even
-# near 2,000 rows; twice that is safe.
+# a chunk must hold for a child process to run it.  On 2 cores of an AVX-512
+# Xeon (numpy 2.4, OpenBLAS 0.3.31) a forked child costs ~10 ms (~1.5 ms each
+# to start and join, ~830 copy-on-write page faults at ~7 us) and a row 4-6 us,
+# so a fork breaks even near 2,000 rows; twice that is safe.  Forkserver or
+# spawn children cost far more (two workers over 40,800 rows: 0.16-0.22 or
+# 0.27-0.30 s, forked 0.04-0.06 s), so Linux forks whatever the default.
 _CHILD_MIN_ROWS = 4096
+_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else multiprocessing
+Process, Pipe = _CONTEXT.Process, _CONTEXT.Pipe
 
 # One cell of a run: (p, data model, label), where the label names the model's
 # amplitude in a failure's key.

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import cmath
 import hashlib
 import json
 from pathlib import Path
@@ -21,6 +22,23 @@ def blas_threads():
     old = get()
     yield controls
     set_(old)
+
+
+@pytest.fixture(scope="session")
+def closed_form_m():
+    """``m(z, y)``: the Stieltjes transform of the unit-scale MP law with index
+    ``y`` at ``z``, the Herglotz root of ``y*z*m**2 - (1 - y - z)*m + 1 = 0``."""
+
+    def m(z, y):
+        b = -(1.0 - y - z)
+        disc = cmath.sqrt(b * b - 4.0 * y * z)
+        for sign in (1.0, -1.0):
+            root = (-b + sign * disc) / (2.0 * y * z)
+            if root.imag > 0.0:
+                return root
+        raise AssertionError(f"no upper-half-plane root at z={z}, y={y}")
+
+    return m
 
 
 @pytest.fixture

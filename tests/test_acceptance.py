@@ -6,7 +6,6 @@ plain ``pytest -v`` run doubles as the acceptance report.  Every Monte Carlo
 component is pinned to ``ACCEPT_SEED`` and is reproducible bit for bit.
 """
 
-import cmath
 import io
 import math
 import os
@@ -15,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from spotspectra import (
     Alternative,
@@ -288,6 +287,43 @@ def test_lw_mean_matches_closed_form(size_runs, power_runs):
     assert not failures, failures
 
 
+def _bjyz_moments_exact(p):
+    # Exact mean and variance of bjyz's z for A = G G^T / k_n, G a p x k_n
+    # standard normal matrix: the normalized estimate at r1 = 0.  Bartlett's
+    # decomposition G G^T = T T^T has T lower triangular with independent
+    # entries, T_jj**2 ~ chi2(nu_j), nu_j = k_n - j + 1, and N(0, 1) below the
+    # diagonal, so tr A - log det A - p is a sum of independent terms:
+    # T_jj**2 / k_n - log(T_jj**2 / k_n) - 1 per j and T_ij**2 / k_n per i > j.
+    # E log chi2(nu) = psi(nu / 2) + log 2, Var log chi2(nu) = psi'(nu / 2) and
+    # Cov(chi2(nu), log chi2(nu)) = 2.
+    nu = _K_N - np.arange(p)
+    off = p * (p - 1) / 2
+    mean = np.sum(nu / _K_N - special.digamma(nu / 2) - math.log(2 / _K_N) - 1) + off / _K_N
+    var = np.sum(2 * nu / _K_N**2 + special.polygamma(1, nu / 2) - 4 / _K_N) + 2 * off / _K_N**2
+    c = mp_lss_constants(p / _K_N)
+    return (mean - p * c.center - c.mean_shift) / math.sqrt(c.variance), var / c.variance
+
+
+def test_bjyz_moments_match_bartlett_at_r1_0():
+    # The Monte Carlo mean and variance of bjyz's z lie within 4 standard
+    # errors of their exact values, (-0.0014, 1.1050), (-0.0021, 1.0378) and
+    # (-0.0066, 1.0426) at p = 10, 34 and 60.
+    p_list = (10, 34, 60)
+    summary = run_size_experiment(_config(VolModel.deterministic_sin(_BASE, 0.0), p_list=p_list))
+    failures = []
+    for p in p_list:
+        z = summary.zscores[(TestKind.BJYZ, p)]
+        root_r = math.sqrt(len(z))
+        observed = {  # estimate and its standard error
+            "mean": (np.mean(z), np.std(z, ddof=1) / root_r),
+            "variance": (np.var(z, ddof=1), np.std((z - np.mean(z)) ** 2, ddof=1) / root_r),
+        }
+        for (name, (got, se)), exact in zip(observed.items(), _bjyz_moments_exact(p)):
+            if abs(got - exact) > 4.0 * se:
+                failures.append(f"p={p}: {name} {got:.4f}, exact {exact:.4f}, se {se:.4f}")
+    assert not failures, failures
+
+
 def test_table1_size_table_writes_pinned_bytes(size_runs, pinned):
     out = io.StringIO()
     write_size_table(list(size_runs[0].values()), out)
@@ -298,17 +334,6 @@ def test_table2_power_table_writes_pinned_bytes(power_runs, pinned):
     out = io.StringIO()
     write_power_table(power_runs, out)
     pinned("table 2 seed 8: power_table.csv", out.getvalue().encode())
-
-
-def _closed_form_stieltjes(z, y):
-    # unit-scale quadratic y*z*m^2 - (1 - y - z)*m + 1 = 0, Herglotz root
-    b = -(1.0 - y - z)
-    disc = cmath.sqrt(b * b - 4.0 * y * z)
-    for sign in (1.0, -1.0):
-        m = (-b + sign * disc) / (2.0 * y * z)
-        if m.imag > 0.0:
-            return m
-    raise AssertionError(f"no upper-half-plane root at z={z}, y={y}")
 
 
 def _quadrature_center(y):
@@ -330,7 +355,7 @@ def _quadrature_center(y):
     return value
 
 
-def test_acceptance_oracle_equivalence(capsys):
+def test_acceptance_oracle_equivalence(capsys, closed_form_m):
     rng = np.random.default_rng(ACCEPT_SEED)
     unit = DiscreteH.point_mass(1.0)
     solver_err = 0.0
@@ -338,7 +363,7 @@ def test_acceptance_oracle_equivalence(capsys):
         z = complex(rng.uniform(-2.0, 6.0), rng.uniform(0.05, 3.0))
         y = float(rng.uniform(0.15, 1.8))
         point = solve_silverstein(z, y, unit)
-        solver_err = max(solver_err, abs(point.m - _closed_form_stieltjes(z, y)))
+        solver_err = max(solver_err, abs(point.m - closed_form_m(z, y)))
 
     center_err = max(
         abs(mp_lss_constants(z_n).center - _quadrature_center(z_n))

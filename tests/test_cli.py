@@ -284,14 +284,6 @@ def test_test_indefinite_matrix_exits_3(tmp_path, capsys):
     assert "not positive semidefinite" in capsys.readouterr().err
 
 
-def test_test_nonpositive_scale_exits_2(tmp_path, capsys):
-    bad = tmp_path / "m.csv"
-    write_matrix_csv(np.eye(2), str(bad))
-    rc = main(["test", "--matrix", str(bad), "--k-n", "4", "--scale", "0"])
-    assert rc == 2
-    assert "--scale must be positive" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
 def test_test_nonfinite_or_nonpositive_scale_exits_2(tmp_path, capsys, scale):
     matrix = tmp_path / "m.csv"
@@ -791,7 +783,7 @@ def test_mc_size_failure_prints_its_key(tmp_path, capsys, monkeypatch, no_child_
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    harness._CONTEXT.get_start_method() != "fork",
     reason="the child must inherit this test's patches",
 )
 def test_dead_worker_is_one_line_and_exit_4(tmp_path, capsys, monkeypatch, no_child_floor):

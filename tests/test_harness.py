@@ -290,7 +290,7 @@ def test_children_above_the_floor_match_serial(monkeypatch, cfgs, workers, child
 
 
 _FORK = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    harness._CONTEXT.get_start_method() != "fork",
     reason="the child must inherit this test's patches",
 )
 
@@ -332,11 +332,13 @@ def test_a_child_error_carries_the_child_traceback(monkeypatch, no_child_floor):
 
 
 @_FORK
+@pytest.mark.parametrize("default", ["fork", "forkserver", "spawn"])
 def test_a_forked_child_runs_on_one_blas_thread(
-    monkeypatch, tmp_path, no_child_floor, blas_threads
+    monkeypatch, tmp_path, no_child_floor, blas_threads, default
 ):
-    # The child never calls the setter: it inherits the count of 1 that the
-    # call's scope set before the fork.
+    # Whatever the interpreter's default start method, the child is forked:
+    # it runs this test's patch, and it never calls the setter, since it
+    # inherits the count of 1 that the call's scope set before the fork.
     get, set_ = blas_threads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     real = harness._run_rep_range
@@ -347,7 +349,12 @@ def test_a_forked_child_runs_on_one_blas_thread(
 
     monkeypatch.setattr(harness, "_run_rep_range", record)
     set_(2)
-    run_size_experiment(MCConfig(seed=7, reps=4, n=400, p_list=(8,), workers=2))
+    old = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(default, force=True)
+    try:
+        run_size_experiment(MCConfig(seed=7, reps=4, n=400, p_list=(8,), workers=2))
+    finally:
+        multiprocessing.set_start_method(old, force=True)
     assert (tmp_path / "threads_2").read_text() == "1"  # the child's chunk
     assert (tmp_path / "threads_0").read_text() == "1"
     assert get() == 2
@@ -360,7 +367,7 @@ def test_a_failing_caller_kills_its_children(monkeypatch, no_child_floor):
     real = harness._run_rep_range
     started = []
 
-    class Recorded(multiprocessing.Process):
+    class Recorded(harness.Process):
         def start(self):
             super().start()
             started.append(self)
@@ -585,27 +592,12 @@ def _public_estimate(seed, n, t, k_n, p, model, base, rep):
     return rescale(spot_vol_from_window(window, n, t, k_n), 1.0 / base)
 
 
-@pytest.mark.parametrize("cell", ["size", "power"])
-def test_harness_zscores_equal_public_route(cell):
-    n, t, k_n, p, base, reps = 400, 0.25, 20, 8, 0.0009, 6
-    model = VolModel.deterministic_sin(base, 0.0004)
-    if cell == "power":
-        model = VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004)
-    z = harness._run_rep_range(11, n, t, k_n, ((p, model, cell),), base, 0, reps)[0]
-    reports = [
-        evaluate_tests(_public_estimate(11, n, t, k_n, p, model, base, rep))
-        for rep in range(reps)
-    ]
-    assert list(z) == [report.kind for report in reports[0]]
-    for i, kind in enumerate(z):
-        np.testing.assert_array_equal(z[kind], [r[i].zscore for r in reports])
-
-
-@pytest.mark.parametrize("seed", [0, 8])
+# the window at t = 0 (cells 1 .. 20) and, for seed 11, at t = 0.25 (cells 101 .. 120)
+@pytest.mark.parametrize("seed, t", [(0, 0.0), (8, 0.0), (11, 0.25)], ids=["0", "8", "11-t0.25"])
 @pytest.mark.parametrize("p", [8, 20, 30])  # z_n below, at and above 1
 @pytest.mark.parametrize("model", ["sin", "two_block", "bm"])
-def test_sweep_zscores_equal_public_route(model, p, seed):
-    n, t, k_n, base, rep_lo, rep_hi = 400, 0.0, 20, 0.0009, 3, 9
+def test_sweep_zscores_equal_public_route(model, p, seed, t):
+    n, k_n, base, rep_lo, rep_hi = 400, 20, 0.0009, 3, 9
     data_model = {
         "sin": VolModel.deterministic_sin(base, 0.0004),
         "two_block": VolModel.two_block(p, 0.6, high=base, low=0.0004, r1=0.0004),

@@ -43,17 +43,6 @@ _CENTER_REFS = [
 ]
 
 
-def _closed_form_m(z, y):
-    # unit-scale quadratic: y*z*m^2 - (1 - y - z)*m + 1 = 0, Herglotz root
-    b = -(1.0 - y - z)
-    disc = cmath.sqrt(b * b - 4.0 * y * z)
-    for sign in (1.0, -1.0):
-        m = (-b + sign * disc) / (2.0 * y * z)
-        if m.imag > 0.0:
-            return m
-    raise AssertionError(f"no upper-half-plane root at z={z}, y={y}")
-
-
 def test_mp_law_support_and_atom():
     law = MPLaw(y=0.5)
     assert law.a == pytest.approx((1 - math.sqrt(0.5)) ** 2, rel=1e-15)
@@ -197,7 +186,7 @@ def test_runtime_imports_no_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_solver_matches_closed_form():
+def test_solver_matches_closed_form(closed_form_m):
     rng = np.random.default_rng(7)
     h = DiscreteH.point_mass(1.0)
     for y in (0.3, 0.5):
@@ -205,7 +194,7 @@ def test_solver_matches_closed_form():
         for _ in range(20):
             z = complex(rng.uniform(-2.0, law.b + 2.0), rng.uniform(1e-3, 2.0))
             point = solve_silverstein(z, y, h)
-            assert abs(point.m - _closed_form_m(z, y)) < 1e-8
+            assert abs(point.m - closed_form_m(z, y)) < 1e-8
             assert point.m.imag > 0.0
             assert point.residual <= 1e-10
 
@@ -264,7 +253,7 @@ def test_solver_degenerate_inputs():
         solve_silverstein(complex(1.0, 1.0), 0.5, DiscreteH.point_mass(0.0))
 
 
-def test_solver_solves_at_the_edges_and_far_away():
+def test_solver_solves_at_the_edges_and_far_away(closed_form_m):
     # next to both support edges and out to |z| = 1e4, where the residual of a
     # solution grows with |z| against the absolute bound of 1e-10
     h = DiscreteH.point_mass(1.0)
@@ -277,7 +266,7 @@ def test_solver_solves_at_the_edges_and_far_away():
         ]
         for z in points:
             point = solve_silverstein(z, y, h)
-            assert abs(point.m - _closed_form_m(z, y)) <= 1e-10 * max(1.0, abs(point.m))
+            assert abs(point.m - closed_form_m(z, y)) <= 1e-10 * max(1.0, abs(point.m))
             assert point.residual <= 1e-10
             assert point.m.imag > 0.0
 
