@@ -284,6 +284,14 @@ def test_test_indefinite_matrix_exits_3(tmp_path, capsys):
     assert "not positive semidefinite" in capsys.readouterr().err
 
 
+def test_test_nonpositive_scale_exits_2(tmp_path, capsys):
+    bad = tmp_path / "m.csv"
+    write_matrix_csv(np.eye(2), str(bad))
+    rc = main(["test", "--matrix", str(bad), "--k-n", "4", "--scale", "0"])
+    assert rc == 2
+    assert "--scale must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
 def test_test_nonfinite_or_nonpositive_scale_exits_2(tmp_path, capsys, scale):
     matrix = tmp_path / "m.csv"
