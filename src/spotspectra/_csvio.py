@@ -12,8 +12,8 @@ formats one row of its array at a time (:func:`float_rows`), because
 formatting a path column by column (``tolist()`` of the whole array) holds
 every cell as a Python float at once, which raised the peak RSS of a
 ``simulate``/``spot``/``test`` round trip at p = 102, n = 4680 by about 20 %.
-A failure to write or close a written target (a full disk) is a
-:class:`ConfigError` naming it, as a failed open is; a closed pipe
+A failure to open, read, write or close a target (a full disk, a device
+that cannot be read) is a :class:`ConfigError` naming it; a closed pipe
 (:class:`BrokenPipeError`) is passed on unchanged for the command line to end
 quietly.
 """
@@ -44,25 +44,18 @@ _BLOCK_ROWS = 128
 @contextmanager
 def _opened(target: Target, mode: str) -> Iterator[TextIO]:
     # Paths are opened and closed here; streams are used and left open.  An
-    # OSError while writing or closing a written target is a ConfigError.
-    action = "read" if mode == "r" else "write"
-    if isinstance(target, (str, os.PathLike)):
-        name = os.fspath(target)
-        try:
-            stream = open(target, mode, encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ConfigError(f"cannot {action} {name}: {exc.strerror or exc}") from exc
-    else:
-        name, stream = getattr(target, "name", "stream"), nullcontext(target)
+    # OSError while opening, reading, writing or closing is a ConfigError.
+    is_path = isinstance(target, (str, os.PathLike))
+    name = os.fspath(target) if is_path else getattr(target, "name", "stream")
     try:
+        stream = open(target, mode, encoding="utf-8", newline="") if is_path else nullcontext(target)
         with stream as opened:
             yield opened
     except BrokenPipeError:
         raise
     except OSError as exc:
-        if mode == "r":
-            raise
-        raise ConfigError(f"cannot write {name}: {exc.strerror or exc}") from exc
+        action = "read" if mode == "r" else "write"
+        raise ConfigError(f"cannot {action} {name}: {exc.strerror or exc}") from exc
 
 
 def make_dir(path: Union[str, "os.PathLike[str]"]) -> Path:

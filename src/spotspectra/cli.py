@@ -10,11 +10,11 @@ line's own, so the command line wins and a config key is accepted exactly when
 the subcommand has the flag of that name; any other key is an error naming the
 file and line.  No option may be abbreviated.  Exit codes: 0
 success, 2 bad configuration or input (one ``error: ...`` line on stderr; an
-output that cannot be written, a full disk or a full standard output
-included), 3 numerical failure, 4 a Monte Carlo worker process that exited
-without reporting.  A standard output closed by its reader (``... | head``)
-ends the command with exit 1 and nothing on stderr: what is left to write is
-dropped.
+input that cannot be read and an output that cannot be written, a full disk
+or a full standard output included), 3 numerical failure, 4 a Monte Carlo
+worker process that exited without reporting.  A standard output closed by
+its reader (``... | head``) ends the command with exit 1 and nothing on
+stderr: what is left to write is dropped.
 """
 
 from __future__ import annotations
@@ -325,7 +325,9 @@ def _drop_stdout() -> None:
         fd = sys.stdout.fileno()
     except io.UnsupportedOperation:
         return
-    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _flush_stdout() -> None:

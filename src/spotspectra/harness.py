@@ -109,11 +109,12 @@ class MCConfig:
     whose null variance level ``base`` has a finite reciprocal; power
     experiments derive the two-block alternative from it and ``alternative``,
     which needs ``deterministic_sin``.  Every ``p`` must fit the substream
-    layout (``p < 2**20``).  These checks run here; a run checks only that
-    configs run together agree and that ``low >= r1``.  ``workers`` is the most worker
-    processes a run may use, the calling process included; ``1`` runs the
-    sweep in the calling process alone.  A run uses fewer when it has fewer
-    replications or usable CPUs, or too little work to pay for a child.
+    layout (``p < 2**20``), and an alternative's ``low`` must be at least
+    ``r1``.  These checks run here; a run checks only that configs run
+    together agree.  ``workers`` is the most worker processes a run may use,
+    the calling process included; ``1`` runs the sweep in the calling process
+    alone.  A run uses fewer when it has fewer replications or usable CPUs,
+    or too little work to pay for a child.
     """
 
     seed: int
@@ -160,10 +161,13 @@ class MCConfig:
             )
         if not base > 0.0 or not math.isfinite(1.0 / base):
             raise ConfigError(f"null variance level needs a finite reciprocal, got {base!r}")
-        if self.alternative is not None and kind is not VolKind.DETERMINISTIC_SIN:
+        alt = self.alternative
+        if alt is not None and kind is not VolKind.DETERMINISTIC_SIN:
             raise ConfigError(
                 f"power experiment modulates a deterministic_sin null model, got {kind.value}"
             )
+        if alt is not None and alt.low < self.model.r1:
+            raise ConfigError(f"low must be at least r1, got low={alt.low!r}, r1={self.model.r1!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +222,7 @@ def _run_child(sender, *args: object) -> None:
 
 def _cells(cfg: MCConfig) -> tuple[_Cell, ...]:
     """The cells of a size experiment, or of a power experiment when
-    ``cfg.alternative`` is set; a two-block model with ``low < r1`` raises."""
+    ``cfg.alternative`` is set."""
     if cfg.alternative is None:
         amplitude = "r2" if cfg.model.kind is VolKind.STOCHASTIC_BM else "r1"
         label = f"{amplitude} {getattr(cfg.model, amplitude)!r}"
@@ -234,10 +238,10 @@ def _plan(cfgs: Sequence[MCConfig], cpus: int) -> tuple[tuple[_Cell, ...], list[
     """The cells of one run over ``cfgs`` and its replication chunks, chunk 0
     the calling process's; it starts, draws and writes nothing.  The configs
     may differ only in the model's kind and amplitude and in the alternative,
-    and no two may be equal: with the two-block models of :func:`_cells`, the
-    only checks a run makes.  ``workers`` comes from the user: the run uses no
-    more processes than replications or ``cpus`` usable CPUs, and no child
-    whose chunk costs less than its fork."""
+    and no two may be equal: the only checks a run makes, all across its
+    configs.  ``workers`` comes from the user: the run uses no more processes
+    than replications or ``cpus`` usable CPUs, and no child whose chunk costs
+    less than its fork."""
     cfg = cfgs[0]
     if len(set(cfgs)) != len(cfgs):
         raise ConfigError("experiments run together must be distinct; a table would repeat rows")

@@ -324,6 +324,79 @@ def test_bjyz_moments_match_bartlett_at_r1_0():
     assert not failures, failures
 
 
+def _bjyz_log_cf(tau, sigma):
+    # log E exp(i tau S) of bjyz's raw statistic S = tr A - log det A - p for
+    # A = D^(1/2) G G^T D^(1/2) / k_n, D = diag(sigma): the window at r1 = 0
+    # divided by the null level.  By Bartlett's decomposition (as in
+    # _bjyz_moments_exact), row j (from 0) adds c Y - log(c Y) - 1 with
+    # Y ~ chi2(2 a), a = (k_n - j) / 2, and j terms c chi2(1), where
+    # c = sigma_j / k_n; each factor of the characteristic function is a
+    # Gamma-function ratio or a power.
+    tau = np.asarray(tau)[..., None]
+    j = np.arange(len(sigma))
+    a, c, it = (_K_N - j) / 2, np.asarray(sigma) / _K_N, 1j * tau
+    terms = (special.loggamma(a - it) - special.loggamma(a) - it * (np.log(2 * c) + 1)
+             - (a - it + j / 2) * np.log(1 - 2 * it * c))
+    return terms.sum(axis=-1)
+
+
+def _bjyz_rate_exact(sigma, level):
+    # P(|z| > Phi^-1(1 - level / 2)) from the cdf of S, inverted by Gil-Pelaez:
+    # F(x) = 1/2 - (1/pi) int_0^inf Im(exp(-i tau x) phi(tau)) / tau dtau.
+    p = len(sigma)
+    c = mp_lss_constants(p / _K_N)
+    center = p * c.center + c.mean_shift
+    half = NormalDist().inv_cdf(1 - level / 2) * math.sqrt(c.variance)
+
+    def cdf(x):
+        value, err = integrate.quad(
+            lambda tau: np.exp(_bjyz_log_cf(tau, sigma) - 1j * tau * x).imag / tau,
+            0.0, math.inf, epsabs=1e-11, limit=400,
+        )
+        assert err < 1e-6
+        return 0.5 - value / math.pi
+
+    return cdf(center - half) + 1.0 - cdf(center + half)
+
+
+def test_bjyz_characteristic_function_gives_the_exact_moments():
+    # The mean and variance of z from the characteristic function's first two
+    # derivatives at 0, read off as Taylor coefficients of log phi by Cauchy's
+    # formula on the circle |tau| = 1 (the nearest singularity, a pole of
+    # loggamma, lies at |tau| >= (k_n - p + 1) / 2 > 4), equal the digamma
+    # and trigamma sums of _bjyz_moments_exact.
+    m = 32
+    tau = np.exp(2j * np.pi * np.arange(m) / m)
+    for p in (10, 34, 60):
+        # log phi(tau) = sum_k coef_k tau**k, coef_1 = i mean and coef_2 = -variance / 2
+        coef = np.fft.fft(_bjyz_log_cf(tau, np.ones(p))) / m
+        c = mp_lss_constants(p / _K_N)
+        mean = (coef[1].imag - p * c.center - c.mean_shift) / math.sqrt(c.variance)
+        variance = -2.0 * coef[2].real / c.variance
+        np.testing.assert_allclose((mean, variance), _bjyz_moments_exact(p), rtol=0, atol=1e-8)
+
+
+def test_bjyz_rates_match_exact_at_r1_0(size_runs, power_runs):
+    # Every bjyz rate of the seed-8 runs at r1 = 0, size and power (s = 0.45
+    # and 0.75 at p = 34), lies within 4 sqrt(e (1 - e) / R) + 1 / R of the
+    # exact rate e.  The variances are divided by the null level, so the null
+    # is the identity and the alternative's second block sits at low / base.
+    failures = []
+    for summary in (size_runs[0][0.0], power_runs[0], power_runs[3]):
+        alt, reps = summary.config.alternative, summary.config.reps
+        sigma = np.ones(34)
+        if alt is not None:
+            sigma[math.floor(alt.s * 34):] = alt.low / _BASE
+        for level in _LEVELS:
+            exact = _bjyz_rate_exact(sigma, level)
+            rate = summary.rejection_rate(TestKind.BJYZ, level, 34)
+            bound = 4.0 * math.sqrt(exact * (1.0 - exact) / reps) + 1.0 / reps
+            if abs(rate - exact) > bound:
+                failures.append(f"s={alt and alt.s} level={level}: {rate:.4f}, exact "
+                                f"{exact:.4f}, bound {bound:.4f}")
+    assert not failures, failures
+
+
 def test_table1_size_table_writes_pinned_bytes(size_runs, pinned):
     out = io.StringIO()
     write_size_table(list(size_runs[0].values()), out)

@@ -332,6 +332,13 @@ def test_missing_input_csv_exits_2(tmp_path, capsys):
     assert f"error: cannot read {missing}:" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc/self/mem is Linux's")
+def test_unreadable_input_csv_exits_2(capsys):
+    # The open succeeds; the first read, at address 0 of this process, fails.
+    assert main(["spot", "--path", "/proc/self/mem"]) == 2
+    assert capsys.readouterr().err == "error: cannot read /proc/self/mem: Input/output error\n"
+
+
 def _spot_input(tmp_path):
     path_csv = tmp_path / "good.csv"
     main(["simulate", "--n", "2000", "--p", "3", "--out", str(path_csv)])
@@ -430,14 +437,14 @@ def test_a_closed_standard_output_exits_1_quietly():
     # process's standard output alone.  The path (about 10 MB) fills the pipe
     # long before it is written, so the write after the close fails.
     code = "import sys; from spotspectra import cli; sys.exit(cli.main(sys.argv[1:]))"
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", code, "simulate", "--n", "4680", "--p", "102"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=300) == 1
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
     assert first.startswith(b"t,x1,x2,") and err == b""
 
 

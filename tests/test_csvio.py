@@ -93,7 +93,7 @@ def test_writers_give_csv_writer_bytes(tmp_path, recorded_writes):
 def test_path_writer_streams_one_row_at_a_time(tmp_path):
     # Formatting the path column by column (one tolist() of the whole array)
     # holds every cell as a Python float at once, several times the array.
-    grid = GridConfig(n=20000, p=50, seed=3)
+    grid = GridConfig(n=5000, p=50, seed=3)
     path = simulate_path(grid, VolModel.deterministic_sin(0.0009, 0.0))
     tracemalloc.start()
     try:
@@ -176,6 +176,24 @@ def test_a_failed_write_to_a_stream_is_a_config_error():
         write_csv(Full(), ["a"], [["1"]])
     with pytest.raises(ConfigError, match="^cannot write full.csv: No space left on device$"):
         write_csv(NamedFull(), ["a"], [])
+
+
+def test_a_failed_read_of_a_stream_is_a_config_error():
+    # csv.reader pulls lines through __next__, the body's scan through
+    # iteration too, so every read of the stream fails.
+    class Unreadable(io.StringIO):
+        def __next__(self):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        read = readline = __next__
+
+    class NamedUnreadable(Unreadable):
+        name = "mem.csv"
+
+    with pytest.raises(ConfigError, match="^cannot read stream: Input/output error$"):
+        read_float_csv(Unreadable("t,x1\n0.0,1.0\n"), "path CSV", ("t", "x1"))
+    with pytest.raises(ConfigError, match="^cannot read mem.csv: Input/output error$"):
+        read_float_csv(NamedUnreadable(""), "path CSV", ("t", "x1"))
 
 
 def test_a_closed_pipe_is_passed_on_unchanged():

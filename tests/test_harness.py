@@ -637,8 +637,10 @@ def test_grid_and_sweep_share_one_bound_on_p():
         (VolModel.piecewise_diag((1.0, 1.0, 1.0)), None, "scalar-volatility"),
         (VolModel.deterministic_sin(0.0), None, "needs a finite reciprocal"),
         (VolModel.stochastic_bm(0.0009, 0.01), Alternative(s=0.5), "deterministic_sin"),
+        (VolModel.deterministic_sin(0.0009, 0.0008), Alternative(s=0.5),
+         r"^low must be at least r1, got low=0\.0004, r1=0\.0008$"),
     ],
-    ids=["piecewise-diag", "zero-base", "stochastic-alternative"],
+    ids=["piecewise-diag", "zero-base", "stochastic-alternative", "low-below-r1"],
 )
 def test_sweep_config_rejects_a_bad_model_when_built(model, alternative, message):
     with pytest.raises(ConfigError, match=message):
