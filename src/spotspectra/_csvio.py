@@ -1,6 +1,6 @@
-"""CSV input and output on a file path or an already open text stream.
+"""Text input and output on a file path or an already open text stream.
 
-Every CSV the package writes or reads, and every output directory it
+Every file the program reads or writes, and every output directory it
 creates, goes through this module, so the open/close handling and the error
 mapping live in one place.  Rows are written as text and parsed by numpy's
 C reader, so no cell is quoted: every cell the package writes is a number or
@@ -13,9 +13,9 @@ formatting a path column by column (``tolist()`` of the whole array) holds
 every cell as a Python float at once, which raised the peak RSS of a
 ``simulate``/``spot``/``test`` round trip at p = 102, n = 4680 by about 20 %.
 A failure to open, read, write or close a target (a full disk, a device
-that cannot be read) is a :class:`ConfigError` naming it; a closed pipe
-(:class:`BrokenPipeError`) is passed on unchanged for the command line to end
-quietly.
+that cannot be read, a byte that is not UTF-8) is a :class:`ConfigError`
+naming it; a closed pipe (:class:`BrokenPipeError`) is passed on unchanged
+for the command line to end quietly.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _BLOCK_ROWS = 128
 @contextmanager
 def _opened(target: Target, mode: str) -> Iterator[TextIO]:
     # Paths are opened and closed here; streams are used and left open.  An
-    # OSError while opening, reading, writing or closing is a ConfigError.
+    # OSError or a byte that does not decode, at any step, is a ConfigError.
     is_path = isinstance(target, (str, os.PathLike))
     name = os.fspath(target) if is_path else getattr(target, "name", "stream")
     try:
@@ -53,6 +53,8 @@ def _opened(target: Target, mode: str) -> Iterator[TextIO]:
             yield opened
     except BrokenPipeError:
         raise
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {name}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         action = "read" if mode == "r" else "write"
         raise ConfigError(f"cannot {action} {name}: {exc.strerror or exc}") from exc
@@ -106,8 +108,7 @@ def read_float_csv(source: Target, what: str, lead: Sequence[str]) -> tuple[list
     non-empty line.  Cells are unquoted numbers with no comments; empty lines
     are skipped.  Every defect of the content (an empty file, a header with
     no rows, a ragged row or a cell that is not a number) is a
-    :class:`ConfigError` naming ``what`` (say, ``"path CSV"``); a byte that
-    is not UTF-8 is one naming the file as well.
+    :class:`ConfigError` naming ``what`` (say, ``"path CSV"``).
     """
     with _opened(source, "r") as stream:
         # The text layer decodes lazily, so any read below can hit a bad byte.
@@ -125,10 +126,7 @@ def read_float_csv(source: Target, what: str, lead: Sequence[str]) -> tuple[list
             rows = np.loadtxt(
                 itertools.chain([first], stream), delimiter=",", comments=None, ndmin=2
             )
-        except UnicodeDecodeError as exc:
-            name = getattr(stream, "name", "stream")
-            raise ConfigError(f"{what} {name} is not UTF-8 text: {exc.reason}") from None
-        except ConfigError:
+        except (ConfigError, UnicodeDecodeError):
             raise
         except ValueError as exc:  # a ragged row or a cell loadtxt cannot parse
             raise ConfigError(f"malformed {what}: {exc}") from None

@@ -25,7 +25,6 @@ import io
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,12 +78,8 @@ def _list_of(conv: Callable[[str], object]) -> Callable[[str], tuple]:
 
 def _config_argv(path: str, command: str) -> list[str]:
     flags = {flag for flag, _ in _COMMANDS[command][0]}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from None
+    with _opened(path, "r") as stream:
+        text = stream.read()
     argv = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -1,4 +1,6 @@
-"""The kernel scope: one OpenBLAS thread, numpy's overflow handling at ignore."""
+"""The kernel scope: one OpenBLAS thread, numpy's overflow handling at ignore;
+and the source guards that keep it, and file input and output, each in one
+module."""
 
 import re
 from pathlib import Path
@@ -85,13 +87,24 @@ def test_a_nested_scope_calls_no_setter(monkeypatch):
     assert calls == [1, 3]
 
 
+def _lines_outside(module: str, pattern: str) -> list[str]:
+    # Every line of a package module other than ``module`` that matches.
+    sources = Path(_blas.__file__).parent.glob("*.py")
+    return [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(sources) if path.name != module
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(pattern, line)
+    ]
+
+
 def test_only_the_kernel_scope_sets_numpys_error_handling():
     # Any other module that set it would hide or raise what a kernel reports.
-    sources = Path(_blas.__file__).parent.glob("*.py")
-    calls = [
-        f"{path.name}:{number}: {line.strip()}"
-        for path in sorted(sources) if path.name != "_blas.py"
-        for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if re.search(r"np\.(errstate|seterr)", line)
-    ]
-    assert calls == []
+    assert _lines_outside("_blas.py", r"np\.(errstate|seterr)") == []
+
+
+def test_only_csvio_opens_files():
+    # Any other reader or writer would need failure branches of its own and
+    # print its faults in another shape.  os.open is descriptor plumbing.
+    calls = r"(?<!\w)(?<!os\.)open\(|\.(read|write)_(text|bytes)\(|np\.(genfromtxt|load\w*|save\w*)\("
+    assert _lines_outside("_csvio.py", calls) == []

@@ -335,8 +335,9 @@ def test_missing_input_csv_exits_2(tmp_path, capsys):
 @pytest.mark.skipif(sys.platform != "linux", reason="/proc/self/mem is Linux's")
 def test_unreadable_input_csv_exits_2(capsys):
     # The open succeeds; the first read, at address 0 of this process, fails.
-    assert main(["spot", "--path", "/proc/self/mem"]) == 2
-    assert capsys.readouterr().err == "error: cannot read /proc/self/mem: Input/output error\n"
+    for argv in (["spot", "--path"], ["simulate", "--config"]):
+        assert main(argv + ["/proc/self/mem"]) == 2
+        assert capsys.readouterr().err == "error: cannot read /proc/self/mem: Input/output error\n"
 
 
 def _spot_input(tmp_path):
@@ -352,7 +353,14 @@ def _test_input(tmp_path):
     return matrix_csv, ["test", "--matrix"], ["--k-n", "200"]
 
 
-@pytest.mark.parametrize("make_input", [_spot_input, _test_input])
+def _config_input(tmp_path):
+    # comment lines carry the file past 64 KiB
+    config = tmp_path / "good.cfg"
+    config.write_text("n = 16\np = 2\n" + ("#" * 79 + "\n") * 1024)
+    return config, ["simulate", "--config"], []
+
+
+@pytest.mark.parametrize("make_input", [_spot_input, _test_input, _config_input])
 @pytest.mark.parametrize("past_64k", [False, True])
 def test_non_utf8_input_csv_exits_2(tmp_path, capsys, make_input, past_64k):
     good, command, rest = make_input(tmp_path)
@@ -364,7 +372,7 @@ def test_non_utf8_input_csv_exits_2(tmp_path, capsys, make_input, past_64k):
     bad.write_bytes(data[:at] + b"\xff" + data[at:])
     capsys.readouterr()
     assert main(command + [str(bad)] + rest) == 2
-    assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: cannot read {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_unwritable_output_csv_exits_2(tmp_path, capsys):
@@ -548,13 +556,13 @@ def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_bytes(b"\xffn = 16\n")
     assert main(["simulate", "--config", str(cfg), "--p", "2"]) == 2
-    assert f"error: config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: cannot read {cfg}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_config_file_missing_exits_2(tmp_path, capsys):
     cfg = tmp_path / "missing.cfg"
     assert main(["simulate", "--config", str(cfg), "--n", "16", "--p", "2"]) == 2
-    assert f"error: cannot read config file {cfg}:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: cannot read {cfg}: No such file or directory\n"
 
 
 def test_config_file_naming_a_config_exits_2(tmp_path, capsys):

@@ -194,6 +194,14 @@ def test_a_failed_read_of_a_stream_is_a_config_error():
         read_float_csv(Unreadable("t,x1\n0.0,1.0\n"), "path CSV", ("t", "x1"))
     with pytest.raises(ConfigError, match="^cannot read mem.csv: Input/output error$"):
         read_float_csv(NamedUnreadable(""), "path CSV", ("t", "x1"))
+    # A byte that does not decode fails the read that meets it the same way.
+    class Named(io.BytesIO):
+        name = "bad.csv"
+
+    for raw, name in ((io.BytesIO, "stream"), (Named, "bad.csv")):
+        stream = io.TextIOWrapper(raw(b"t,x1\n\xff0.0,1.0\n"), encoding="utf-8", newline="")
+        with pytest.raises(ConfigError, match=rf"^cannot read {name}: not UTF-8 text \(invalid start byte\)$"):
+            read_float_csv(stream, "path CSV", ("t", "x1"))
 
 
 def test_a_closed_pipe_is_passed_on_unchanged():

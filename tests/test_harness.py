@@ -71,6 +71,11 @@ def test_mc_config_defaults_and_validation():
     for p_list in ((34.7, 68.2), ("34",), (34.0,)):
         with pytest.raises(ConfigError, match="p_list entries must be integers"):
             MCConfig(seed=0, p_list=p_list)
+    # levels entries are taken as numbers, never parsed
+    assert MCConfig(seed=0, levels=(np.float64(0.05), 0.1)).levels == (0.05, 0.1)
+    for levels in (("x",), (None,), ("0.05",)):
+        with pytest.raises(ConfigError, match="levels entries must be numbers"):
+            MCConfig(seed=0, levels=levels)
 
 
 def test_alternative_validation():
