@@ -107,7 +107,7 @@ def _opt(name: str, help: str, **kwargs) -> tuple[str, dict]:
 
 
 # Option tables --------------------------------------------------------------
-# Every Monte Carlo default is read from MCConfig or Alternative.
+# Monte Carlo defaults are MCConfig's or Alternative's, except mc-power's --s and esd/qq's --seed.
 
 _K_N = _opt("k-n", "window length (default: floor(sqrt(n)))", type=int)
 

@@ -144,7 +144,9 @@ class MCConfig:
         GridConfig(n=self.n, p=max(self.p_list), seed=self.seed)  # checks the run's largest grid
         object.__setattr__(self, "k_n", _window_length(self.n, self.k_n))
         window_start(self.t, self.n, self.k_n)
-        if not all(isinstance(x, (int, float, np.integer, np.floating)) for x in self.levels):
+        if not np.iterable(self.levels) or not all(
+            isinstance(x, (int, float, np.integer, np.floating)) for x in self.levels
+        ):
             raise ConfigError(f"levels entries must be numbers, got {self.levels!r}")
         object.__setattr__(self, "levels", tuple(map(float, self.levels)))
         if not self.levels:

@@ -1,15 +1,18 @@
-"""Acceptance suite for the default experiment design.
+"""Acceptance suite for the paper's designs.
 
 Each test exercises one headline requirement end to end at its stated
 tolerance and prints a single ``ACCEPTANCE <name>: PASS|FAIL`` line, so a
-plain ``pytest -v`` run doubles as the acceptance report.  Every Monte Carlo
-component is pinned to ``ACCEPT_SEED`` and is reproducible bit for bit.
+plain ``pytest -v`` run doubles as the acceptance report.  The fixtures run
+each ``paper/`` file's command through ``cli.main`` and keep what it computed;
+every check reads its seed and design from those runs, bit for bit.
 """
 
-import io
 import math
 import os
+import re
 import time
+from dataclasses import replace
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -17,10 +20,8 @@ import pytest
 from scipy import integrate, special
 
 from spotspectra import (
-    Alternative,
     DiscreteH,
     GridConfig,
-    MCConfig,
     SpotEstimate,
     TestKind,
     VolModel,
@@ -29,27 +30,18 @@ from spotspectra import (
     increments,
     mp_lss_constants,
     rescale,
-    run_esd_figure,
     run_size_experiment,
     simulate_path,
     solve_silverstein,
     spot_vol,
-    write_power_table,
-    write_size_table,
 )
-from spotspectra import harness
+from spotspectra import cli, harness
 
-ACCEPT_SEED = 8  # master seed for every Monte Carlo acceptance run
+_PAPER = Path(__file__).resolve().parents[1] / "paper"
+_RAN = set()  # the paper/ files that the fixtures below have run
 
-_N = 4680
-_K_N = 68
-_P_LIST = (34, 68, 102)
-_BASE = 0.0009
-_LEVELS = (0.10, 0.05, 0.01)
-_P_OF_PBAR = {0.5: 34, 1.0: 68, 1.5: 102}
-
-# Reference Monte Carlo size values (%) for the default experiment design
-# (n=4680, k_n=68, 1000 replications), keyed [level][(test, pbar)][r1].
+# Reference Monte Carlo size values (%) for paper/table1.cfg (1000
+# replications), keyed [level][(test, pbar)][r1].
 # Tolerance bands: +/-2.5pp at the 10% and 5% levels, +/-1.5pp at 1%
 # (binomial standard error at 1000 replications is about 0.7-0.95pp).
 _SIZE_REFS = {
@@ -74,23 +66,8 @@ _SIZE_REFS = {
 }
 
 # Reference power values (%) at the 5% level for the two-block alternative
-# with split 0.75 and r1=0, as (reference, band) pairs.
+# with split 0.75 and r1=0 at pbar = 0.5, as (reference, band) pairs.
 _POWER_075_REFS = {TestKind.BJYZ: (94.0, 3.0), TestKind.LW: (79.6, 4.0)}
-
-
-def _config(model, reps=1000, p_list=_P_LIST, alternative=None, workers=1):
-    return MCConfig(
-        seed=ACCEPT_SEED,
-        reps=reps,
-        n=_N,
-        k_n=_K_N,
-        p_list=p_list,
-        model=model,
-        t=0.0,
-        levels=_LEVELS,
-        alternative=alternative,
-        workers=workers,
-    )
 
 
 def _report(capsys, name, ok, detail):
@@ -98,35 +75,53 @@ def _report(capsys, name, ok, detail):
         print(f"\nACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}  ({detail})", flush=True)
 
 
+def _run_paper(tmp_path_factory, name, runner):
+    """Run the command of ``paper/<name>.cfg``'s first line into a fresh ``--out-dir``;
+    return what its call of ``cli.<runner>`` returned, and the directory."""
+    path = _PAPER / f"{name}.cfg"
+    _, _, command, *options = path.read_text().split("\n", 1)[0].split()
+    assert options[:2] == ["--config", f"paper/{path.name}"], options
+    out, got, real = tmp_path_factory.mktemp(name), [], getattr(cli, runner)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, runner, lambda *args: got.append(real(*args)) or got[0])
+        assert cli.main([command, "--config", str(path), "--out-dir", str(out)]) == 0
+    _RAN.add(path.name)
+    return got[0], out
+
+
 @pytest.fixture(scope="module")
-def size_runs():
+def size_runs(tmp_path_factory):
     start = time.perf_counter()
-    summaries = {
-        r1: run_size_experiment(_config(VolModel.deterministic_sin(_BASE, r1)))
-        for r1 in (0.0, 0.0004, 0.0008)
-    }
-    return summaries, time.perf_counter() - start
+    summaries, out = _run_paper(tmp_path_factory, "table1", "_run_experiments")
+    return {s.config.model.r1: s for s in summaries}, time.perf_counter() - start, out
 
 
 @pytest.fixture(scope="module")
-def power_runs():
-    # Table 2: s = 0.45, then s = 0.75, each at r1 in {0, 0.0002, 0.0004}
-    return harness._run_experiments([
-        _config(VolModel.deterministic_sin(_BASE, r1), alternative=Alternative(s=s, low=0.0004))
-        for s in (0.45, 0.75)
-        for r1 in (0.0, 0.0002, 0.0004)
-    ])
+def power_runs(tmp_path_factory):
+    # Table 2: each s, and each r1 within it
+    return _run_paper(tmp_path_factory, "table2", "_run_experiments")
+
+
+@pytest.fixture(scope="module")
+def esd_runs(tmp_path_factory):
+    names = ("esd_det", "esd_sto")
+    return {name: _run_paper(tmp_path_factory, name, "run_esd_figure")[0] for name in names}
+
+
+@pytest.fixture(scope="module")
+def qq_runs(tmp_path_factory):
+    return _run_paper(tmp_path_factory, "qq", "run_qq_figure")[0]
 
 
 def test_acceptance_table1_size(size_runs, capsys):
-    summaries, elapsed = size_runs
+    summaries, elapsed, _ = size_runs
     failures = []
     slack = math.inf
     for level, series in _SIZE_REFS.items():
         band = 1.5 if level == 0.01 else 2.5
         for (kind, pbar), by_r1 in series.items():
-            p = _P_OF_PBAR[pbar]
             for r1, ref in by_r1.items():
+                p = round(pbar * summaries[r1].config.k_n)
                 rate = 100.0 * summaries[r1].rejection_rate(kind, level, p)
                 slack = min(slack, band - abs(rate - ref))
                 if abs(rate - ref) > band:
@@ -146,51 +141,50 @@ def test_acceptance_table1_size(size_runs, capsys):
 
 
 def test_acceptance_table2_power(power_runs, capsys):
-    concentrated = power_runs[3]  # s = 0.75, r1 = 0
+    summaries, _ = power_runs
+    spread = summaries[: len(summaries) // 2]  # the smaller s, at each r1
+    concentrated = summaries[len(spread)]  # the larger s, at r1 = 0
     failures = []
     lowest = 100.0
-    for summary in power_runs[:3]:
-        for level in _LEVELS:
-            for kind, p_values in ((TestKind.BJYZ, (34,)), (TestKind.LW, _P_LIST)):
-                for p in p_values:
-                    rate = 100.0 * summary.rejection_rate(kind, level, p)
-                    lowest = min(lowest, rate)
-                    if rate < 99.5:
-                        failures.append(
-                            f"s=0.45 {kind.value} p={p} r1={summary.config.model.r1} "
-                            f"level={level}: {rate:.1f}%"
-                        )
+    for summary in spread:
+        for level in summary.config.levels:
+            for kind, p in (key for key in summary.zscores if key[0] is not TestKind.J):
+                rate = 100.0 * summary.rejection_rate(kind, level, p)
+                lowest = min(lowest, rate)
+                if rate < 99.5:
+                    failures.append(
+                        f"s={summary.config.alternative.s} {kind.value} p={p} "
+                        f"r1={summary.config.model.r1} level={level}: {rate:.1f}%"
+                    )
     observed = {}
+    p = round(0.5 * concentrated.config.k_n)
     for kind, (ref, band) in _POWER_075_REFS.items():
-        rate = 100.0 * concentrated.rejection_rate(kind, 0.05, 34)
+        rate = 100.0 * concentrated.rejection_rate(kind, 0.05, p)
         observed[kind] = rate
         if abs(rate - ref) > band:
             failures.append(
-                f"s=0.75 {kind.value} 5% level: {rate:.1f}% vs {ref}% +/-{band}pp"
+                f"s={concentrated.config.alternative.s} {kind.value} 5% level: "
+                f"{rate:.1f}% vs {ref}% +/-{band}pp"
             )
     _report(
         capsys,
         "table2_power",
         not failures,
-        f"s=0.45 min power {lowest:.1f}% >= 99.5%, s=0.75 5% "
+        f"s={spread[0].config.alternative.s} min power {lowest:.1f}% >= 99.5%, "
+        f"s={concentrated.config.alternative.s} 5% "
         f"bjyz {observed[TestKind.BJYZ]:.1f}% (94.0+/-3), "
         f"lw {observed[TestKind.LW]:.1f}% (79.6+/-4)",
     )
     assert not failures, failures
 
 
-def test_acceptance_esd_figure(tmp_path, capsys):
+def test_acceptance_esd_figure(esd_runs, capsys):
     limits = {34: 0.08, 102: 0.06}
-    distances = {}
-    for label, model in (
-        ("det", VolModel.deterministic_sin(_BASE, 0.0008)),
-        ("sto", VolModel.stochastic_bm(_BASE, 0.02)),
-    ):
-        out = tmp_path / label
-        out.mkdir()
-        cfg = _config(model, reps=1, p_list=(34, 102))
-        for artifact in run_esd_figure(cfg, out):
-            distances[(label, artifact.p)] = artifact.ks_distance
+    distances = {
+        (name.removeprefix("esd_"), artifact.p): artifact.ks_distance
+        for name, artifacts in esd_runs.items()
+        for artifact in artifacts
+    }
     failures = [
         f"{label} p={p}: ks={ks:.4f} > {limits[p]}"
         for (label, p), ks in distances.items()
@@ -207,23 +201,16 @@ def test_acceptance_esd_figure(tmp_path, capsys):
     assert not failures, failures
 
 
-def test_acceptance_qq_normality(size_runs, capsys):
-    summaries, _ = size_runs
-    null_summary = summaries[0.0]
-    quantiles = NormalDist()
-    reps = null_summary.config.reps
-    theoretical = np.array(
-        [quantiles.inv_cdf((i - 0.5) / reps) for i in range(1, reps + 1)]
-    )
-    series = [(TestKind.BJYZ, 34)] + [
-        (kind, p) for kind in (TestKind.LW, TestKind.J) for p in _P_LIST
-    ]
+def test_acceptance_qq_normality(qq_runs, size_runs, capsys):
+    # The Q-Q figure is Table 1's null run: each series holds its z-scores, sorted.
+    null_summary = size_runs[0][0.0]
+    assert {(a.kind, a.p) for a in qq_runs} == set(null_summary.zscores)
     failures = []
     min_corr, worst_mean, variances = 1.0, 0.0, []
-    for kind, p in series:
-        z = null_summary.zscores[(kind, p)]
-        assert len(z) == 1000
-        corr = float(np.corrcoef(np.sort(z), theoretical)[0, 1])
+    for artifact in qq_runs:
+        kind, p, z, corr = artifact.kind, artifact.p, artifact.empirical, artifact.correlation
+        if not np.array_equal(z, np.sort(null_summary.zscores[(kind, p)])):
+            failures.append(f"{kind.value} p={p}: not Table 1's sorted r1 = 0 z-scores")
         mean = float(np.mean(z))
         var = float(np.var(z, ddof=1))
         min_corr = min(min_corr, corr)
@@ -239,44 +226,46 @@ def test_acceptance_qq_normality(size_runs, capsys):
         capsys,
         "qq_normality",
         not failures,
-        f"7 series: min corr {min_corr:.5f} >= 0.995, worst |mean| {worst_mean:.3f} "
+        f"{len(qq_runs)} series: min corr {min_corr:.5f} >= 0.995, worst |mean| {worst_mean:.3f} "
         f"<= 0.12, variance in [{min(variances):.3f}, {max(variances):.3f}]",
     )
     assert not failures, failures
 
 
-def _lw_mean_exact(v):
+def _lw_mean_exact(v, cfg):
     # Exact mean of lw's z-score for a Gaussian window with independent
     # entries of variance v[j, i] (coordinate j, cell i), from second and
     # fourth moments: A = c W W^T with c = (n / k_n) / base.
-    p = v.shape[0]
-    c = (_N / _K_N) / _BASE
+    p, k_n = v.shape[0], cfg.k_n
+    c = (cfg.n / k_n) / cfg.model.base
     s = c * v.sum(axis=1)  # E A_jj
     q = c**2 * np.sum(v**2, axis=1)  # Var A_jj = 2 q_j
     off = c**2 * np.sum(v.sum(axis=0) ** 2) - q.sum()  # sum over j != l of E A_jl**2
     frob = np.sum(s**2 + 2.0 * q - 2.0 * s + 1.0) + off  # E ||A - I||_F**2
     trace_sq = s.sum() ** 2 + 2.0 * q.sum()  # E (tr A)**2
-    z_n = p / _K_N
+    z_n = p / k_n
     raw = frob / p - z_n * trace_sq / p**2 + z_n
-    return (_K_N * raw - p - 1.0) / 2.0
+    return (k_n * raw - p - 1.0) / 2.0
 
 
 def test_lw_mean_matches_closed_form(size_runs, power_runs):
-    # Every default size cell and every s = 0.75 power cell: the Monte Carlo
+    # Every Table 1 cell and every Table 2 cell of the larger s: the Monte Carlo
     # mean of lw's z-score lies within 4 standard errors of its exact value.
     # At t = 0 the window is cells 1 .. k_n, each with its exact integral of
     # d_j + r1 * sin(2 * pi * t); under the null the mean is -1 / k_n.
-    i = np.arange(1, _K_N + 1)
-    sin_part = (np.cos(2.0 * np.pi * (i - 1) / _N) - np.cos(2.0 * np.pi * i / _N)) / (2.0 * np.pi)
-    summaries = list(size_runs[0].values()) + power_runs[3:]
+    power = power_runs[0]
+    summaries = list(size_runs[0].values()) + power[len(power) // 2:]
     failures = []
     for summary in summaries:
-        model, alt = summary.config.model, summary.config.alternative
-        for p in _P_LIST:
-            d = np.full(p, _BASE)
+        cfg = summary.config
+        model, alt, n = cfg.model, cfg.alternative, cfg.n
+        i = np.arange(1, cfg.k_n + 1)
+        sin_part = (np.cos(2.0 * np.pi * (i - 1) / n) - np.cos(2.0 * np.pi * i / n)) / (2.0 * np.pi)
+        for p in cfg.p_list:
+            d = np.full(p, model.base)
             if alt is not None:
                 d[math.floor(alt.s * p):] = alt.low
-            exact = _lw_mean_exact(d[:, None] / _N + model.r1 * sin_part[None, :])
+            exact = _lw_mean_exact(d[:, None] / n + model.r1 * sin_part[None, :], cfg)
             z = summary.zscores[(TestKind.LW, p)]
             se = np.std(z, ddof=1) / math.sqrt(len(z))
             if abs(np.mean(z) - exact) > 4.0 * se:
@@ -287,7 +276,7 @@ def test_lw_mean_matches_closed_form(size_runs, power_runs):
     assert not failures, failures
 
 
-def _bjyz_moments_exact(p):
+def _bjyz_moments_exact(p, k_n):
     # Exact mean and variance of bjyz's z for A = G G^T / k_n, G a p x k_n
     # standard normal matrix: the normalized estimate at r1 = 0.  Bartlett's
     # decomposition G G^T = T T^T has T lower triangular with independent
@@ -296,35 +285,35 @@ def _bjyz_moments_exact(p):
     # T_jj**2 / k_n - log(T_jj**2 / k_n) - 1 per j and T_ij**2 / k_n per i > j.
     # E log chi2(nu) = psi(nu / 2) + log 2, Var log chi2(nu) = psi'(nu / 2) and
     # Cov(chi2(nu), log chi2(nu)) = 2.
-    nu = _K_N - np.arange(p)
+    nu = k_n - np.arange(p)
     off = p * (p - 1) / 2
-    mean = np.sum(nu / _K_N - special.digamma(nu / 2) - math.log(2 / _K_N) - 1) + off / _K_N
-    var = np.sum(2 * nu / _K_N**2 + special.polygamma(1, nu / 2) - 4 / _K_N) + 2 * off / _K_N**2
-    c = mp_lss_constants(p / _K_N)
+    mean = np.sum(nu / k_n - special.digamma(nu / 2) - math.log(2 / k_n) - 1) + off / k_n
+    var = np.sum(2 * nu / k_n**2 + special.polygamma(1, nu / 2) - 4 / k_n) + 2 * off / k_n**2
+    c = mp_lss_constants(p / k_n)
     return (mean - p * c.center - c.mean_shift) / math.sqrt(c.variance), var / c.variance
 
 
-def test_bjyz_moments_match_bartlett_at_r1_0():
+def test_bjyz_moments_match_bartlett_at_r1_0(size_runs):
     # The Monte Carlo mean and variance of bjyz's z lie within 4 standard
     # errors of their exact values, (-0.0014, 1.1050), (-0.0021, 1.0378) and
-    # (-0.0066, 1.0426) at p = 10, 34 and 60.
-    p_list = (10, 34, 60)
-    summary = run_size_experiment(_config(VolModel.deterministic_sin(_BASE, 0.0), p_list=p_list))
+    # (-0.0066, 1.0426) at p = 10, 34 and 60, in Table 1's null design.
+    cfg = replace(size_runs[0][0.0].config, p_list=(10, 34, 60))
+    summary = run_size_experiment(cfg)
     failures = []
-    for p in p_list:
+    for p in cfg.p_list:
         z = summary.zscores[(TestKind.BJYZ, p)]
         root_r = math.sqrt(len(z))
         observed = {  # estimate and its standard error
             "mean": (np.mean(z), np.std(z, ddof=1) / root_r),
             "variance": (np.var(z, ddof=1), np.std((z - np.mean(z)) ** 2, ddof=1) / root_r),
         }
-        for (name, (got, se)), exact in zip(observed.items(), _bjyz_moments_exact(p)):
+        for (name, (got, se)), exact in zip(observed.items(), _bjyz_moments_exact(p, cfg.k_n)):
             if abs(got - exact) > 4.0 * se:
                 failures.append(f"p={p}: {name} {got:.4f}, exact {exact:.4f}, se {se:.4f}")
     assert not failures, failures
 
 
-def _bjyz_log_cf(tau, sigma):
+def _bjyz_log_cf(tau, sigma, k_n):
     # log E exp(i tau S) of bjyz's raw statistic S = tr A - log det A - p for
     # A = D^(1/2) G G^T D^(1/2) / k_n, D = diag(sigma): the window at r1 = 0
     # divided by the null level.  By Bartlett's decomposition (as in
@@ -334,23 +323,23 @@ def _bjyz_log_cf(tau, sigma):
     # Gamma-function ratio or a power.
     tau = np.asarray(tau)[..., None]
     j = np.arange(len(sigma))
-    a, c, it = (_K_N - j) / 2, np.asarray(sigma) / _K_N, 1j * tau
+    a, c, it = (k_n - j) / 2, np.asarray(sigma) / k_n, 1j * tau
     terms = (special.loggamma(a - it) - special.loggamma(a) - it * (np.log(2 * c) + 1)
              - (a - it + j / 2) * np.log(1 - 2 * it * c))
     return terms.sum(axis=-1)
 
 
-def _bjyz_rate_exact(sigma, level):
+def _bjyz_rate_exact(sigma, level, k_n):
     # P(|z| > Phi^-1(1 - level / 2)) from the cdf of S, inverted by Gil-Pelaez:
     # F(x) = 1/2 - (1/pi) int_0^inf Im(exp(-i tau x) phi(tau)) / tau dtau.
     p = len(sigma)
-    c = mp_lss_constants(p / _K_N)
+    c = mp_lss_constants(p / k_n)
     center = p * c.center + c.mean_shift
     half = NormalDist().inv_cdf(1 - level / 2) * math.sqrt(c.variance)
 
     def cdf(x):
         value, err = integrate.quad(
-            lambda tau: np.exp(_bjyz_log_cf(tau, sigma) - 1j * tau * x).imag / tau,
+            lambda tau: np.exp(_bjyz_log_cf(tau, sigma, k_n) - 1j * tau * x).imag / tau,
             0.0, math.inf, epsabs=1e-11, limit=400,
         )
         assert err < 1e-6
@@ -359,37 +348,40 @@ def _bjyz_rate_exact(sigma, level):
     return cdf(center - half) + 1.0 - cdf(center + half)
 
 
-def test_bjyz_characteristic_function_gives_the_exact_moments():
+def test_bjyz_characteristic_function_gives_the_exact_moments(size_runs):
     # The mean and variance of z from the characteristic function's first two
     # derivatives at 0, read off as Taylor coefficients of log phi by Cauchy's
     # formula on the circle |tau| = 1 (the nearest singularity, a pole of
     # loggamma, lies at |tau| >= (k_n - p + 1) / 2 > 4), equal the digamma
-    # and trigamma sums of _bjyz_moments_exact.
+    # and trigamma sums of _bjyz_moments_exact, at Table 1's k_n.
+    k_n = size_runs[0][0.0].config.k_n
     m = 32
     tau = np.exp(2j * np.pi * np.arange(m) / m)
     for p in (10, 34, 60):
         # log phi(tau) = sum_k coef_k tau**k, coef_1 = i mean and coef_2 = -variance / 2
-        coef = np.fft.fft(_bjyz_log_cf(tau, np.ones(p))) / m
-        c = mp_lss_constants(p / _K_N)
+        coef = np.fft.fft(_bjyz_log_cf(tau, np.ones(p), k_n)) / m
+        c = mp_lss_constants(p / k_n)
         mean = (coef[1].imag - p * c.center - c.mean_shift) / math.sqrt(c.variance)
         variance = -2.0 * coef[2].real / c.variance
-        np.testing.assert_allclose((mean, variance), _bjyz_moments_exact(p), rtol=0, atol=1e-8)
+        np.testing.assert_allclose((mean, variance), _bjyz_moments_exact(p, k_n), rtol=0, atol=1e-8)
 
 
 def test_bjyz_rates_match_exact_at_r1_0(size_runs, power_runs):
-    # Every bjyz rate of the seed-8 runs at r1 = 0, size and power (s = 0.45
-    # and 0.75 at p = 34), lies within 4 sqrt(e (1 - e) / R) + 1 / R of the
-    # exact rate e.  The variances are divided by the null level, so the null
-    # is the identity and the alternative's second block sits at low / base.
+    # Every bjyz rate of the Table 1 and Table 2 runs at r1 = 0 (both s, at the
+    # one p < k_n) lies within 4 sqrt(e (1 - e) / R) + 1 / R of the exact rate
+    # e.  The variances are divided by the null level, so the null is the
+    # identity and the alternative's second block sits at low / base.
+    power = power_runs[0]
     failures = []
-    for summary in (size_runs[0][0.0], power_runs[0], power_runs[3]):
-        alt, reps = summary.config.alternative, summary.config.reps
-        sigma = np.ones(34)
+    for summary in (size_runs[0][0.0], power[0], power[len(power) // 2]):
+        cfg = summary.config
+        alt, reps, p = cfg.alternative, cfg.reps, cfg.p_list[0]
+        sigma = np.ones(p)
         if alt is not None:
-            sigma[math.floor(alt.s * 34):] = alt.low / _BASE
-        for level in _LEVELS:
-            exact = _bjyz_rate_exact(sigma, level)
-            rate = summary.rejection_rate(TestKind.BJYZ, level, 34)
+            sigma[math.floor(alt.s * p):] = alt.low / cfg.model.base
+        for level in cfg.levels:
+            exact = _bjyz_rate_exact(sigma, level, cfg.k_n)
+            rate = summary.rejection_rate(TestKind.BJYZ, level, p)
             bound = 4.0 * math.sqrt(exact * (1.0 - exact) / reps) + 1.0 / reps
             if abs(rate - exact) > bound:
                 failures.append(f"s={alt and alt.s} level={level}: {rate:.4f}, exact "
@@ -398,15 +390,23 @@ def test_bjyz_rates_match_exact_at_r1_0(size_runs, power_runs):
 
 
 def test_table1_size_table_writes_pinned_bytes(size_runs, pinned):
-    out = io.StringIO()
-    write_size_table(list(size_runs[0].values()), out)
-    pinned("table 1 seed 8: size_table.csv", out.getvalue().encode())
+    pinned("table 1 seed 8: size_table.csv", (size_runs[2] / "size_table.csv").read_bytes())
 
 
 def test_table2_power_table_writes_pinned_bytes(power_runs, pinned):
-    out = io.StringIO()
-    write_power_table(power_runs, out)
-    pinned("table 2 seed 8: power_table.csv", out.getvalue().encode())
+    pinned("table 2 seed 8: power_table.csv", (power_runs[1] / "power_table.csv").read_bytes())
+
+
+def test_readme_and_the_fixtures_run_every_paper_design(size_runs, power_runs, esd_runs, qq_runs):
+    # README shows each paper/ file's first line, the command that runs it, as
+    # it is; every paper/ file it names exists; and a fixture above runs each.
+    readme = (_PAPER.parent / "README.md").read_text()
+    files = sorted(path.name for path in _PAPER.iterdir())
+    missing = [name for name in files
+               if (_PAPER / name).read_text().splitlines()[0].removeprefix("# ") not in readme]
+    assert not missing, f"README lacks the first-line command of {missing}"
+    assert set(re.findall(r"--config paper/(\S+)", readme)) <= set(files)
+    assert _RAN == set(files)
 
 
 def _quadrature_center(y):
@@ -428,8 +428,9 @@ def _quadrature_center(y):
     return value
 
 
-def test_acceptance_oracle_equivalence(capsys, closed_form_m):
-    rng = np.random.default_rng(ACCEPT_SEED)
+def test_acceptance_oracle_equivalence(size_runs, capsys, closed_form_m):
+    null = size_runs[0][0.0].config  # for its seed and null level
+    rng = np.random.default_rng(null.seed)
     unit = DiscreteH.point_mass(1.0)
     solver_err = 0.0
     for _ in range(50):
@@ -457,8 +458,8 @@ def test_acceptance_oracle_equivalence(capsys, closed_form_m):
             eig_err = max(eig_err, abs(float(np.prod(lam)) - det) / det)
 
     n, k_n, p = 256, 32, 5
-    path = simulate_path(GridConfig(n=n, p=p, seed=ACCEPT_SEED),
-                         VolModel.stochastic_bm(_BASE, 0.01))
+    path = simulate_path(GridConfig(n=n, p=p, seed=null.seed),
+                         VolModel.stochastic_bm(null.model.base, 0.01))
     incr = increments(path)
     total = np.zeros((p, p))
     for j in range(n // k_n):
@@ -489,14 +490,13 @@ def test_acceptance_oracle_equivalence(capsys, closed_form_m):
     assert tiling_ok
 
 
-def test_acceptance_invariance_suite(capsys, monkeypatch, no_child_floor):
-    path = simulate_path(
-        GridConfig(n=_N, p=34, seed=ACCEPT_SEED),
-        VolModel.deterministic_sin(_BASE, 0.0),
-    )
+def test_acceptance_invariance_suite(size_runs, capsys, monkeypatch, no_child_floor):
+    null = size_runs[0][0.0].config
+    p, k_n = null.p_list[0], null.k_n
+    path = simulate_path(GridConfig(n=null.n, p=p, seed=null.seed), null.model)
     incr = increments(path)
-    est = spot_vol(incr, 0.0, _K_N)
-    null_est = rescale(est, 1.0 / _BASE)
+    est = spot_vol(incr, null.t, k_n)
+    null_est = rescale(est, 1.0 / null.model.base)
 
     def j_zscore(e):
         return evaluate_tests(e, [TestKind.J])[0].zscore
@@ -508,8 +508,8 @@ def test_acceptance_invariance_suite(capsys, monkeypatch, no_child_floor):
     dyadic_ok = all(j_zscore(rescale(est, factor)) == z_ref for factor in (0.25, 4.0, 1024.0))
     generic_dev = abs(j_zscore(rescale(est, 3.7)) - z_ref) / abs(z_ref)
 
-    rng = np.random.default_rng(ACCEPT_SEED)
-    identity = SpotEstimate(matrix=np.eye(34), t=0.0, k_n=_K_N, window=(1, _K_N))
+    rng = np.random.default_rng(null.seed)
+    identity = SpotEstimate(matrix=np.eye(p), t=0.0, k_n=k_n, window=(1, k_n))
     raws = [bjyz_raw(null_est)]
     for _ in range(50):
         g = rng.standard_normal((8, 20))
@@ -517,20 +517,19 @@ def test_acceptance_invariance_suite(capsys, monkeypatch, no_child_floor):
         raws.append(bjyz_raw(sample))
     raw_ok = bjyz_raw(identity) == 0.0 and all(r > 0.0 for r in raws)
 
-    q, _ = np.linalg.qr(rng.standard_normal((34, 34)))
-    rotated = spot_vol(q @ incr, 0.0, _K_N).matrix
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    rotated = spot_vol(q @ incr, null.t, k_n).matrix
     equiv_dev = float(np.max(np.abs(rotated - q @ est.matrix @ q.T)))
 
     # Four processes really run: three forked children take chunks of 10
-    # replications, however few CPUs the host has.
-    worker_cfg = dict(model=VolModel.deterministic_sin(_BASE, 0.0008),
-                      reps=40, p_list=(34,))
-    serial = run_size_experiment(_config(**worker_cfg, workers=1))
+    # replications of Table 1's largest r1, however few CPUs the host has.
+    serial_cfg = replace(list(size_runs[0].values())[-1].config, reps=40, p_list=(p,))
+    serial = run_size_experiment(serial_cfg)
     started = []
     real = harness.Process
     monkeypatch.setattr(harness, "Process", lambda **kw: started.append(kw) or real(**kw))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    parallel = run_size_experiment(_config(**worker_cfg, workers=4))
+    parallel = run_size_experiment(replace(serial_cfg, workers=4))
     workers_ok = len(started) == 3 and set(serial.zscores) == set(parallel.zscores) and all(
         np.array_equal(serial.zscores[key], parallel.zscores[key])
         for key in serial.zscores

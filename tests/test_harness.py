@@ -73,7 +73,7 @@ def test_mc_config_defaults_and_validation():
             MCConfig(seed=0, p_list=p_list)
     # levels entries are taken as numbers, never parsed
     assert MCConfig(seed=0, levels=(np.float64(0.05), 0.1)).levels == (0.05, 0.1)
-    for levels in (("x",), (None,), ("0.05",)):
+    for levels in (("x",), (None,), ("0.05",), 0.05):
         with pytest.raises(ConfigError, match="levels entries must be numbers"):
             MCConfig(seed=0, levels=levels)
 
