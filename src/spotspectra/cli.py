@@ -31,10 +31,9 @@ import numpy as np
 
 from ._blas import kernel_scope
 from ._csvio import _opened, make_dir
-from .errors import ConfigError, NumericalError, WorkerError
+from .errors import ConfigError, NumericalError, WorkerError, _real
 from .estimators import (
-    SpotEstimate, _check_factor, _window_length, read_matrix_csv, rescale, spot_vol,
-    write_matrix_csv,
+    SpotEstimate, _window_length, read_matrix_csv, rescale, spot_vol, write_matrix_csv,
 )
 from .harness import (
     Alternative,
@@ -231,7 +230,7 @@ def _cmd_spot(cfg: dict) -> None:
 def _cmd_test(cfg: dict) -> None:
     matrix, scale = read_matrix_csv(cfg["matrix"]), cfg["scale"]
     if scale is not None:
-        _check_factor(scale, "--scale")
+        scale = _real(scale, "--scale must be finite and positive", positive=True)
         if not math.isfinite(1.0 / scale):
             raise ConfigError(f"--scale needs a finite reciprocal, got {scale!r}")
     kinds = None if cfg["kind"] == "all" else [TestKind(cfg["kind"])]

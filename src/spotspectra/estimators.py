@@ -40,8 +40,8 @@ import numpy as np
 
 from ._blas import kernel_scope
 from ._csvio import float_rows, read_float_csv, write_csv
-from .errors import ConfigError, NumericalError
-from .simkit import _snapped_floor
+from .errors import ConfigError, NumericalError, _integer, _real
+from .simkit import _check_window, _snapped_floor
 from .spectra import checked_symmetric
 
 __all__ = [
@@ -58,9 +58,9 @@ class SpotEstimate:
     """A spot covariance estimate plus the window metadata the tests need.
 
     Construction checks that ``matrix`` is square, finite and symmetric up
-    to a relative ``1e-8``, and that ``k_n`` is a positive integer.  It does
-    not check that ``matrix`` is positive semidefinite, which
-    :mod:`spotspectra.hdtests` assumes.
+    to a relative ``1e-8``, and stores ``t`` and ``k_n`` by the real and
+    integer rules of :mod:`spotspectra.errors`.  It does not check that
+    ``matrix`` is positive semidefinite, which :mod:`spotspectra.hdtests` assumes.
 
     Attributes
     ----------
@@ -82,8 +82,9 @@ class SpotEstimate:
     def __post_init__(self) -> None:
         with kernel_scope():  # A - A^T can overflow
             m = checked_symmetric(self.matrix, "estimate matrix")
-        _check_k_n(self.k_n)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "t", _real(self.t, "t must be finite and nonnegative"))
+        object.__setattr__(self, "k_n", _integer(self.k_n, "k_n must be a positive integer"))
 
     @property
     def p(self) -> int:
@@ -94,11 +95,6 @@ class SpotEstimate:
     def z_n(self) -> float:
         """Aspect ratio ``p / k_n``."""
         return self.p / self.k_n
-
-
-def _check_k_n(k_n: object) -> None:
-    if not isinstance(k_n, int) or k_n < 1:
-        raise ConfigError(f"k_n must be a positive integer, got {k_n!r}")
 
 
 def _scaled_gram(window: np.ndarray, n: int, k_n: int, factor: float) -> np.ndarray:
@@ -122,17 +118,13 @@ def window_start(t: float, n: int, k_n: int) -> int:
     ``floor(t*n)``, where a ``t*n`` within a relative ``1e-9`` of an integer counts as
     that integer (``t = 0.29, n = 100`` starts after cell 29).  An ``n`` or ``k_n`` not
     a positive integer, ``t*n`` not finite, ``t < 0`` or an overrun is a ``ConfigError``."""
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
-    _check_k_n(k_n)
+    n = _integer(n, "n must be a positive integer")
+    k_n = _integer(k_n, "k_n must be a positive integer")
+    t = _real(t, "t must be finite and nonnegative", bounded=False)
     if not math.isfinite(t * n):
-        raise ConfigError(f"window start t * n is not finite: t = {t!r}, n = {n!r}")
-    if t < 0.0:
-        raise ConfigError(f"t must be finite and nonnegative, got {t!r}")
-    start = _snapped_floor(t * n)
-    if start + k_n > n:
-        raise ConfigError(
-            f"window [{start + 1}, {start + k_n}] at t = {t!r} overruns the sample of n = {n}")
+        raise ConfigError(f"window start t * n is not finite: t = {t!r}, n = {n}")
+    start = _snapped_floor(_real(t, "t must be finite and nonnegative") * n)  # t < 0 fails
+    _check_window(start + 1, start + k_n, n, f" at t = {t!r}")
     return start
 
 
@@ -182,7 +174,8 @@ def spot_vol_from_window(window: np.ndarray, n: int, t: float, k_n: int) -> Spot
         raise ConfigError(f"window block must have k_n = {k_n} columns, got shape {window.shape}")
     with kernel_scope():  # the estimate's own check nests, so it sets no thread count
         matrix = _finite(_scaled_gram(window, n, k_n, 1.0))
-        return SpotEstimate(matrix=matrix, t=t, k_n=k_n, window=(start + 1, start + k_n))
+        last = start + window.shape[1]  # start + k_n, a plain int
+        return SpotEstimate(matrix=matrix, t=t, k_n=k_n, window=(start + 1, last))
 
 
 def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
@@ -193,7 +186,7 @@ def rescale(estimate: SpotEstimate, factor: float) -> SpotEstimate:
     product that overflows is a :class:`NumericalError`; it is as symmetric as
     the estimate's matrix, so it is not checked again.
     """
-    _check_factor(factor)
+    factor = _real(factor, "scale factor must be finite and positive", positive=True)
     scaled = copy(estimate)
     with kernel_scope():
         object.__setattr__(scaled, "matrix", _finite(estimate.matrix * factor))
@@ -204,11 +197,6 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
     if not np.isfinite(matrix).all():
         raise NumericalError("estimate is not finite")
     return matrix
-
-
-def _check_factor(factor: float, name: str = "scale factor") -> None:
-    if not math.isfinite(factor) or factor <= 0.0:
-        raise ConfigError(f"{name} must be positive and finite, got {factor!r}")
 
 
 def _validated_increments(incr: np.ndarray) -> np.ndarray:

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import operator
 import os
 import sys
 import traceback
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from statistics import NormalDist
 from typing import Iterator, Optional, Sequence, TextIO, Union
@@ -47,7 +47,7 @@ import numpy as np
 
 from ._blas import kernel_scope
 from ._csvio import make_dir, write_csv
-from .errors import ConfigError, NumericalError, WorkerError
+from .errors import ConfigError, NumericalError, WorkerError, _integer, _real
 from .estimators import _finite, _scaled_gram, _window_length, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
@@ -88,16 +88,17 @@ _Cell = tuple[int, VolModel, str]
 class Alternative:
     """Two-block alternative: ``m = floor(s*p)`` variances stay at the null
     level and the remaining ``p - m`` drop to ``low``.  A product ``s*p``
-    within a relative ``1e-9`` of an integer counts as that integer."""
+    within a relative ``1e-9`` of an integer counts as that integer.  Both
+    are stored as ``float`` by the real rule of :mod:`spotspectra.errors`."""
 
     s: float
     low: float = 0.0004
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.s) or not 0.0 < self.s < 1.0:
-            raise ConfigError(f"s must lie in (0, 1), got {self.s!r}")
-        if not math.isfinite(self.low) or self.low <= 0.0:
-            raise ConfigError(f"low must be finite and positive, got {self.low!r}")
+        s = _real(self.s, "s must lie in (0, 1)", positive=True, below=1.0)
+        low = _real(self.low, "low must be finite and positive", positive=True)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "low", low)
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,8 @@ class MCConfig:
     together agree.  ``workers`` is the most worker processes a run may use,
     the calling process included; ``1`` runs the sweep in the calling process
     alone.  A run uses fewer when it has fewer replications or usable CPUs,
-    or too little work to pay for a child.
+    or too little work to pay for a child.  Each number is stored as an ``int``
+    or a ``float`` by the integer or real rule of :mod:`spotspectra.errors`.
     """
 
     seed: int
@@ -129,42 +131,42 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.reps, int) or self.reps < 1:
-            raise ConfigError(f"reps must be a positive integer, got {self.reps!r}")
-        try:
-            object.__setattr__(self, "p_list", tuple(operator.index(p) for p in self.p_list))
-        except TypeError:
-            raise ConfigError(f"p_list entries must be integers, got {self.p_list!r}") from None
+        fix = partial(object.__setattr__, self)
+        fix("reps", _integer(self.reps, "reps must be a positive integer"))
+        entries = "p_list entries must be integers >= 1"
+        if not np.iterable(self.p_list):
+            raise ConfigError(f"{entries}, got {self.p_list!r}")
+        fix("p_list", tuple(_integer(p, entries) for p in self.p_list))
         if not self.p_list:
             raise ConfigError("p_list must name at least one dimension")
-        if any(p < 1 for p in self.p_list):
-            raise ConfigError(f"p_list entries must be positive, got {self.p_list!r}")
         if len(set(self.p_list)) != len(self.p_list):
             raise ConfigError(f"p_list entries must be distinct, got {self.p_list!r}")
-        GridConfig(n=self.n, p=max(self.p_list), seed=self.seed)  # checks the run's largest grid
-        object.__setattr__(self, "k_n", _window_length(self.n, self.k_n))
+        grid = GridConfig(n=self.n, p=max(self.p_list), seed=self.seed)  # the largest grid
+        fix("n", grid.n)
+        fix("seed", grid.seed)
+        fix("k_n", _integer(_window_length(self.n, self.k_n), "k_n must be a positive integer"))
         window_start(self.t, self.n, self.k_n)
-        if not np.iterable(self.levels) or not all(
-            isinstance(x, (int, float, np.integer, np.floating)) for x in self.levels
-        ):
-            raise ConfigError(f"levels entries must be numbers, got {self.levels!r}")
-        object.__setattr__(self, "levels", tuple(map(float, self.levels)))
+        fix("t", float(self.t))  # a real number, as window_start checked
+        entries = "levels entries must be numbers"
+        if not np.iterable(self.levels):
+            raise ConfigError(f"{entries}, got {self.levels!r}")
+        fix("levels", tuple(_real(x, entries, bounded=False) for x in self.levels))
         if not self.levels:
             raise ConfigError("levels must name at least one test level")
         if any(not 0.0 < lv < 1.0 for lv in self.levels):
             raise ConfigError(f"levels must lie in (0, 1), got {self.levels!r}")
         if len(set(self.levels)) != len(self.levels):
             raise ConfigError(f"levels must be distinct, got {self.levels!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
+        fix("workers", _integer(self.workers, "workers must be a positive integer"))
         kind, base = self.model.kind, self.model.base
         if kind not in (VolKind.DETERMINISTIC_SIN, VolKind.STOCHASTIC_BM):
             raise ConfigError(
                 "experiments need a scalar-volatility null model "
                 f"(deterministic_sin or stochastic_bm), got {kind.value}"
             )
-        if not base > 0.0 or not math.isfinite(1.0 / base):
-            raise ConfigError(f"null variance level needs a finite reciprocal, got {base!r}")
+        level = "null variance level needs a finite reciprocal"
+        if not math.isfinite(1.0 / _real(base, level, positive=True)):
+            raise ConfigError(f"{level}, got {base!r}")
         alt = self.alternative
         if alt is not None and kind is not VolKind.DETERMINISTIC_SIN:
             raise ConfigError(

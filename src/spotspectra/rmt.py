@@ -29,7 +29,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ._blas import kernel_scope
-from .errors import ConfigError, DegenerateStatisticError, NumericalError
+from .errors import ConfigError, DegenerateStatisticError, NumericalError, _real
 
 __all__ = [
     "MPLaw",
@@ -51,7 +51,7 @@ class MPLaw:
 
     Derived fields: support edges ``a = (1 - sqrt(y))**2`` and
     ``b = (1 + sqrt(y))**2`` and the point mass ``atom = 1 - 1/y`` at the
-    origin (zero when ``y <= 1``).
+    origin (zero when ``y <= 1``).  The real rule of :mod:`spotspectra.errors` reads ``y``.
     """
 
     y: float
@@ -60,8 +60,7 @@ class MPLaw:
     atom: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.y) or self.y <= 0.0:
-            raise ConfigError(f"y must be finite and positive, got {self.y!r}")
+        object.__setattr__(self, "y", _real(self.y, "y must be finite and positive", positive=True))
         root = math.sqrt(self.y)
         object.__setattr__(self, "a", (1.0 - root) ** 2)
         object.__setattr__(self, "b", (1.0 + root) ** 2)
@@ -122,33 +121,30 @@ def mp_cdf(x: Union[float, np.ndarray], law: MPLaw) -> Union[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class DiscreteH:
-    """Discrete population spectral distribution: mass ``weights[j]`` at ``support[j]``."""
+    """Discrete population spectral distribution: mass ``weights[j]`` at ``support[j]``,
+    each entry stored as a ``float`` by the real rule of :mod:`spotspectra.errors`."""
 
     support: tuple[float, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        support = tuple(float(t) for t in self.support)
-        weights = tuple(float(w) for w in self.weights)
-        if len(support) == 0 or len(support) != len(weights):
-            raise ConfigError(
-                f"support and weights must be nonempty and equal length, "
-                f"got {len(support)} and {len(weights)}"
-            )
-        if any(not math.isfinite(t) or t < 0.0 for t in support):
-            raise ConfigError("support points must be finite and nonnegative")
-        if any(not math.isfinite(w) or w < 0.0 for w in weights):
-            raise ConfigError("weights must be finite and nonnegative")
-        total = math.fsum(weights)
+        for name, entries in (("support", "support points"), ("weights", "weights")):
+            values = getattr(self, name)
+            if not np.iterable(values):
+                raise ConfigError(f"{name} must be a sequence, got {values!r}")
+            requirement = f"{entries} must be finite and nonnegative"
+            object.__setattr__(self, name, tuple(_real(v, requirement) for v in values))
+        if len(self.support) == 0 or len(self.support) != len(self.weights):
+            raise ConfigError(f"support and weights must be nonempty and equal length, "
+                              f"got {len(self.support)} and {len(self.weights)}")
+        total = math.fsum(self.weights)
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"weights must sum to 1 within 1e-12, got {total!r}")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def point_mass(cls, tau: float) -> "DiscreteH":
         """All population eigenvalues equal to ``tau``."""
-        return cls(support=(float(tau),), weights=(1.0,))
+        return cls(support=(tau,), weights=(1.0,))
 
 
 @dataclass(frozen=True)
@@ -197,8 +193,7 @@ def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)) or z.imag <= 0.0:
         raise ConfigError(f"z must be a finite point with Im z > 0, got {z!r}")
-    if not math.isfinite(y) or y <= 0.0:
-        raise ConfigError(f"y must be finite and positive, got {y!r}")
+    y = _real(y, "y must be finite and positive", positive=True)
     t = np.asarray(h.support, dtype=float)
     w = np.asarray(h.weights, dtype=float)
     keep = (t > 0.0) & (w > 0.0)
@@ -261,8 +256,7 @@ def mp_lss_constants(z_n: float) -> LssConstants:
         If ``z_n >= 1``: the log statistic does not exist because the sample
         matrix is singular with probability one.
     """
-    if not math.isfinite(z_n) or z_n <= 0.0:
-        raise ConfigError(f"z_n must be finite and positive, got {z_n!r}")
+    z_n = _real(z_n, "z_n must be finite and positive", positive=True)
     if z_n >= 1.0:
         raise DegenerateStatisticError(
             f"aspect ratio z_n = {z_n!r} >= 1: estimator singular with "

@@ -32,7 +32,6 @@ The public :func:`simulate_window_increments` is a validated one-cell source.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence, TextIO, Union
@@ -44,7 +43,7 @@ from numpy.random import Generator, Philox
 
 from ._blas import kernel_scope
 from ._csvio import float_rows, read_float_csv, write_csv
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _integer, _real
 
 __all__ = [
     "VolKind",
@@ -63,7 +62,6 @@ __all__ = [
 # statistically independent streams by construction of the Philox cipher.
 _COORD_BITS = 20
 _MAX_COORD = (1 << _COORD_BITS) - 1
-_MAX_REPLICATION = (1 << 44) - 1
 
 
 def _snapped_floor(x: float) -> int:
@@ -73,6 +71,11 @@ def _snapped_floor(x: float) -> int:
     if abs(x - nearest) <= 1e-9 * nearest:
         return int(nearest)
     return math.floor(x)
+
+
+def _check_window(first: int, last: int, n: int, at: str = "") -> None:
+    if last > n:
+        raise ConfigError(f"window [{first}, {last}]{at} overruns the sample of n = {n}")
 
 
 class VolKind(Enum):
@@ -87,7 +90,8 @@ class VolKind(Enum):
 class GridConfig:
     """Observation grid: ``n`` cells of width ``1/n`` on [0, 1], ``p`` coordinates.
 
-    ``seed`` is the master seed all substreams are derived from.
+    ``seed`` is the master seed all substreams are derived from.  Each field
+    is stored as an ``int`` by the integer rule of :mod:`spotspectra.errors`.
     """
 
     n: int
@@ -95,14 +99,12 @@ class GridConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.p, int) or self.p < 1:
-            raise ConfigError(f"p must be a positive integer, got {self.p!r}")
+        object.__setattr__(self, "n", _integer(self.n, "n must be a positive integer"))
+        object.__setattr__(self, "p", _integer(self.p, "p must be a positive integer"))
         if self.p > _MAX_COORD:  # the driver of STOCHASTIC_BM takes coordinate p
             raise ConfigError(f"p must be < 2**20 to fit the substream layout, got {self.p}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        seed = _integer(self.seed, "seed must be an integer in [0, 2**64)", 0, 2**64)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,8 @@ class VolModel:
     Fields not used by ``kind`` must keep their neutral defaults; the
     constructor enforces this so a model never carries silently ignored
     parameters.  ``diag`` holds per-coordinate variance levels for
-    ``PIECEWISE_DIAG`` and must have one entry per simulated coordinate.
+    ``PIECEWISE_DIAG`` and must have one entry per simulated coordinate.  Each
+    number is stored as a ``float`` by the real rule of :mod:`spotspectra.errors`.
     """
 
     kind: VolKind
@@ -122,36 +125,29 @@ class VolModel:
     diag: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, VolKind):
+            raise ConfigError(f"kind must be a VolKind, got {self.kind!r}")
         for name in ("base", "r1", "r2"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ConfigError(f"{name} must be finite and nonnegative, got {value!r}")
-        if self.kind is not VolKind.PIECEWISE_DIAG and self.diag is not None:
-            raise ConfigError(f"{self.kind.value} does not take a diag vector")
-        if self.kind is VolKind.DETERMINISTIC_SIN:
-            if self.r2 != 0.0:
-                raise ConfigError("deterministic_sin does not use r2")
-            if self.base - self.r1 < 0.0:
-                raise ConfigError(
-                    f"variance base + r1*sin can go negative: base={self.base}, r1={self.r1}"
-                )
-        elif self.kind is VolKind.STOCHASTIC_BM:
-            if self.r1 != 0.0:
-                raise ConfigError("stochastic_bm does not use r1")
-        else:
-            if self.diag is None or len(self.diag) == 0:
-                raise ConfigError("piecewise_diag requires a nonempty diag vector")
-            if self.base != 0.0:
-                raise ConfigError("piecewise_diag does not use base; leave it at 0")
-            if any(not math.isfinite(d) or d < 0.0 for d in self.diag):
-                raise ConfigError("diag entries must be finite and nonnegative")
-            if self.r2 != 0.0:
-                raise ConfigError("piecewise_diag does not use r2")
-            if min(self.diag) - self.r1 < 0.0:
-                raise ConfigError(
-                    f"variance min(diag) + r1*sin can go negative: "
-                    f"min(diag)={min(self.diag)}, r1={self.r1}"
-                )
+            value = _real(getattr(self, name), f"{name} must be finite and nonnegative")
+            object.__setattr__(self, name, value)
+        diagonal = self.kind is VolKind.PIECEWISE_DIAG
+        if self.diag is not None:
+            if not diagonal:
+                raise ConfigError(f"{self.kind.value} does not take a diag vector")
+            if not np.iterable(self.diag):
+                raise ConfigError(f"diag must be a sequence, got {self.diag!r}")
+            diag = tuple(_real(d, "diag entries must be finite and nonnegative") for d in self.diag)
+            object.__setattr__(self, "diag", diag)
+        stochastic = self.kind is VolKind.STOCHASTIC_BM
+        for name in ("base", "r2") if diagonal else ("r1",) if stochastic else ("r2",):
+            if getattr(self, name) != 0.0:
+                raise ConfigError(f"{self.kind.value} does not use {name}")
+        if diagonal and not self.diag:
+            raise ConfigError("piecewise_diag requires a nonempty diag vector")
+        name, floor = ("min(diag)", min(self.diag)) if diagonal else ("base", self.base)
+        if floor - self.r1 < 0.0:  # r1 is 0 for stochastic_bm
+            raise ConfigError(
+                f"variance {name} + r1*sin can go negative: {name}={floor}, r1={self.r1}")
 
     # -- factories -----------------------------------------------------------
 
@@ -168,11 +164,7 @@ class VolModel:
     @classmethod
     def piecewise_diag(cls, diag: Sequence[float], r1: float = 0.0) -> "VolModel":
         """Diagonal variances ``diag`` plus ``r1*sin(2*pi*t)`` on each entry."""
-        return cls(
-            kind=VolKind.PIECEWISE_DIAG,
-            r1=r1,
-            diag=tuple(float(d) for d in diag),
-        )
+        return cls(kind=VolKind.PIECEWISE_DIAG, r1=r1, diag=diag)
 
     @classmethod
     def two_block(
@@ -181,8 +173,8 @@ class VolModel:
         """Two-block diagonal: ``floor(split*p)`` entries at ``high``, rest at
         ``low``; a product within a relative ``1e-9`` of an integer counts as
         that integer."""
-        if not 0.0 < split < 1.0:
-            raise ConfigError(f"split must lie in (0, 1), got {split!r}")
+        p = _integer(p, "p must be a positive integer")
+        split = _real(split, "split must lie in (0, 1)", positive=True, below=1.0)
         n_high = _snapped_floor(split * p)
         return cls.piecewise_diag((high,) * n_high + (low,) * (p - n_high), r1=r1)
 
@@ -266,22 +258,13 @@ def simulate_window_increments(
     the cell variances are evaluated at their true positions.  It checks its
     arguments and draws from a one-cell :func:`_window_source` in the kernel
     scope; a volatility path that overflows is a :class:`NumericalError`.
+    The integer rule of :mod:`spotspectra.errors` reads the three integers.
     """
-    if not isinstance(start, int) or start < 0:
-        raise ConfigError(f"start must be a nonnegative integer, got {start!r}")
-    if not isinstance(count, int) or count < 1:
-        raise ConfigError(f"count must be a positive integer, got {count!r}")
-    if start + count > config.n:
-        raise ConfigError(
-            f"window [{start + 1}, {start + count}] overruns the sample: "
-            f"start + count = {start + count} > n = {config.n}"
-        )
-    try:
-        replication = operator.index(replication)
-    except TypeError:
-        raise ConfigError(f"replication index must be an integer, got {replication!r}") from None
-    if not 0 <= replication <= _MAX_REPLICATION:
-        raise ConfigError(f"replication index {replication} outside [0, 2**44)")
+    start = _integer(start, "start must be a nonnegative integer", 0)
+    count = _integer(count, "count must be a positive integer")
+    _check_window(start + 1, start + count, config.n)
+    replication = _integer(
+        replication, "replication index must be an integer in [0, 2**44)", 0, 2**44)
     draw = _window_source(config.seed, config.n, start, count, [(config.p, model)])
     with kernel_scope():
         return draw(replication)[0]

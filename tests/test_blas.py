@@ -108,3 +108,11 @@ def test_only_csvio_opens_files():
     # print its faults in another shape.  os.open is descriptor plumbing.
     calls = r"(?<!\w)(?<!os\.)open\(|\.(read|write)_(text|bytes)\(|np\.(genfromtxt|load\w*|save\w*)\("
     assert _lines_outside("_csvio.py", calls) == []
+
+
+def test_only_errors_reads_scalar_arguments():
+    # Every integer argument goes through errors._integer and every real one
+    # through errors._real; a check of its own elsewhere would be another rule,
+    # one that takes a bool or turns a numpy scalar away.
+    checks = r"operator\.index\(|isinstance\([^)]*\b(int|float|numbers\.\w+|np\.(integer|floating))\b"
+    assert _lines_outside("errors.py", checks) == []

@@ -289,7 +289,7 @@ def test_test_nonpositive_scale_exits_2(tmp_path, capsys):
     write_matrix_csv(np.eye(2), str(bad))
     rc = main(["test", "--matrix", str(bad), "--k-n", "4", "--scale", "0"])
     assert rc == 2
-    assert "--scale must be positive" in capsys.readouterr().err
+    assert "--scale must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
@@ -299,7 +299,7 @@ def test_test_nonfinite_or_nonpositive_scale_exits_2(tmp_path, capsys, scale):
     rc = main(["test", "--matrix", str(matrix), "--k-n", "4", "--scale", scale])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"--scale must be positive and finite, got {float(scale)!r}" in err
+    assert f"--scale must be finite and positive, got {float(scale)!r}" in err
     assert "matrix" not in err
 
 

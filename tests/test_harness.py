@@ -66,14 +66,16 @@ def test_mc_config_defaults_and_validation():
         MCConfig(seed=0, p_list=(34, 68, 34))
     with pytest.raises(ConfigError, match="levels must be distinct"):
         MCConfig(seed=0, levels=(0.05, 0.1, 0.05))
-    # entries are taken as integers, never truncated or parsed
-    assert MCConfig(seed=0, p_list=(np.int64(34), 68)).p_list == (34, 68)
-    for p_list in ((34.7, 68.2), ("34",), (34.0,)):
+    # entries are taken as integers, stored as int, never truncated or parsed
+    p_list = MCConfig(seed=0, p_list=(np.int64(34), 68)).p_list
+    assert p_list == (34, 68) and all(type(p) is int for p in p_list)
+    for p_list in ((34.7, 68.2), ("34",), (34.0,), (True, 68), (np.True_,), 34):
         with pytest.raises(ConfigError, match="p_list entries must be integers"):
             MCConfig(seed=0, p_list=p_list)
-    # levels entries are taken as numbers, never parsed
-    assert MCConfig(seed=0, levels=(np.float64(0.05), 0.1)).levels == (0.05, 0.1)
-    for levels in (("x",), (None,), ("0.05",), 0.05):
+    # levels entries are taken as numbers, stored as float, never parsed
+    levels = MCConfig(seed=0, levels=(np.float64(0.05), 0.1)).levels
+    assert levels == (0.05, 0.1) and all(type(level) is float for level in levels)
+    for levels in (("x",), (None,), ("0.05",), 0.05, (True,), (np.True_,)):
         with pytest.raises(ConfigError, match="levels entries must be numbers"):
             MCConfig(seed=0, levels=levels)
 
@@ -472,6 +474,45 @@ def test_rep_range_failure_names_its_key(monkeypatch):
     ) as info:
         harness._run_rep_range(4, 400, 0.0, 20, ((8, model, "r1 0.0004"),), 0.0009, 10, 20)
     assert str(info.value.__cause__) == "injected pivot failure"
+
+
+def _numpy_built(make):
+    # The same designs from Python numbers (make(int, float)) and numpy scalars.
+    return make(int, float), make(np.int64, np.float64)
+
+
+def test_configs_of_numpy_scalars_write_the_tables_of_python_numbers(tmp_path):
+    # Every cell of a table is a number: np.float64(0.0004) is stored as 0.0004.
+    def tables(i, f):
+        design = dict(seed=i(4), reps=i(6), n=i(400), k_n=i(20), p_list=(i(8), i(30)), t=f(0.25),
+                      levels=(f(0.1), f(0.05)), workers=i(1))
+        size = [MCConfig(**design, model=VolModel.deterministic_sin(f(0.0009), f(r1)))
+                for r1 in (0.0, 0.0004)]
+        power = [MCConfig(**design, model=VolModel.deterministic_sin(f(0.0009), f(0.0004)),
+                          alternative=Alternative(s=f(s), low=f(0.0004))) for s in (0.45, 0.6)]
+        written = []
+        for write, cfgs in ((write_size_table, size), (write_power_table, power)):
+            path = tmp_path / f"{i.__name__}_{write.__name__}.csv"
+            write(harness._run_experiments(cfgs), str(path))
+            written.append(path.read_bytes())
+        return written
+
+    python, numpy = _numpy_built(tables)
+    assert numpy == python
+    assert b"np." not in b"".join(numpy)
+
+
+def test_a_failure_of_a_numpy_config_names_plain_numbers(monkeypatch):
+    def fail(*args):
+        raise SingularEstimateError("injected pivot failure")
+
+    monkeypatch.setattr(harness, "_statistics", fail)
+    for cfg in _numpy_built(lambda i, f: MCConfig(
+            seed=i(4), reps=i(3), n=i(400), p_list=(i(8),),
+            model=VolModel.deterministic_sin(f(0.0009), f(0.0004)))):
+        with pytest.raises(SingularEstimateError,
+                           match=r"^seed 4, r1 0\.0004, p 8, replication 0: injected pivot failure$"):
+            run_size_experiment(cfg)
 
 
 @pytest.mark.parametrize("table, label", [

@@ -1,12 +1,19 @@
-"""The package's public names: listed once, in their modules, and importable."""
+"""The package's public names: listed once, in their modules, and importable;
+and the one rule for each kind of scalar argument they take."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spotspectra
-from spotspectra import errors, estimators, harness, hdtests, rmt, simkit, spectra
+from spotspectra import (
+    Alternative, ConfigError, DiscreteH, GridConfig, MCConfig, MPLaw, SpotEstimate, VolKind,
+    VolModel, errors, estimators, harness, hdtests, mp_lss_constants, rescale, rmt, simkit,
+    simulate_window_increments, solve_silverstein, spectra,
+)
+from spotspectra.estimators import window_start
 
 _ROOT = Path(__file__).resolve().parents[1]
 _MODULES = (errors, estimators, harness, hdtests, rmt, simkit, spectra)
@@ -48,3 +55,61 @@ def test_readme_example_imports_are_public():
     names = _names_imported_from_package(example)
     assert "increments" in names
     assert names <= set(spotspectra.__all__)
+
+
+_GRID = GridConfig(n=10, p=2, seed=0)
+_SIN = VolModel.deterministic_sin(1.0)
+_EYE = SpotEstimate(matrix=np.eye(2), t=0.0, k_n=4, window=(1, 4))
+
+# Every scalar argument: a valid Python value, and a call that passes a value in
+# its place and returns what was stored there, or the call's result.
+_SCALARS = {
+    "GridConfig.n": (10, lambda v: GridConfig(n=v, p=2, seed=0).n),
+    "GridConfig.p": (2, lambda v: GridConfig(n=10, p=v, seed=0).p),
+    "GridConfig.seed": (3, lambda v: GridConfig(n=10, p=2, seed=v).seed),
+    "MCConfig.seed": (3, lambda v: MCConfig(seed=v).seed),
+    "MCConfig.reps": (10, lambda v: MCConfig(seed=0, reps=v).reps),
+    "MCConfig.n": (400, lambda v: MCConfig(seed=0, n=v).n),
+    "MCConfig.k_n": (20, lambda v: MCConfig(seed=0, n=400, k_n=v).k_n),
+    "MCConfig.workers": (2, lambda v: MCConfig(seed=0, workers=v).workers),
+    "MCConfig.t": (0.5, lambda v: MCConfig(seed=0, n=400, t=v).t),
+    "window start": (3, lambda v: simulate_window_increments(_GRID, _SIN, v, 4)),
+    "window count": (4, lambda v: simulate_window_increments(_GRID, _SIN, 3, v)),
+    "window replication": (5, lambda v: simulate_window_increments(_GRID, _SIN, 0, 4, v)),
+    "window_start n": (100, lambda v: window_start(0.5, v, 4)),
+    "window_start k_n": (4, lambda v: window_start(0.5, 100, v)),
+    "window_start t": (0.5, lambda v: window_start(v, 100, 4)),
+    "SpotEstimate.k_n": (4, lambda v: SpotEstimate(matrix=np.eye(2), t=0.0, k_n=v, window=(1, 4)).k_n),
+    "SpotEstimate.t": (0.5, lambda v: SpotEstimate(matrix=np.eye(2), t=v, k_n=4, window=(1, 4)).t),
+    "VolModel.base": (1.0, lambda v: VolModel.deterministic_sin(v).base),
+    "VolModel.r1": (0.5, lambda v: VolModel.deterministic_sin(2.0, v).r1),
+    "VolModel.r2": (0.5, lambda v: VolModel.stochastic_bm(1.0, v).r2),
+    "VolModel.diag": (0.5, lambda v: VolModel(kind=VolKind.PIECEWISE_DIAG, diag=(v, 0.2)).diag[0]),
+    "piecewise_diag diag": (0.5, lambda v: VolModel.piecewise_diag((v, 0.2)).diag[0]),
+    "two_block high": (0.5, lambda v: VolModel.two_block(4, 0.5, high=v, low=0.2).diag[0]),
+    "two_block split": (0.5, lambda v: VolModel.two_block(4, v, high=0.5, low=0.2).diag),
+    "Alternative.s": (0.5, lambda v: Alternative(s=v).s),
+    "Alternative.low": (0.001, lambda v: Alternative(s=0.5, low=v).low),
+    "MPLaw.y": (0.5, lambda v: MPLaw(y=v).y),
+    "solve_silverstein y": (0.5, lambda v: solve_silverstein(1 + 1j, v, DiscreteH.point_mass(1.0)).m),
+    "mp_lss_constants z_n": (0.5, lambda v: mp_lss_constants(v)),
+    "DiscreteH.support": (1.0, lambda v: DiscreteH(support=(v, 2.0), weights=(0.5, 0.5)).support[0]),
+    "DiscreteH.weights": (0.5, lambda v: DiscreteH(support=(1.0, 2.0), weights=(v, 0.5)).weights[0]),
+    "rescale factor": (2.0, lambda v: rescale(_EYE, v).matrix),
+}
+
+
+@pytest.mark.parametrize("name", _SCALARS)
+def test_every_scalar_argument_follows_its_kinds_rule(name):
+    # An integer is what operator.index takes and a real a numbers.Real, a bool
+    # neither: a numpy scalar is stored as a plain int or float, and anything
+    # else is a ConfigError, never a TypeError, a truncation or a parsed string.
+    good, call = _SCALARS[name]
+    expected = call(good)
+    stored = call(np.int64(good) if type(good) is int else np.float64(good))
+    assert type(stored) is type(expected)
+    np.testing.assert_array_equal(stored, expected)
+    bad = [True, np.True_, str(good), "0.5"] + ([float(good)] if type(good) is int else [])
+    for value in bad + ([] if name == "MCConfig.k_n" else [None]):  # k_n=None is floor(sqrt(n))
+        with pytest.raises(ConfigError):
+            call(value)

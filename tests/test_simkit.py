@@ -54,6 +54,9 @@ def test_vol_model_validation():
         VolModel(kind=VolKind.PIECEWISE_DIAG, base=0.1, diag=(0.5, 0.2))
     with pytest.raises(ConfigError, match="diag entries must be finite and nonnegative"):
         VolModel.piecewise_diag((0.5, math.inf))
+    for kind in ("deterministic_sin", None):  # a kind is a VolKind, never parsed into one
+        with pytest.raises(ConfigError, match="^kind must be a VolKind"):
+            VolModel(kind=kind, base=1.0)
     with pytest.raises(ConfigError, match="piecewise_diag does not use r2"):
         VolModel(kind=VolKind.PIECEWISE_DIAG, r2=0.1, diag=(0.5, 0.2))
     with pytest.raises(ConfigError, match="can go negative"):
