@@ -40,6 +40,7 @@ from .harness import (
     MCConfig,
     _plan,
     _run_experiments,
+    _usable_cpus,
     run_esd_figure,
     run_qq_figure,
     write_power_table,
@@ -257,9 +258,9 @@ def _mc_config(cfg: dict, r1: float, r2: Optional[float] = None,
 
 
 def _run_table(cfgs: list[MCConfig], out_dir: str, write: Callable, name: str) -> None:
-    _plan(cfgs, 1)  # a config error leaves no directory behind
+    plan = _plan(cfgs, _usable_cpus())  # a config error leaves no directory behind
     out = make_dir(out_dir) / name
-    write(_run_experiments(cfgs), str(out))
+    write(_run_experiments(cfgs, plan), str(out))
     print(out)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._blas import kernel_scope
 from ._csvio import float_rows, read_float_csv, write_csv
-from .errors import ConfigError, NumericalError, _integer, _real
+from .errors import ConfigError, NumericalError, _array, _integer, _real
 from .simkit import _check_window, _snapped_floor
 from .spectra import checked_symmetric
 
@@ -57,9 +57,9 @@ __all__ = [
 class SpotEstimate:
     """A spot covariance estimate plus the window metadata the tests need.
 
-    Construction checks that ``matrix`` is square, finite and symmetric up
-    to a relative ``1e-8``, and stores ``t`` and ``k_n`` by the real and
-    integer rules of :mod:`spotspectra.errors`.  It does not check that
+    Construction reads ``matrix`` by the array rule of :mod:`spotspectra.errors`,
+    checks that it is square and symmetric up to a relative ``1e-8``, and
+    stores ``t`` and ``k_n`` by the real and integer rules.  It does not check that
     ``matrix`` is positive semidefinite, which :mod:`spotspectra.hdtests` assumes.
 
     Attributes
@@ -134,7 +134,7 @@ def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
     Parameters
     ----------
     incr
-        ``p x n`` increment matrix for the full sample.
+        ``p x n`` increment matrix for the full sample, read by the array rule.
     t
         Anchor time in ``[0, 1]``; the window covers increments
         ``s + 1 .. s + k_n`` with ``s = window_start(t, n, k_n)``, that is
@@ -155,7 +155,7 @@ def spot_vol(incr: np.ndarray, t: float, k_n: int) -> SpotEstimate:
     NumericalError
         If the estimate overflows.
     """
-    incr = _validated_increments(incr)
+    incr = _array(incr, "increment matrix", 2)
     n = incr.shape[1]
     start = window_start(t, n, k_n)
     return spot_vol_from_window(incr[:, start : start + k_n], n, t, k_n)
@@ -169,7 +169,7 @@ def spot_vol_from_window(window: np.ndarray, n: int, t: float, k_n: int) -> Spot
     and an estimate that overflows is a :class:`NumericalError`.
     """
     start = window_start(t, n, k_n)
-    window = _validated_increments(window)
+    window = _array(window, "increment matrix", 2)
     if window.shape[1] != k_n:
         raise ConfigError(f"window block must have k_n = {k_n} columns, got shape {window.shape}")
     with kernel_scope():  # the estimate's own check nests, so it sets no thread count
@@ -199,19 +199,10 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _validated_increments(incr: np.ndarray) -> np.ndarray:
-    incr = np.asarray(incr, dtype=float)
-    if incr.ndim != 2 or incr.shape[0] < 1 or incr.shape[1] < 1:
-        raise ConfigError(f"increment matrix must be 2-D p x n, got shape {incr.shape}")
-    if not np.all(np.isfinite(incr)):
-        raise ConfigError("increment matrix contains non-finite entries")
-    return incr
-
-
 def write_matrix_csv(matrix: np.ndarray, stream: Union[str, TextIO]) -> None:
     """Write a square matrix as CSV, row-major, with header ``c1,...,cp``."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    matrix = _array(matrix, "matrix", 2)
+    if matrix.shape[0] != matrix.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {matrix.shape}")
     header = [f"c{j + 1}" for j in range(matrix.shape[1])]
     write_csv(stream, header, float_rows(matrix))

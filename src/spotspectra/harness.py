@@ -17,7 +17,8 @@ all ``p`` of an ESD figure, whose estimates take the same products and one
 finiteness check each.  An experiment call runs its model's cells, and the
 ``mc-size`` and ``mc-power`` commands run every model of their table as one.
 A config is checked once, when it is built; a run adds only the checks across
-its configs, so a config error comes before any directory, draw or file.
+its configs and that its z-scores fit in usable memory, so a config error comes
+before any directory, draw or file.
 ``workers`` counts worker processes, the calling process included.  One
 function decides a run's cells, process count and chunks from its configs
 and usable CPUs before anything runs: at most ``workers`` processes, no more
@@ -37,7 +38,7 @@ import multiprocessing
 import os
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from statistics import NormalDist
@@ -47,7 +48,7 @@ import numpy as np
 
 from ._blas import kernel_scope
 from ._csvio import make_dir, write_csv
-from .errors import ConfigError, NumericalError, WorkerError, _integer, _real
+from .errors import ConfigError, NumericalError, WorkerError, _integer, _real, _sequence
 from .estimators import _finite, _scaled_gram, _window_length, window_start
 from .hdtests import TestKind, _default_kinds, _statistics
 from .rmt import MPLaw, mp_cdf, mp_lss_constants
@@ -82,6 +83,8 @@ Process, Pipe = _CONTEXT.Process, _CONTEXT.Pipe
 # One cell of a run: (p, data model, label), where the label names the model's
 # amplitude in a failure's key.
 _Cell = tuple[int, VolModel, str]
+# A run's plan: its cells and its replication chunks, chunk 0 the calling process's.
+_Plan = tuple[tuple[_Cell, ...], list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,8 @@ class MCConfig:
     together agree.  ``workers`` is the most worker processes a run may use,
     the calling process included; ``1`` runs the sweep in the calling process
     alone.  A run uses fewer when it has fewer replications or usable CPUs,
-    or too little work to pay for a child.  Each number is stored as an ``int``
-    or a ``float`` by the integer or real rule of :mod:`spotspectra.errors`.
+    or too little work to pay for a child.  Numbers are stored as ``int`` or
+    ``float`` and lists as tuples, by the rules of :mod:`spotspectra.errors`.
     """
 
     seed: int
@@ -133,12 +136,8 @@ class MCConfig:
     def __post_init__(self) -> None:
         fix = partial(object.__setattr__, self)
         fix("reps", _integer(self.reps, "reps must be a positive integer"))
-        entries = "p_list entries must be integers >= 1"
-        if not np.iterable(self.p_list):
-            raise ConfigError(f"{entries}, got {self.p_list!r}")
-        fix("p_list", tuple(_integer(p, entries) for p in self.p_list))
-        if not self.p_list:
-            raise ConfigError("p_list must name at least one dimension")
+        entry = "p_list entries must be integers >= 1"
+        fix("p_list", _sequence(self.p_list, "p_list", lambda p: _integer(p, entry)))
         if len(set(self.p_list)) != len(self.p_list):
             raise ConfigError(f"p_list entries must be distinct, got {self.p_list!r}")
         grid = GridConfig(n=self.n, p=max(self.p_list), seed=self.seed)  # the largest grid
@@ -147,17 +146,18 @@ class MCConfig:
         fix("k_n", _integer(_window_length(self.n, self.k_n), "k_n must be a positive integer"))
         window_start(self.t, self.n, self.k_n)
         fix("t", float(self.t))  # a real number, as window_start checked
-        entries = "levels entries must be numbers"
-        if not np.iterable(self.levels):
-            raise ConfigError(f"{entries}, got {self.levels!r}")
-        fix("levels", tuple(_real(x, entries, bounded=False) for x in self.levels))
-        if not self.levels:
-            raise ConfigError("levels must name at least one test level")
+        entry = "levels entries must be numbers"
+        fix("levels", _sequence(self.levels, "levels", lambda x: _real(x, entry, bounded=False)))
         if any(not 0.0 < lv < 1.0 for lv in self.levels):
             raise ConfigError(f"levels must lie in (0, 1), got {self.levels!r}")
         if len(set(self.levels)) != len(self.levels):
             raise ConfigError(f"levels must be distinct, got {self.levels!r}")
         fix("workers", _integer(self.workers, "workers must be a positive integer"))
+        if not isinstance(self.model, VolModel):
+            raise ConfigError(f"model must be a VolModel, got {self.model!r}")
+        alt = self.alternative
+        if not isinstance(alt, (Alternative, type(None))):
+            raise ConfigError(f"alternative must be an Alternative or None, got {alt!r}")
         kind, base = self.model.kind, self.model.base
         if kind not in (VolKind.DETERMINISTIC_SIN, VolKind.STOCHASTIC_BM):
             raise ConfigError(
@@ -167,7 +167,6 @@ class MCConfig:
         level = "null variance level needs a finite reciprocal"
         if not math.isfinite(1.0 / _real(base, level, positive=True)):
             raise ConfigError(f"{level}, got {base!r}")
-        alt = self.alternative
         if alt is not None and kind is not VolKind.DETERMINISTIC_SIN:
             raise ConfigError(
                 f"power experiment modulates a deterministic_sin null model, got {kind.value}"
@@ -240,37 +239,63 @@ def _cells(cfg: MCConfig) -> tuple[_Cell, ...]:
     )
 
 
-def _plan(cfgs: Sequence[MCConfig], cpus: int) -> tuple[tuple[_Cell, ...], list[tuple[int, int]]]:
-    """The cells of one run over ``cfgs`` and its replication chunks, chunk 0
-    the calling process's; it starts, draws and writes nothing.  The configs
-    may differ only in the model's kind and amplitude and in the alternative,
-    and no two may be equal: the only checks a run makes, all across its
-    configs.  ``workers`` comes from the user: the run uses no more processes
-    than replications or ``cpus`` usable CPUs, and no child whose chunk costs
-    less than its fork."""
+def _plan(cfgs: Sequence[MCConfig], cpus: int) -> _Plan:
+    """The plan of one run over ``cfgs``; it starts, draws and writes nothing.
+    The configs may differ only in the model's kind and amplitude and in the
+    alternative, no two may be equal, and the run's z-scores must fit in usable
+    memory: the only checks a run makes, all across its configs.  ``workers``
+    comes from the user: the run uses no more processes than replications or
+    ``cpus`` usable CPUs, and no child whose chunk costs less than its fork."""
     cfg = cfgs[0]
     if len(set(cfgs)) != len(cfgs):
         raise ConfigError("experiments run together must be distinct; a table would repeat rows")
+    shared = {(c.seed, c.reps, c.n, c.k_n, c.p_list, c.t, c.levels, c.workers, c.model.base)
+              for c in cfgs}
+    if len(shared) > 1:
+        raise ConfigError(
+            "experiments run together may differ only in the model's kind and "
+            "amplitude and in the alternative"
+        )
     cells = tuple(cell for c in cfgs for cell in _cells(c))
-    for c in cfgs:
-        same = replace(c, model=cfg.model, alternative=cfg.alternative) == cfg
-        if not same or c.model.base != cfg.model.base:
-            raise ConfigError(
-                "experiments run together may differ only in the model's kind and "
-                "amplitude and in the alternative"
-            )
     rows = cfg.reps * sum(p for p, _, _ in cells)
     processes = max(1, min(cfg.workers, cpus, cfg.reps, rows // _CHILD_MIN_ROWS))
     size = math.ceil(cfg.reps / processes)
-    return cells, [(lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)]
+    bounds = [(lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)]
+    # 8 bytes a z-score, one per kind of each cell: this process holds every
+    # replication's and each child its chunk's.
+    kinds = sum(len(_default_kinds(p / cfg.k_n)) for p, _, _ in cells)
+    needed = 8 * kinds * (cfg.reps + sum(hi - lo for lo, hi in bounds[1:]))
+    usable = _usable_memory()
+    if needed > usable:
+        raise ConfigError(f"{cfg.reps} replications need {needed} bytes of z-scores, "
+                          f"more than the {usable} bytes of usable memory")
+    return cells, bounds
 
 
-def _run_experiments(cfgs: Sequence[MCConfig]) -> list[MCSummary]:
-    """One summary per config, as its own size or power experiment returns it,
-    from one run of :func:`_plan`'s cells and chunks, chunk 0 in this process."""
+def _usable_cpus() -> int:
     # A taskset or cgroup cpuset can leave fewer usable CPUs than the machine has.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    cells, bounds = _plan(cfgs, cpus)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _usable_memory() -> float:
+    """Bytes a process may hold: its address-space limit when one is set, else
+    the machine's physical memory; unbounded where neither can be read."""
+    try:
+        import resource  # Unix only
+
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit != resource.RLIM_INFINITY:
+            return limit
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ImportError, AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _run_experiments(cfgs: Sequence[MCConfig], plan: Optional[_Plan] = None) -> list[MCSummary]:
+    """One summary per config, as its own size or power experiment returns it,
+    from one run of :func:`_plan`'s cells and chunks, chunk 0 in this process;
+    ``plan`` is that plan, made here for the usable CPUs when not given."""
+    cells, bounds = _plan(cfgs, _usable_cpus()) if plan is None else plan
     cfg = cfgs[0]
     args = (cfg.seed, cfg.n, cfg.t, cfg.k_n, cells, cfg.model.base)
     children = []
@@ -416,12 +441,14 @@ def run_qq_figure(cfg: MCConfig, out_dir: Union[str, Path]) -> list[QQArtifact]:
     Runs a size experiment under ``cfg`` and writes
     ``qq_<test>_<pbar>.csv`` (``pbar = p / k_n``) with columns
     ``theoretical, empirical``: the ``(i - 1/2) / reps`` normal quantiles
-    against the sorted z-scores.  A config with an ``alternative`` is
-    rejected before ``out_dir`` is made.
+    against the sorted z-scores.  A config with an ``alternative``, or a run
+    whose z-scores do not fit in usable memory, is rejected before ``out_dir``
+    is made.
     """
     _check_null(cfg, "Q-Q figure")
+    plan = _plan([cfg], _usable_cpus())
     out_dir = make_dir(out_dir)
-    summary = _run_experiments([cfg])[0]
+    summary = _run_experiments([cfg], plan)[0]
     dist = NormalDist()
     reps = cfg.reps
     theoretical = np.array(

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._blas import kernel_scope
 from ._csvio import write_csv
-from .errors import ConfigError, NumericalError, SingularEstimateError
+from .errors import ConfigError, NumericalError, SingularEstimateError, _sequence
 from .estimators import SpotEstimate
 from .rmt import LssConstants, mp_lss_constants
 
@@ -62,11 +62,15 @@ _FLOOR = 1e-12
 
 
 class TestKind(str, Enum):
-    """Identifier of one of the three test statistics."""
+    """Identifier of one of the three test statistics; any other value is a ConfigError."""
 
     BJYZ = "bjyz"
     LW = "lw"
     J = "j"
+
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise ConfigError(f"unknown test kind, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -168,10 +172,7 @@ def evaluate_tests(
         ``L[i, i]**2`` is at or below ``1e-12``; for ``j``, if the trace is
         not strictly positive (normalization undefined).
     """
-    try:
-        kinds = [TestKind(kind) for kind in (_default_kinds(est.z_n) if kinds is None else kinds)]
-    except ValueError as exc:
-        raise ConfigError(f"unknown test kind: {exc}") from None
+    kinds = _default_kinds(est.z_n) if kinds is None else _sequence(kinds, "kinds", TestKind)
     constants = mp_lss_constants(est.z_n) if TestKind.BJYZ in kinds else None
     with kernel_scope():
         stats = _statistics(np.ascontiguousarray(est.matrix), est.k_n, kinds, constants)

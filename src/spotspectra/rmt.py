@@ -29,7 +29,9 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ._blas import kernel_scope
-from .errors import ConfigError, DegenerateStatisticError, NumericalError, _real
+from .errors import (
+    ConfigError, DegenerateStatisticError, NumericalError, _complex, _real, _sequence,
+)
 
 __all__ = [
     "MPLaw",
@@ -129,13 +131,11 @@ class DiscreteH:
 
     def __post_init__(self) -> None:
         for name, entries in (("support", "support points"), ("weights", "weights")):
-            values = getattr(self, name)
-            if not np.iterable(values):
-                raise ConfigError(f"{name} must be a sequence, got {values!r}")
-            requirement = f"{entries} must be finite and nonnegative"
-            object.__setattr__(self, name, tuple(_real(v, requirement) for v in values))
-        if len(self.support) == 0 or len(self.support) != len(self.weights):
-            raise ConfigError(f"support and weights must be nonempty and equal length, "
+            entry = f"{entries} must be finite and nonnegative"
+            values = _sequence(getattr(self, name), name, lambda v: _real(v, entry))
+            object.__setattr__(self, name, values)
+        if len(self.support) != len(self.weights):
+            raise ConfigError(f"support and weights must have equal length, "
                               f"got {len(self.support)} and {len(self.weights)}")
         total = math.fsum(self.weights)
         if abs(total - 1.0) > 1e-12:
@@ -182,7 +182,8 @@ def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
     Raises
     ------
     ConfigError
-        If ``Im z <= 0``, ``y <= 0``, or ``h`` puts all its mass at zero
+        If ``z`` is not a complex number by the complex rule of
+        :mod:`spotspectra.errors`, ``Im z <= 0``, ``y <= 0``, or ``h`` puts all its mass at zero
         (the ensemble degenerates to a point mass and the equation carries
         no information).
     NumericalError
@@ -190,9 +191,10 @@ def solve_silverstein(z: complex, y: float, h: DiscreteH) -> StieltjesPoint:
         root lies in the upper half-plane, or the root does not satisfy the
         defining equations to ``1e-10``.
     """
-    z = complex(z)
+    point = "z must be a finite point with Im z > 0"
+    z = _complex(z, point)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)) or z.imag <= 0.0:
-        raise ConfigError(f"z must be a finite point with Im z > 0, got {z!r}")
+        raise ConfigError(f"{point}, got {z!r}")
     y = _real(y, "y must be finite and positive", positive=True)
     t = np.asarray(h.support, dtype=float)
     w = np.asarray(h.weights, dtype=float)

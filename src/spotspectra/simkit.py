@@ -43,7 +43,7 @@ from numpy.random import Generator, Philox
 
 from ._blas import kernel_scope
 from ._csvio import float_rows, read_float_csv, write_csv
-from .errors import ConfigError, NumericalError, _integer, _real
+from .errors import ConfigError, NumericalError, _integer, _real, _sequence
 
 __all__ = [
     "VolKind",
@@ -134,10 +134,8 @@ class VolModel:
         if self.diag is not None:
             if not diagonal:
                 raise ConfigError(f"{self.kind.value} does not take a diag vector")
-            if not np.iterable(self.diag):
-                raise ConfigError(f"diag must be a sequence, got {self.diag!r}")
-            diag = tuple(_real(d, "diag entries must be finite and nonnegative") for d in self.diag)
-            object.__setattr__(self, "diag", diag)
+            entry = "diag entries must be finite and nonnegative"
+            object.__setattr__(self, "diag", _sequence(self.diag, "diag", lambda d: _real(d, entry)))
         stochastic = self.kind is VolKind.STOCHASTIC_BM
         for name in ("base", "r2") if diagonal else ("r1",) if stochastic else ("r2",):
             if getattr(self, name) != 0.0:

@@ -15,7 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from ._blas import kernel_scope
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _array
 
 __all__ = [
     "SpectralSample",
@@ -30,18 +30,12 @@ _PSD_RTOL = 1e-10
 
 
 def checked_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
-    """Return ``matrix`` as a float array after checking it is a symmetric matrix.
-
-    It must be square with at least one row, have only finite entries, and
-    have ``max |A - A^T| <= 1e-8 * max |A|``.  Otherwise a
-    :class:`~spotspectra.errors.ConfigError` names ``name`` and says which
-    condition failed ("square", "non-finite" or "asymmetric").
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    """Return ``matrix``, read by the array rule of :mod:`spotspectra.errors` as a 2-D array,
+    after checking it is square and has ``max |A - A^T| <= 1e-8 * max |A|``; a
+    :class:`~spotspectra.errors.ConfigError` names ``name`` and the condition that failed."""
+    m = _array(matrix, name, 2)
+    if m.shape[0] != m.shape[1]:
         raise ConfigError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ConfigError(f"{name} contains non-finite entries")
     rtol = 1e-8  # relative asymmetry accepted as round-off
     scale = np.max(np.abs(m))
     asym = np.max(np.abs(m - m.T))
@@ -55,17 +49,13 @@ def checked_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSample:
-    """Eigenvalues of one matrix, sorted in descending order: one per
-    dimension, multiplicities included."""
+    """Eigenvalues of one matrix, read by the array rule of :mod:`spotspectra.errors`,
+    sorted in descending order: one per dimension, multiplicities included."""
 
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        if lam.ndim != 1 or lam.size < 1:
-            raise ConfigError(f"eigenvalues must be a nonempty 1-D array, got shape {lam.shape}")
-        if not np.all(np.isfinite(lam)):
-            raise ConfigError("eigenvalues contain non-finite entries")
+        lam = _array(self.eigenvalues, "eigenvalue vector", 1)
         if np.any(np.diff(lam) > 0.0):
             raise ConfigError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "eigenvalues", lam)

@@ -110,6 +110,12 @@ def test_only_csvio_opens_files():
     assert _lines_outside("_csvio.py", calls) == []
 
 
+def test_only_errors_reads_sequence_arguments():
+    # Every sequence argument goes through errors._sequence, which turns a
+    # string, bytes or a mapping away and requires an entry.
+    assert _lines_outside("errors.py", r"np\.iterable\(") == []
+
+
 def test_only_errors_reads_scalar_arguments():
     # Every integer argument goes through errors._integer and every real one
     # through errors._real; a check of its own elsewhere would be another rule,

@@ -483,6 +483,18 @@ def test_uncreatable_out_dir_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert swept == []
 
 
+@pytest.mark.parametrize("command", ["mc-size", "mc-power", "qq"])
+def test_a_run_too_large_for_memory_exits_2_and_makes_no_directory(tmp_path, capsys, command):
+    # 10**11 replications hold terabytes of z-scores: the plan refuses them
+    # before a directory is made or a buffer allocated, and --reps has no cap.
+    out_dir = tmp_path / "huge"
+    rc = main([command, "--seed", "0", "--reps", "100000000000", "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert re.fullmatch(r"error: 100000000000 replications need \d+ bytes of z-scores, "
+                        r"more than the \d+ bytes of usable memory\n", capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def test_missing_required_option_exits_2(capsys):
     rc = main(["mc-size", "--reps", "2"])
     assert rc == 2
@@ -770,7 +782,7 @@ def test_a_command_without_options_runs_the_config_defaults(
     monkeypatch.chdir(tmp_path)
     runs = []
     if runner == "_run_experiments":
-        monkeypatch.setattr(cli, runner, lambda cfgs: runs.append(cfgs) or [])
+        monkeypatch.setattr(cli, runner, lambda cfgs, plan: runs.append(cfgs) or [])
     else:
         monkeypatch.setattr(cli, runner, lambda cfg, out_dir: runs.append([cfg]) or [])
     assert main([command, "--seed", "3"]) == 0

@@ -5,6 +5,7 @@ import io
 import math
 import multiprocessing
 import os
+import resource
 import signal
 import time
 from dataclasses import replace
@@ -69,15 +70,19 @@ def test_mc_config_defaults_and_validation():
     # entries are taken as integers, stored as int, never truncated or parsed
     p_list = MCConfig(seed=0, p_list=(np.int64(34), 68)).p_list
     assert p_list == (34, 68) and all(type(p) is int for p in p_list)
-    for p_list in ((34.7, 68.2), ("34",), (34.0,), (True, 68), (np.True_,), 34):
+    for p_list in ((34.7, 68.2), ("34",), (34.0,), (True, 68), (np.True_,)):
         with pytest.raises(ConfigError, match="p_list entries must be integers"):
             MCConfig(seed=0, p_list=p_list)
+    with pytest.raises(ConfigError, match="^p_list must be a sequence, got 34$"):
+        MCConfig(seed=0, p_list=34)
     # levels entries are taken as numbers, stored as float, never parsed
     levels = MCConfig(seed=0, levels=(np.float64(0.05), 0.1)).levels
     assert levels == (0.05, 0.1) and all(type(level) is float for level in levels)
-    for levels in (("x",), (None,), ("0.05",), 0.05, (True,), (np.True_,)):
+    for levels in (("x",), (None,), ("0.05",), (True,), (np.True_,)):
         with pytest.raises(ConfigError, match="levels entries must be numbers"):
             MCConfig(seed=0, levels=levels)
+    with pytest.raises(ConfigError, match=r"^levels must be a sequence, got 0\.05$"):
+        MCConfig(seed=0, levels=0.05)
 
 
 def test_alternative_validation():
@@ -171,6 +176,27 @@ def test_run_plans_for_the_cpus_it_may_use(monkeypatch):
         run_size_experiment(MCConfig(seed=7, reps=1, n=400, p_list=(8,)))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert planned == [3, 3, 1]
+
+
+def test_a_run_must_fit_its_z_scores_in_usable_memory(monkeypatch):
+    # 8 bytes a z-score, 7 z-scores a replication of the default design (bjyz,
+    # lw and j at p = 34; lw and j at p = 68 and 102), in this process for
+    # all 1,000 replications and in the child for its 500: 84,000 bytes.
+    cfg = MCConfig(seed=0, workers=2)
+    message = ("^1000 replications need 84000 bytes of z-scores, "
+               "more than the {} bytes of usable memory$")
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (84_000, resource.RLIM_INFINITY))
+    assert harness._plan([cfg], 2)[1] == [(0, 500), (500, 1000)]
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (83_999, resource.RLIM_INFINITY))
+    with pytest.raises(ConfigError, match=message.format(83999)):
+        harness._plan([cfg], 2)
+    assert harness._plan([cfg], 1)[1] == [(0, 1000)]  # 56,000 bytes in one process
+    # With no address-space limit, physical memory bounds the run.
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 20}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(ConfigError, match=message.format(81920)):
+        harness._plan([cfg], 2)
 
 
 def test_chunks_are_cut_per_process():
@@ -685,8 +711,12 @@ def test_grid_and_sweep_share_one_bound_on_p():
         (VolModel.stochastic_bm(0.0009, 0.01), Alternative(s=0.5), "deterministic_sin"),
         (VolModel.deterministic_sin(0.0009, 0.0008), Alternative(s=0.5),
          r"^low must be at least r1, got low=0\.0004, r1=0\.0008$"),
+        ("x", None, r"^model must be a VolModel, got 'x'$"),
+        (VolModel.deterministic_sin(0.0009), 0.5,
+         r"^alternative must be an Alternative or None, got 0\.5$"),
     ],
-    ids=["piecewise-diag", "zero-base", "stochastic-alternative", "low-below-r1"],
+    ids=["piecewise-diag", "zero-base", "stochastic-alternative", "low-below-r1", "not-a-model",
+         "not-an-alternative"],
 )
 def test_sweep_config_rejects_a_bad_model_when_built(model, alternative, message):
     with pytest.raises(ConfigError, match=message):

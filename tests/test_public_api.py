@@ -1,7 +1,8 @@
 """The package's public names: listed once, in their modules, and importable;
-and the one rule for each kind of scalar argument they take."""
+and the one rule for each kind of argument they take."""
 
 import ast
+import io
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 
 import spotspectra
 from spotspectra import (
-    Alternative, ConfigError, DiscreteH, GridConfig, MCConfig, MPLaw, SpotEstimate, VolKind,
-    VolModel, errors, estimators, harness, hdtests, mp_lss_constants, rescale, rmt, simkit,
-    simulate_window_increments, solve_silverstein, spectra,
+    Alternative, ConfigError, DiscreteH, GridConfig, MCConfig, MPLaw, SpectralSample,
+    SpotEstimate, TestKind, VolKind, VolModel, eigenvalues_sym, errors, estimators,
+    evaluate_tests, harness, hdtests, mp_lss_constants, rescale, rmt, simkit,
+    simulate_window_increments, solve_silverstein, spectra, spot_vol, spot_vol_from_window,
+    write_matrix_csv,
 )
 from spotspectra.estimators import window_start
 
@@ -113,3 +116,88 @@ def test_every_scalar_argument_follows_its_kinds_rule(name):
     for value in bad + ([] if name == "MCConfig.k_n" else [None]):  # k_n=None is floor(sqrt(n))
         with pytest.raises(ConfigError):
             call(value)
+
+
+def test_a_complex_point_follows_the_complex_rule():
+    # A numbers.Complex that is no bool: a numpy number gives the Python value's
+    # solution, and a string is never parsed.
+    h = DiscreteH.point_mass(1.0)
+    assert solve_silverstein(np.complex128(1 + 1j), 0.5, h) == solve_silverstein(1 + 1j, 0.5, h)
+    for z in ("1+1j", b"1+1j", True, np.True_, None, [1 + 1j], 10**400):
+        with pytest.raises(ConfigError, match=r"^z must be a finite point with Im z > 0, got "):
+            solve_silverstein(z, 0.5, h)
+
+
+_SPD = np.array([[2.0, 0.5], [0.5, 1.0]])
+_INCR = np.arange(8.0).reshape(2, 4)
+
+
+def _matrix_csv(matrix):
+    stream = io.StringIO()
+    write_matrix_csv(matrix, stream)
+    return stream.getvalue()
+
+
+# Every sequence and array argument: a valid value, what is stored from it (or
+# the call's result), the call, and what each failure's message names.
+_COLLECTIONS = {
+    "MCConfig.p_list": ([34, 68], (34, 68), lambda v: MCConfig(seed=0, p_list=v).p_list, "p_list"),
+    "MCConfig.levels": ([0.1, 0.05], (0.1, 0.05), lambda v: MCConfig(seed=0, levels=v).levels,
+                        "levels"),
+    "VolModel.diag": ([0.5, 0.2], (0.5, 0.2), lambda v: VolModel.piecewise_diag(v).diag, "diag"),
+    "DiscreteH.support": ([1.0, 2.0], (1.0, 2.0),
+                          lambda v: DiscreteH(support=v, weights=(0.5, 0.5)).support, "support"),
+    "DiscreteH.weights": ([0.25, 0.75], (0.25, 0.75),
+                          lambda v: DiscreteH(support=(1.0, 2.0), weights=v).weights, "weights"),
+    "evaluate_tests kinds": (["lw", "j"], [TestKind.LW, TestKind.J],
+                             lambda v: [r.kind for r in evaluate_tests(_EYE, v)], "kind"),
+    "spot_vol increments": (_INCR, spot_vol(_INCR, 0.0, 2).matrix,
+                            lambda v: spot_vol(v, 0.0, 2).matrix, "increment matrix"),
+    "spot_vol_from_window window": (_INCR[:, :2], spot_vol(_INCR, 0.0, 2).matrix,
+                                    lambda v: spot_vol_from_window(v, 4, 0.0, 2).matrix,
+                                    "increment matrix"),
+    "SpotEstimate.matrix": (_SPD, _SPD,
+                            lambda v: SpotEstimate(matrix=v, t=0.0, k_n=4, window=(1, 4)).matrix,
+                            "estimate matrix"),
+    "eigenvalues_sym matrix": (_SPD, eigenvalues_sym(_SPD).eigenvalues,
+                               lambda v: eigenvalues_sym(v).eigenvalues, "matrix"),
+    "write_matrix_csv matrix": (_SPD, _matrix_csv(_SPD), _matrix_csv, "matrix"),
+    "SpectralSample.eigenvalues": (np.array([2.0, 1.0]), np.array([2.0, 1.0]),
+                                   lambda v: SpectralSample(eigenvalues=v).eigenvalues,
+                                   "eigenvalue vector"),
+}
+
+
+def _not_collections(good):
+    # A str, bytes, a mapping, no entry at all, and arrays of good's shape that
+    # numpy holds as bools, complex numbers, strings or objects, or cannot hold.
+    ones, rows = np.ones(np.shape(good)), np.asarray(good).tolist()
+    return ["ab", b"\x22D", {"a": 1}, (), ones.astype(bool), ones * 1j, ones.astype(str),
+            np.full(np.shape(good), None, dtype=object), [rows[0], rows[1:]]]
+
+
+@pytest.mark.parametrize("name", _COLLECTIONS)
+def test_every_sequence_and_array_argument_follows_its_kinds_rule(name):
+    # A sequence is any iterable but a str, bytes or mapping, with an entry, each
+    # entry read by its own rule; an array is what numpy holds as integers or
+    # floats in the axes it needs, none empty, all finite, kept when it is float.
+    good, expected, call, named = _COLLECTIONS[name]
+    if isinstance(good, np.ndarray):  # as nested lists and as exact float32 too
+        same = [good, good.tolist(), good.astype(np.float32)]
+    else:  # as an array of numbers or strings, and as an iterator
+        same = [good, np.asarray(good), iter(good)]
+    for value in same:
+        stored = call(value)
+        assert type(stored) is type(expected)
+        assert [type(entry) for entry in stored] == [type(entry) for entry in expected]
+        np.testing.assert_array_equal(stored, expected)
+    for value in _not_collections(good):
+        with pytest.raises(ConfigError, match=named):
+            call(value)
+
+
+def test_a_float_array_argument_is_stored_without_a_copy():
+    estimate = SpotEstimate(matrix=_SPD, t=0.0, k_n=4, window=(1, 4))
+    assert estimate.matrix is _SPD
+    eigenvalues = np.array([2.0, 1.0])
+    assert SpectralSample(eigenvalues=eigenvalues).eigenvalues is eigenvalues
